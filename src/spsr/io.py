@@ -22,6 +22,7 @@ from .tensor import SpsTensor
 SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
+MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
 
 
 def dump_json(path: str, obj):
@@ -165,10 +166,13 @@ def rle_to_dict(rle: Rle) -> dict:
 
 def rle_from_dict(d: dict) -> Rle:
     try:
-        return Rle(height=int(d["height"]), width=int(d["width"]),
-                   counts=tuple(int(c) for c in d["counts"]))
+        height, width = int(d["height"]), int(d["width"])
+        counts = tuple(int(c) for c in d["counts"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed RLE record: {e}") from e
+    if height * width > MAX_MASK_PIXELS:
+        raise SchemaError(f"RLE canvas {height}x{width} exceeds {MAX_MASK_PIXELS} pixels")
+    return Rle(height=height, width=width, counts=counts)
 
 
 def load_rois(path: str) -> list[RoiInput]:

@@ -62,52 +62,27 @@ def rle_encode(mask: np.ndarray) -> Rle:
 
 
 def rle_decode(rle: Rle) -> np.ndarray:
+    counts = rle.counts
+    inner = len(counts) - len(counts) % 2  # drops a trailing background run
+    fill = np.repeat(np.arange(1, inner) % 2 == 1, counts[1:inner])
+    # Only the span from the first to the last foreground run is written, so
+    # the leading and trailing background stay untouched zero pages.
     flat = np.zeros(rle.height * rle.width, dtype=bool)
-    pos = 0
-    for i, count in enumerate(rle.counts):
-        if i % 2 == 1:
-            flat[pos:pos + count] = True
-        pos += count
+    flat[counts[0]:counts[0] + fill.size] = fill
     return flat.reshape(rle.width, rle.height).T
+
+
+def _check_canvas(a: np.ndarray, b: np.ndarray):
+    if a.shape != b.shape:
+        raise ContractError(f"mask canvases differ: {a.shape} vs {b.shape}")
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ContractError(f"mask canvases differ: {a.shape} vs {b.shape}")
+    _check_canvas(a, b)
     inter = int(np.logical_and(a, b).sum())
     union = int(np.logical_or(a, b).sum())
-    return inter / union if union else 0.0
-
-
-def rle_iou(a: Rle, b: Rle) -> float:
-    """Mask IoU computed on the runs directly, without decoding."""
-    if (a.height, a.width) != (b.height, b.width):
-        raise ContractError("mask canvases differ")
-    ca, cb = list(a.counts), list(b.counts)
-    inter = 0
-    ia = ib = 0
-    ra = ca[0] if ca else 0
-    rb = cb[0] if cb else 0
-    va = vb = False  # run values; runs start with background
-    while ia < len(ca) and ib < len(cb):
-        step = min(ra, rb)
-        if va and vb:
-            inter += step
-        ra -= step
-        rb -= step
-        while ra == 0 and ia + 1 < len(ca):
-            ia += 1
-            va = not va
-            ra = ca[ia]
-        while rb == 0 and ib + 1 < len(cb):
-            ib += 1
-            vb = not vb
-            rb = cb[ib]
-        if ra == 0 or rb == 0:
-            break
-    union = a.area + b.area - inter
     return inter / union if union else 0.0
 
 
@@ -133,13 +108,52 @@ class EvalEntry:
 
 
 def geometry_iou_fn(kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
+    """Pairwise IoU of two entries' boxes, masks or mask boundaries.
+
+    The mask and boundary callables decode each entry's mask, and build its
+    boundary band, once and keep them for the callable's lifetime (keyed by
+    entry identity), so take a fresh callable per group of entries.
+    """
     if kind == "box":
         return lambda p, g: box_iou(p.box, g.box)
+    if kind not in ("mask", "boundary"):
+        raise ContractError(f"unknown geometry kind {kind!r}")
+    prepared: dict = {}
+
+    def prepare(e: EvalEntry) -> tuple:
+        if id(e) not in prepared:
+            mask = rle_decode(e.mask)
+            band = boundary_band(mask, _band_width(mask.shape)) if kind == "boundary" else None
+            prepared[id(e)] = (mask, band, e)  # holding e keeps its id from being reused
+        return prepared[id(e)][:2]
+
     if kind == "mask":
-        return lambda p, g: mask_iou(rle_decode(p.mask), rle_decode(g.mask))
-    if kind == "boundary":
-        return lambda p, g: boundary_iou(rle_decode(p.mask), rle_decode(g.mask))
-    raise ContractError(f"unknown geometry kind {kind!r}")
+        return lambda p, g: mask_iou(prepare(p)[0], prepare(g)[0])
+    return lambda p, g: _banded_iou(*prepare(p), *prepare(g))
+
+
+def _by_image(entries: Sequence[EvalEntry]) -> dict:
+    groups: dict = {}
+    for e in entries:
+        groups.setdefault(e.image_id, []).append(e)
+    return groups
+
+
+def _pair_ious(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
+               kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
+    """Evaluate every same-image (pred, gt) pair once; returns a table lookup.
+
+    Each image gets a fresh ``geometry_iou_fn`` callable, so its decoded masks
+    and bands are dropped once that image's pairs are filled.
+    """
+    preds_by_image = _by_image(preds)
+    table = {}
+    for image_id, image_gts in _by_image(gts).items():
+        iou_fn = geometry_iou_fn(kind)
+        for p in preds_by_image.get(image_id, []):
+            for g in image_gts:
+                table[id(p), id(g)] = iou_fn(p, g)
+    return lambda p, g: table[id(p), id(g)]
 
 
 def match_predictions(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
@@ -159,9 +173,7 @@ def match_predictions(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
     by_image: dict = {}
     for gi, g in enumerate(gts):
         by_image.setdefault(g.image_id, []).append(gi)
-    ignore_by_image: dict = {}
-    for g in ignore_gts:
-        ignore_by_image.setdefault(g.image_id, []).append(g)
+    ignore_by_image = _by_image(ignore_gts)
     matched = np.zeros(len(gts), dtype=bool)
 
     flags = []
@@ -258,43 +270,45 @@ def ap_suite(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry], kind: str = "
     """COCO-style AP report: 10-threshold mean plus AP50/75 and size buckets.
 
     Per-class APs are averaged over the classes present in the ground truth;
-    a bucket with no ground truth anywhere reports -1.
+    a bucket with no ground truth anywhere reports -1. Each class's pairwise
+    IoUs are evaluated once and shared by all of its threshold and bucket
+    passes (the bucket passes' ignore-listed gts are gts of the same class).
     """
-    iou_fn = geometry_iou_fn(kind)
     classes = sorted({g.class_id for g in gts})
-    preds_by_class = {c: [p for p in preds if p.class_id == c] for c in classes}
-    gts_by_class = {c: [g for g in gts if g.class_id == c] for c in classes}
+    buckets = (("small", "AP_S"), ("medium", "AP_M"), ("large", "AP_L"))
 
     def class_mean(values):
         return float(np.mean(values)) if values else -1.0
 
     per_threshold = {t: [] for t in AP_IOU_THRESHOLDS}
     all_threshold_means = []
+    bucket_means = {key: [] for _, key in buckets}
     for c in classes:
-        aps = [ap_single(preds_by_class[c], gts_by_class[c], t, iou_fn)
-               for t in AP_IOU_THRESHOLDS]
+        class_preds = [p for p in preds if p.class_id == c]
+        class_gts = [g for g in gts if g.class_id == c]
+        iou_fn = _pair_ious(class_preds, class_gts, kind)
+        aps = [ap_single(class_preds, class_gts, t, iou_fn) for t in AP_IOU_THRESHOLDS]
         for t, v in zip(AP_IOU_THRESHOLDS, aps):
             per_threshold[t].append(v)
         all_threshold_means.append(float(np.mean(aps)))
+
+        for bucket, key in buckets:
+            real = [g for g in class_gts if _in_bucket(g.area(), bucket)]
+            if not real:
+                continue
+            ignore = [g for g in class_gts if not _in_bucket(g.area(), bucket)]
+            pred_out = lambda p: not _in_bucket(p.area(), bucket)  # noqa: E731
+            aps = [ap_single(class_preds, real, t, iou_fn, ignore, pred_out)
+                   for t in AP_IOU_THRESHOLDS]
+            bucket_means[key].append(float(np.mean(aps)))
 
     report = {
         "AP": class_mean(all_threshold_means),
         "AP50": class_mean(per_threshold[0.5]),
         "AP75": class_mean(per_threshold[0.75]),
     }
-
-    for bucket, key in (("small", "AP_S"), ("medium", "AP_M"), ("large", "AP_L")):
-        bucket_means = []
-        for c in classes:
-            real = [g for g in gts_by_class[c] if _in_bucket(g.area(), bucket)]
-            if not real:
-                continue
-            ignore = [g for g in gts_by_class[c] if not _in_bucket(g.area(), bucket)]
-            pred_out = lambda p: not _in_bucket(p.area(), bucket)  # noqa: E731
-            aps = [ap_single(preds_by_class[c], real, t, iou_fn, ignore, pred_out)
-                   for t in AP_IOU_THRESHOLDS]
-            bucket_means.append(float(np.mean(aps)))
-        report[key] = class_mean(bucket_means)
+    for _, key in buckets:
+        report[key] = class_mean(bucket_means[key])
     return report
 
 
@@ -309,6 +323,17 @@ def boundary_band(mask: np.ndarray, d: int) -> np.ndarray:
     return mask & ~eroded
 
 
+def _band_width(shape: tuple, d_frac: float = BOUNDARY_FRACTION) -> int:
+    return max(1, int(round(d_frac * float(np.hypot(*shape)))))
+
+
+def _banded_iou(a: np.ndarray, band_a: np.ndarray, b: np.ndarray, band_b: np.ndarray) -> float:
+    """Mask IoU inside ``band_a | band_b``: the one boundary-IoU formula."""
+    _check_canvas(a, b)
+    band = band_a | band_b
+    return mask_iou(a & band, b & band)
+
+
 def boundary_iou(a: np.ndarray, b: np.ndarray, d_frac: float = BOUNDARY_FRACTION) -> float:
     """Mask IoU restricted to the union of both masks' contour bands.
 
@@ -316,11 +341,8 @@ def boundary_iou(a: np.ndarray, b: np.ndarray, d_frac: float = BOUNDARY_FRACTION
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ContractError(f"mask canvases differ: {a.shape} vs {b.shape}")
-    d = max(1, int(round(d_frac * float(np.hypot(*a.shape)))))
-    band = boundary_band(a, d) | boundary_band(b, d)
-    return mask_iou(a & band, b & band)
+    d = _band_width(a.shape, d_frac)
+    return _banded_iou(a, boundary_band(a, d), b, boundary_band(b, d))
 
 
 # --- panoptic quality ------------------------------------------------------

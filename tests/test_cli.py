@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from spsr import io
+from spsr import io, metrics
 from spsr.cli import main
 from spsr.metrics import rle_encode
 from spsr.pipeline import make_targets
@@ -162,6 +162,35 @@ class TestEvalCommand:
         code = main(["eval", "--task", "det", "--preds", str(tmp_path / "p.json"),
                      "--gts", str(tmp_path / "g.json")])
         assert code == 2
+
+    def test_oversized_rle_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_decode(rle):
+            raise AssertionError("an oversized mask must be rejected before decoding")
+
+        monkeypatch.setattr(metrics, "rle_decode", no_decode)
+        monkeypatch.setattr(io, "rle_decode", no_decode)
+        huge = {"image_id": 0, "class": 1, "score": 0.9,
+                "rle": {"height": 10**6, "width": 10**6, "counts": [10**12]}}
+        io.dump_json(str(tmp_path / "p.json"), [huge])
+        io.dump_json(str(tmp_path / "g.json"), [huge])
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "seg", "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ("seg", "boundary"))
+    def test_canvas_mismatch_exit_3(self, tmp_path, task):
+        def rec(side):
+            rle = io.rle_to_dict(rle_encode(np.ones((side, side), dtype=bool)))
+            return {"image_id": 0, "class": 1, "score": 0.9, "rle": rle}
+
+        io.dump_json(str(tmp_path / "p.json"), [rec(20)])
+        io.dump_json(str(tmp_path / "g.json"), [rec(30)])
+        code = main(["eval", "--task", task, "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json")])
+        assert code == 3
 
     def test_deterministic_report_bytes(self, tmp_path):
         gts = [box_record(0, 1, [0, 0, 10, 10])]

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,17 @@ def envelope_ap_by_grid(preds, gts, thresh, n_grid=200001):
     return float(np.trapezoid(env, rs))
 
 
+def loop_decode(rle):
+    """Reference decoder: one slice assignment per foreground run."""
+    flat = np.zeros(rle.height * rle.width, dtype=bool)
+    pos = 0
+    for i, count in enumerate(rle.counts):
+        if i % 2 == 1:
+            flat[pos:pos + count] = True
+        pos += count
+    return flat.reshape(rle.width, rle.height).T
+
+
 class TestRleCodec:
     def test_empty_mask(self):
         rle = me.rle_encode(np.zeros((2, 3), dtype=bool))
@@ -55,16 +68,20 @@ class TestRleCodec:
         back = me.rle_decode(me.rle_encode(mask))
         np.testing.assert_array_equal(back, mask)
 
+    def test_decode_matches_run_loop(self, rng):
+        cases = [(6,), (0, 6), (0, 2, 0, 3, 1), (1, 5), (5, 1), (0, 0, 6), (6, 0), (2, 0, 0, 4)]
+        for counts in cases:
+            rle = me.Rle(height=2, width=3, counts=counts)
+            np.testing.assert_array_equal(me.rle_decode(rle), loop_decode(rle))
+        for _ in range(300):  # arbitrary runs, zero-length ones included
+            counts = tuple(int(c) for c in rng.integers(0, 4, size=int(rng.integers(1, 12))))
+            if sum(counts):
+                rle = me.Rle(height=1, width=sum(counts), counts=counts)
+                np.testing.assert_array_equal(me.rle_decode(rle), loop_decode(rle))
+
     def test_count_sum_mismatch_rejected(self):
         with pytest.raises(ContractError):
             me.Rle(height=2, width=3, counts=(4,))
-
-    def test_rle_iou_equals_pixel_iou(self, rng):
-        for _ in range(300):
-            a = rng.random((9, 7)) < rng.uniform(0.1, 0.9)
-            b = rng.random((9, 7)) < rng.uniform(0.1, 0.9)
-            assert me.rle_iou(me.rle_encode(a), me.rle_encode(b)) == pytest.approx(
-                me.mask_iou(a, b), abs=1e-12)
 
 
 def hand_instance():
@@ -199,6 +216,147 @@ class TestApSuite:
         gts = [me.EvalEntry(0, 1, 1.0, mask=rle)]
         preds = [me.EvalEntry(0, 1, 0.9, mask=rle)]
         assert me.ap_suite(preds, gts, "mask")["AP"] == 1.0
+
+
+def reference_ap_suite(preds, gts, kind):
+    """The per-pair path: ap_single per threshold and bucket, with an IoU that
+    decodes both masks (and builds both bands) for every pair it is asked for."""
+    iou_fn = {
+        "box": lambda p, g: me.box_iou(p.box, g.box),
+        "mask": lambda p, g: me.mask_iou(me.rle_decode(p.mask), me.rle_decode(g.mask)),
+        "boundary": lambda p, g: me.boundary_iou(me.rle_decode(p.mask), me.rle_decode(g.mask)),
+    }[kind]
+    classes = sorted({g.class_id for g in gts})
+    preds_by_class = {c: [p for p in preds if p.class_id == c] for c in classes}
+    gts_by_class = {c: [g for g in gts if g.class_id == c] for c in classes}
+
+    def class_mean(values):
+        return float(np.mean(values)) if values else -1.0
+
+    per_threshold = {t: [] for t in me.AP_IOU_THRESHOLDS}
+    all_threshold_means = []
+    for c in classes:
+        aps = [me.ap_single(preds_by_class[c], gts_by_class[c], t, iou_fn)
+               for t in me.AP_IOU_THRESHOLDS]
+        for t, v in zip(me.AP_IOU_THRESHOLDS, aps):
+            per_threshold[t].append(v)
+        all_threshold_means.append(float(np.mean(aps)))
+    report = {"AP": class_mean(all_threshold_means),
+              "AP50": class_mean(per_threshold[0.5]),
+              "AP75": class_mean(per_threshold[0.75])}
+    for bucket, key in (("small", "AP_S"), ("medium", "AP_M"), ("large", "AP_L")):
+        bucket_means = []
+        for c in classes:
+            real = [g for g in gts_by_class[c] if me._in_bucket(g.area(), bucket)]
+            if not real:
+                continue
+            ignore = [g for g in gts_by_class[c] if not me._in_bucket(g.area(), bucket)]
+            pred_out = lambda p: not me._in_bucket(p.area(), bucket)  # noqa: E731
+            aps = [me.ap_single(preds_by_class[c], real, t, iou_fn, ignore, pred_out)
+                   for t in me.AP_IOU_THRESHOLDS]
+            bucket_means.append(float(np.mean(aps)))
+        report[key] = class_mean(bucket_means)
+    return report
+
+
+# (h, w, extra pixels): mask areas 1023/1024/1025 and 9215/9216/9217 straddle
+# the bucket limits, and box areas 1023/1024 and 9216/9312 do too
+RECTS = [(31, 33, 0), (32, 32, 0), (32, 32, 1), (96, 96, -1), (96, 96, 0), (96, 96, 1),
+         (97, 96, 0), (20, 24, 0), (48, 60, 0), (32, 32, -1)]
+CANVAS = 112
+
+
+def rect_entry(image_id, class_id, y0, x0, rect, score, kind):
+    h, w, extra = rect
+    y0 = int(np.clip(y0, 0, CANVAS - h))
+    x0 = int(np.clip(x0, 0, CANVAS - w - 1))
+    mask = np.zeros((CANVAS, CANVAS), dtype=bool)
+    mask[y0:y0 + h, x0:x0 + w] = True
+    if extra > 0:
+        mask[y0, x0 + w] = True
+    elif extra < 0:
+        mask[y0, x0] = False
+    if kind == "box":
+        return box_entry(image_id, class_id, [x0, y0, x0 + w, y0 + h], score)
+    return me.EvalEntry(image_id, class_id, score, mask=me.rle_encode(mask))
+
+
+def table_instance(rng, kind, n_images=3, classes=(1, 2, 3)):
+    """Multi-image, multi-class gts with shifted, duplicated and spurious
+    predictions; scores come from a small set, so ties are common."""
+    scores = (0.2, 0.5, 0.5, 0.8)
+    gts, preds = [], []
+    k = 0
+    for image_id in range(n_images):
+        for c in classes:
+            for _ in range(int(rng.integers(1, 4))):
+                rect = RECTS[k % len(RECTS)]
+                k += 1
+                y0, x0 = (int(v) for v in rng.integers(0, CANVAS, 2))
+                gts.append(rect_entry(image_id, c, y0, x0, rect, 1.0, kind))
+                for _ in range(int(rng.integers(0, 3))):  # shifted, often duplicated
+                    dy, dx = (int(v) for v in rng.integers(-3, 4, 2))
+                    preds.append(rect_entry(image_id, c, y0 + dy, x0 + dx, rect,
+                                            float(rng.choice(scores)), kind))
+            spurious = RECTS[int(rng.integers(len(RECTS)))]
+            y0, x0 = (int(v) for v in rng.integers(0, CANVAS, 2))
+            preds.append(rect_entry(image_id, c, y0, x0, spurious, float(rng.choice(scores)), kind))
+    # a class and an image without any ground truth
+    preds.append(rect_entry(0, 9, 5, 5, RECTS[0], 0.9, kind))
+    preds.append(rect_entry(n_images, 1, 5, 5, RECTS[0], 0.9, kind))
+    return preds, gts
+
+
+KINDS = ("box", "mask", "boundary")
+
+
+class TestApSuiteTables:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_per_pair_reference(self, rng, kind):
+        for _ in range(2):
+            preds, gts = table_instance(rng, kind)
+            report = me.ap_suite(preds, gts, kind)
+            assert report == reference_ap_suite(preds, gts, kind)
+            assert all(v >= 0.0 for v in report.values())  # every bucket populated
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_pair_evaluated_once(self, rng, kind, monkeypatch):
+        preds, gts = table_instance(rng, kind)
+        evaluated, decoded = [], Counter()
+        real_iou_fn, real_decode = me.geometry_iou_fn, me.rle_decode
+
+        def counting_iou_fn(k):
+            fn = real_iou_fn(k)
+
+            def counted(p, g):
+                evaluated.append((id(p), id(g)))
+                return fn(p, g)
+
+            return counted
+
+        def counting_decode(rle):
+            decoded[id(rle)] += 1
+            return real_decode(rle)
+
+        monkeypatch.setattr(me, "geometry_iou_fn", counting_iou_fn)
+        monkeypatch.setattr(me, "rle_decode", counting_decode)
+        me.ap_suite(preds, gts, kind)
+        pairs = {(id(p), id(g)) for p in preds for g in gts
+                 if (p.image_id, p.class_id) == (g.image_id, g.class_id)}
+        assert len(evaluated) == len(pairs) and set(evaluated) == pairs
+        if kind == "box":
+            assert not decoded
+        else:
+            assert max(decoded.values()) == 1
+            assert len(decoded) == len({i for pair in evaluated for i in pair})
+
+    @pytest.mark.parametrize("kind", ("mask", "boundary"))
+    def test_canvas_mismatch_rejected(self, kind):
+        small = me.rle_encode(np.ones((20, 20), dtype=bool))
+        large = me.rle_encode(np.ones((30, 30), dtype=bool))
+        with pytest.raises(ContractError):
+            me.ap_suite([me.EvalEntry(0, 1, 0.9, mask=small)],
+                        [me.EvalEntry(0, 1, mask=large)], kind)
 
 
 class TestBoundaryIou:
