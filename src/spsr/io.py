@@ -131,7 +131,7 @@ def load_sps(path: str) -> SpsTensor:
         index = np.frombuffer(data, dtype="<u4", count=h * w, offset=pos).reshape(h, w)
     except ValueError as e:
         raise SchemaError(f"truncated SPS dump {path}: {e}") from e
-    return SpsTensor(active=active, passive=passive, index_map=index)
+    return _finite_sps(active, passive, index, path)
 
 
 def sps_to_dict(t: SpsTensor) -> dict:
@@ -154,6 +154,14 @@ def sps_from_dict(d: dict) -> SpsTensor:
         index = np.asarray(d["index_map"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed tensor record: {e}") from e
+    return _finite_sps(active, passive, index, "tensor record")
+
+
+def _finite_sps(active, passive, index, source: str) -> SpsTensor:
+    """Loaded tensor values must be finite: NaN/Inf would pass every operator
+    and reach JSON output as bare tokens that are not valid JSON."""
+    if not (np.all(np.isfinite(active)) and np.all(np.isfinite(passive))):
+        raise SchemaError(f"{source}: tensor values must be finite")
     return SpsTensor(active=active, passive=passive, index_map=index)
 
 

@@ -4,7 +4,9 @@ Every sparse operator updates only the active rows; the passive rows and the
 index map pass through untouched (feature halving is the one exception, since
 it changes the feature size of every row). Each operator has a dense twin
 (``dense_*``) acting on a plain ``[F, H, W]`` array, used as the equivalence
-oracle and as the dense pipeline route.
+oracle and as the dense pipeline route. Integer taps come from one gather
+(``tensor.gather_taps``) and real-valued samples from one bilinear kernel
+(:func:`_bilinear`), which the dense twins reach through an identity index map.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .tensor import SpsTensor
+from .tensor import SpsTensor, gather_taps
 
 ACTIVATIONS = ("none", "relu")
 
@@ -136,18 +138,6 @@ def _tap_offsets(k: int, dilation: int) -> np.ndarray:
     return np.stack([dy.ravel(), dx.ravel()], axis=1)  # [K*K, 2], row-major taps
 
 
-def _gather_taps(s: SpsTensor, coords: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Integer-tap gather: ``[N, T, F]`` neighbor rows, zero outside the grid."""
-    ny = coords[:, 0:1] + taps[None, :, 0]
-    nx = coords[:, 1:2] + taps[None, :, 1]
-    inside = (ny >= 0) & (ny < s.h) & (nx >= 0) & (nx < s.w)
-    rows = s.rows()
-    flat = np.where(inside, s.index_map.astype(np.int64)[ny.clip(0, s.h - 1), nx.clip(0, s.w - 1)], 0)
-    gathered = rows[flat]
-    gathered[~inside] = 0.0
-    return gathered
-
-
 def _contract(gathered: np.ndarray, k: ConvKernel) -> np.ndarray:
     w = k.weights.reshape(k.f_out, k.f_in, k.k * k.k)
     return np.einsum("nti,oit->no", gathered, w, optimize=True) + k.bias
@@ -180,7 +170,7 @@ def conv2d_sparse(s: SpsTensor, k: ConvKernel) -> SpsTensor:
     if s.n_active == 0:
         return s
     coords = s.active_coords()
-    gathered = _gather_taps(s, coords, _tap_offsets(k.k, k.dilation))
+    gathered = gather_taps(s, coords, _tap_offsets(k.k, k.dilation))
     return SpsTensor(active=_contract(gathered, k), passive=s.passive, index_map=s.index_map)
 
 
@@ -202,27 +192,27 @@ def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTens
     base = _tap_offsets(k.k, k.dilation)
     py = coords[:, 0:1] + base[None, :, 0] + off.offsets[:, :, 0]
     px = coords[:, 1:2] + base[None, :, 1] + off.offsets[:, :, 1]
-    gathered = _bilinear_taps(s, py, px)
+    gathered = _bilinear(s.rows(), s.index_map, py, px)
     return SpsTensor(active=_contract(gathered, k), passive=s.passive, index_map=s.index_map)
 
 
-def _bilinear_taps(s: SpsTensor, py: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Sample the index-map-resolved field at real positions, ``[N, T, F]``."""
-    rows = s.rows()
-    idx = s.index_map.astype(np.int64)
+def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Sample the field that ``index_map`` resolves into ``rows`` at real
+    positions; output ``py.shape + (F,)``, zero outside the grid."""
+    h, w = index_map.shape
     y0 = np.floor(py).astype(np.int64)
     x0 = np.floor(px).astype(np.int64)
     wy = py - y0
     wx = px - x0
-    out = np.zeros(py.shape + (s.f,))
+    out = np.zeros(py.shape + (rows.shape[1],))
     for cy, weight_y in ((y0, 1.0 - wy), (y0 + 1, wy)):
         for cx, weight_x in ((x0, 1.0 - wx), (x0 + 1, wx)):
             weight = weight_y * weight_x
-            inside = (cy >= 0) & (cy < s.h) & (cx >= 0) & (cx < s.w)
+            inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
             use = inside & (weight != 0.0)
             if not np.any(use):
                 continue
-            vals = rows[idx[cy.clip(0, s.h - 1), cx.clip(0, s.w - 1)]]
+            vals = rows[index_map[cy.clip(0, h - 1), cx.clip(0, w - 1)]]
             vals[~use] = 0.0
             out += weight[..., None] * vals
     return out
@@ -242,7 +232,7 @@ def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTens
     coords = s.active_coords()
     acc = np.zeros((s.n_active, s.f))
     for k in (k1, k3, k5):
-        gathered = _gather_taps(s, coords, _tap_offsets(3, k.dilation))
+        gathered = gather_taps(s, coords, _tap_offsets(3, k.dilation))
         acc += _contract(gathered, k)
     return SpsTensor(active=acc, passive=s.passive, index_map=s.index_map)
 
@@ -270,8 +260,10 @@ def relu_active(s: SpsTensor) -> SpsTensor:
 
 # --- dense reference implementations -------------------------------------
 #
-# These act on plain [F, H, W] arrays and never touch an index map, which
-# keeps them independent of the sparse code paths above.
+# These act on plain [F, H, W] arrays. The convolutions, fusions and chains
+# share no code with the sparse operators above; the bilinear sampler is the
+# one kernel both sides use, and tests/test_ops.py checks it against SciPy's
+# map_coordinates as the independent reference.
 
 
 def dense_pointwise(x: np.ndarray, t: LinearTransform) -> np.ndarray:
@@ -305,23 +297,7 @@ def dense_conv2d(x: np.ndarray, k: ConvKernel) -> np.ndarray:
 def dense_bilinear(x: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Sample ``[F, H, W]`` at real positions (zero outside); output ``[..., F]``."""
     f, h, w = x.shape
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
-    wy = py - y0
-    wx = px - x0
-    out = np.zeros(py.shape + (f,))
-    flat = x.reshape(f, -1).T  # [H*W, F]
-    for cy, weight_y in ((y0, 1.0 - wy), (y0 + 1, wy)):
-        for cx, weight_x in ((x0, 1.0 - wx), (x0 + 1, wx)):
-            weight = weight_y * weight_x
-            inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-            use = inside & (weight != 0.0)
-            if not np.any(use):
-                continue
-            vals = flat[cy.clip(0, h - 1) * w + cx.clip(0, w - 1)]
-            vals[~use] = 0.0
-            out += weight[..., None] * vals
-    return out
+    return _bilinear(x.reshape(f, -1).T, np.arange(h * w).reshape(h, w), py, px)
 
 
 def dense_deform_conv(x: np.ndarray, k: ConvKernel, offsets: np.ndarray) -> np.ndarray:

@@ -4,8 +4,12 @@ Stage 0 predicts a coarse 14x14 mask per RoI from densely processed features.
 Each later stage picks the image-wide best-scoring cells, subdivides them,
 halves the feature size, runs the fusion-convolution block at the active
 cells only, and overwrites the upsampled mask there. Three stages take the
-mask from 14x14 to 112x112. A dense route (every cell active, plain array
-ops) mirrors the sparse route exactly and serves as oracle and baseline.
+mask from 14x14 to 112x112.
+
+Both routes run one stage loop (``_Engine.run``) and differ only in the
+per-RoI stage bodies it is given. The sparse route runs the SPS operators on
+the selected cells; the dense route selects every cell (``top_n=None``) and
+runs plain array operators, and serves as oracle and baseline.
 """
 
 from __future__ import annotations
@@ -75,14 +79,13 @@ class StageConfig:
     h: int
     w: int
     f: int
-    top_n_active: int | None = 10000
 
     @classmethod
-    def build(cls, s: int, f0: int, top_n_active: int = 10000) -> "StageConfig":
+    def build(cls, s: int, f0: int) -> "StageConfig":
         if not 0 <= s <= 3:
             raise ContractError("stage index must lie in 0..3")
         side = BASE_GRID * 2**s
-        return cls(s=s, h=side, w=side, f=f0 // 2**s, top_n_active=top_n_active)
+        return cls(s=s, h=side, w=side, f=f0 // 2**s)
 
 
 def assign_level(box: RoiBox) -> int:
@@ -109,7 +112,7 @@ def select_active(scores: Sequence[np.ndarray], top_n: int | None) -> list[np.nd
     sizes = [g.size for g in grids]
     total = int(sum(sizes))
     if top_n is None or top_n >= total:
-        return [np.stack(np.unravel_index(np.arange(g.size), g.shape), axis=1) for g in grids]
+        return [_all_cells(g.shape) for g in grids]
     if top_n <= 0:
         return [np.zeros((0, 2), dtype=np.int64) for _ in grids]
     flat = np.concatenate([g.ravel() for g in grids])
@@ -144,6 +147,16 @@ def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.nd
     area = (by[1:, None] - by[:-1, None]) * (bx[None, 1:] - bx[None, :-1])
     refine = (count > 0) & (count < area)
     return seg, refine
+
+
+def _grid(s: int) -> tuple:
+    """Side lengths of the stage-s refinement grid."""
+    return (BASE_GRID * 2**s,) * 2
+
+
+def _all_cells(grid_hw: tuple) -> np.ndarray:
+    """Every cell of a grid as ``(n, 2)`` (y, x), row-major."""
+    return np.stack(np.unravel_index(np.arange(grid_hw[0] * grid_hw[1]), grid_hw), axis=1)
 
 
 def upsample2_nn(grid: np.ndarray) -> np.ndarray:
@@ -311,8 +324,7 @@ class RunConfig:
             raise ContractError("threads must be >= 1")
 
     def stage_configs(self) -> list[StageConfig]:
-        return [StageConfig.build(s, self.f0, self.top_n_active)
-                for s in range(self.stages + 1)]
+        return [StageConfig.build(s, self.f0) for s in range(self.stages + 1)]
 
     @property
     def final_side(self) -> int:
@@ -435,12 +447,11 @@ class RefinementResult:
     ledger: CostLedger
 
 
-def _cell_centers(box: RoiBox, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Image-space centers of all grid cells, row-major; returns (ys, xs)."""
-    cy = box.y0 + (np.arange(h) + 0.5) * box.h / h
-    cx = box.x0 + (np.arange(w) + 0.5) * box.w / w
-    ys, xs = np.meshgrid(cy, cx, indexing="ij")
-    return ys.ravel(), xs.ravel()
+def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Image-space centers of the given (y, x) grid cells; returns (ys, xs)."""
+    ys = box.y0 + (coords[:, 0] + 0.5) * box.h / grid_hw[0]
+    xs = box.x0 + (coords[:, 1] + 0.5) * box.w / grid_hw[1]
+    return ys, xs
 
 
 def _stage0_entries(ledger: CostLedger, cells: int, total: int, cfg: RunConfig):
@@ -518,46 +529,47 @@ class _Engine:
         w = max(int(np.ceil(r.box.x1)) for r in self.rois)
         return max(h, 1), max(w, 1)
 
-    def _map(self, fn, items):
+    def _map(self, fn) -> list:
+        """``fn(i)`` for every RoI index, in order, on ``threads`` workers."""
+        items = range(len(self.rois))
         if self.config.threads == 1:
-            return [fn(*args) for args in items]
+            return [fn(i) for i in items]
         with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-            return list(pool.map(lambda args: fn(*args), items))
+            return list(pool.map(fn, items))
 
     def _oracle_values(self, roi: int, grid_hw: tuple):
         seg, refine = make_targets(self.rois[roi].ref_mask, grid_hw)
         logits = np.where(seg, ORACLE_LOGIT, -ORACLE_LOGIT)
         return logits, refine.astype(np.float64)
 
-    # -- sparse route ------------------------------------------------------
+    def _neck_rows(self, i: int, s: int, coords: np.ndarray) -> np.ndarray:
+        """Neck features of RoI i's level at stage s, at the centers of ``coords``."""
+        ys, xs = _cell_centers(self.rois[i].box, coords, _grid(s))
+        return self.neck.sample(stage_level(self.k0[i], s), ys, xs)
 
-    def run_sparse(self) -> RefinementResult:
+    def _child_maps(self, s: int) -> list:
+        return [lambda rows, m=m: ops.apply_chain(m, rows) for m in self.weights.subdiv[s]]
+
+    def run(self, stage0, stage, top_n: int | None) -> RefinementResult:
+        """The stage loop of both routes.
+
+        ``stage0(i)`` returns RoI i's stage-0 features with its seg and refine
+        grids. ``stage(i, s, feats, cells)`` refines the selected parent
+        ``cells`` and returns ``(feats, feature rows, child coords, seg,
+        refine)``, with one seg and refine value per child coord.
+        """
         cfg = self.config
         ledger = CostLedger()
         n = len(self.rois)
-        grid0 = (BASE_GRID, BASE_GRID)
+        grid0 = _grid(0)
 
-        def stage0(i: int):
-            roi = self.rois[i]
-            ys, xs = _cell_centers(roi.box, *grid0)
-            raw = self.neck.sample(stage_level(self.k0[i], 0), ys, xs)
-            x = self.weights.ingest.apply(raw)
-            index = np.arange(grid0[0] * grid0[1]).reshape(grid0)
-            t = SpsTensor(active=x, passive=np.zeros((0, cfg.f0)), index_map=index)
-            ext = np.broadcast_to(self.queries[i], (t.n_active, cfg.f_query))
-            t = ops.fuse_external(t, ext, self.weights.stage0_fuse)
-            for kernel in self.weights.stage0_fcn:
-                t = ops.relu_active(ops.conv2d_sparse(t, kernel))
-            seg = ops.apply_chain(self.weights.seg_head[0], t.active).reshape(grid0)
-            refine = ops.apply_chain(self.weights.refine_head[0], t.active).reshape(grid0)
+        def first(i: int):
+            feats, seg, refine = stage0(i)
             if cfg.mode == "oracle":
                 seg, refine = self._oracle_values(i, grid0)
-            return t, sigmoid(seg), np.asarray(refine, dtype=np.float64)
+            return feats, sigmoid(seg), np.asarray(refine, dtype=np.float64)
 
-        results = self._map(stage0, [(i,) for i in range(n)])
-        tensors = [r[0] for r in results]
-        masks = [r[1] for r in results]
-        refine_grids = [r[2] for r in results]
+        feats, masks, refine_grids = zip(*self._map(first))
         cells0 = n * grid0[0] * grid0[1]
         _stage0_entries(ledger, cells0, cells0, cfg)
 
@@ -567,45 +579,25 @@ class _Engine:
 
         for s in range(1, cfg.stages + 1):
             parent_total = sum(g.size for g in refine_grids)
-            selected = select_active(refine_grids, cfg.top_n_active)
+            selected = select_active(refine_grids, top_n)
             n_selected = int(sum(len(c) for c in selected))
             fractions[s] = n_selected / parent_total
-            grid_hw = (BASE_GRID * 2**s,) * 2
+            grid_hw = _grid(s)
             total_cells = n * grid_hw[0] * grid_hw[1]
             stage_active[s] = (4 * n_selected, total_cells)
 
-            def one(i: int, s=s, grid_hw=grid_hw):
-                t = reselect(tensors[i], selected[i])
-                parents = t.n_active
-                t = subdivide(t, [lambda rows, m=m: ops.apply_chain(m, rows)
-                                  for m in self.weights.subdiv[s]])
-                coords = t.active_coords()
-                if t.n_active:
-                    ys = self.rois[i].box.y0 + (coords[:, 0] + 0.5) * self.rois[i].box.h / grid_hw[0]
-                    xs = self.rois[i].box.x0 + (coords[:, 1] + 0.5) * self.rois[i].box.w / grid_hw[1]
-                    ext = self.neck.sample(stage_level(self.k0[i], s), ys, xs)
-                    t = ops.fuse_external(t, ext, self.weights.fuse[s])
-                t = ops.halve_features(t, self.weights.halve[s])
-                t = ops.sfm(t, *self.weights.sfm[s])
-                seg = ops.apply_chain(self.weights.seg_head[s], t.active).ravel()
-                refine = ops.apply_chain(self.weights.refine_head[s], t.active).ravel()
+            def one(i: int):
+                feat, rows, coords, seg, refine = stage(i, s, feats[i], selected[i])
                 if cfg.mode == "oracle":
                     seg_grid, refine_grid = self._oracle_values(i, grid_hw)
                     seg = seg_grid[coords[:, 0], coords[:, 1]]
                     refine = refine_grid[coords[:, 0], coords[:, 1]]
                 mask = assemble_mask(masks[i], coords, seg)
                 rgrid = assemble_grid(refine_grids[i], coords, refine)
-                rows = t.n_active + t.n_passive
-                return t, mask, rgrid, parents, rows
+                return feat, rows, mask, rgrid
 
-            results = self._map(one, [(i,) for i in range(n)])
-            tensors = [r[0] for r in results]
-            masks = [r[1] for r in results]
-            refine_grids = [r[2] for r in results]
-            parents_sum = sum(r[3] for r in results)
-            rows_sum = sum(r[4] for r in results)
-            _stage_entries(ledger, s, parents_sum, 4 * parents_sum, rows_sum,
-                           total_cells, cfg)
+            feats, rows, masks, refine_grids = zip(*self._map(one))
+            _stage_entries(ledger, s, n_selected, 4 * n_selected, sum(rows), total_cells, cfg)
             stage_masks.append(list(masks))
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
@@ -614,75 +606,58 @@ class _Engine:
                                 stage_fractions=fractions, stage_active=stage_active,
                                 ledger=ledger)
 
-    # -- dense route ---------------------------------------------------------
+    # -- sparse route: SPS operators at the selected cells ----------------------
 
-    def run_dense(self) -> RefinementResult:
-        cfg = self.config
-        ledger = CostLedger()
-        n = len(self.rois)
-        grid0 = (BASE_GRID, BASE_GRID)
+    def sparse_stage0(self, i: int):
+        cfg, grid0 = self.config, _grid(0)
+        x = self.weights.ingest.apply(self._neck_rows(i, 0, _all_cells(grid0)))
+        index = np.arange(grid0[0] * grid0[1]).reshape(grid0)
+        t = SpsTensor(active=x, passive=np.zeros((0, cfg.f0)), index_map=index)
+        ext = np.broadcast_to(self.queries[i], (t.n_active, cfg.f_query))
+        t = ops.fuse_external(t, ext, self.weights.stage0_fuse)
+        for kernel in self.weights.stage0_fcn:
+            t = ops.relu_active(ops.conv2d_sparse(t, kernel))
+        seg = ops.apply_chain(self.weights.seg_head[0], t.active).reshape(grid0)
+        refine = ops.apply_chain(self.weights.refine_head[0], t.active).reshape(grid0)
+        return t, seg, refine
 
-        def stage0(i: int):
-            roi = self.rois[i]
-            ys, xs = _cell_centers(roi.box, *grid0)
-            raw = self.neck.sample(stage_level(self.k0[i], 0), ys, xs)
-            x = raw.reshape(grid0 + (cfg.f_neck,)).transpose(2, 0, 1)
-            x = ops.dense_pointwise(x, self.weights.ingest)
-            ext = np.broadcast_to(self.queries[i][:, None, None], (cfg.f_query,) + grid0)
-            x = ops.dense_fuse(x, ext, self.weights.stage0_fuse)
-            for kernel in self.weights.stage0_fcn:
-                x = np.maximum(ops.dense_conv2d(x, kernel), 0.0)
-            seg = ops.dense_chain(x, self.weights.seg_head[0])[0]
-            refine = ops.dense_chain(x, self.weights.refine_head[0])[0]
-            if cfg.mode == "oracle":
-                seg, refine = self._oracle_values(i, grid0)
-            return x, sigmoid(seg), np.asarray(refine, dtype=np.float64)
+    def sparse_stage(self, i: int, s: int, t: SpsTensor, cells: np.ndarray):
+        t = subdivide(reselect(t, cells), self._child_maps(s))
+        coords = t.active_coords()
+        if t.n_active:
+            t = ops.fuse_external(t, self._neck_rows(i, s, coords), self.weights.fuse[s])
+        t = ops.halve_features(t, self.weights.halve[s])
+        t = ops.sfm(t, *self.weights.sfm[s])
+        seg = ops.apply_chain(self.weights.seg_head[s], t.active).ravel()
+        refine = ops.apply_chain(self.weights.refine_head[s], t.active).ravel()
+        return t, t.n_active + t.n_passive, coords, seg, refine
 
-        results = self._map(stage0, [(i,) for i in range(n)])
-        feats = [r[0] for r in results]
-        masks = [r[1] for r in results]
-        refine_grids = [r[2] for r in results]
-        cells0 = n * grid0[0] * grid0[1]
-        _stage0_entries(ledger, cells0, cells0, cfg)
+    # -- dense route: plain [F, H, W] operators at every cell -------------------
 
-        stage_masks = [list(masks)]
-        fractions: dict = {}
-        stage_active: dict = {}
+    def _neck_grid(self, i: int, s: int) -> np.ndarray:
+        grid_hw = _grid(s)
+        rows = self._neck_rows(i, s, _all_cells(grid_hw))
+        return rows.reshape(grid_hw + (self.config.f_neck,)).transpose(2, 0, 1)
 
-        for s in range(1, cfg.stages + 1):
-            grid_hw = (BASE_GRID * 2**s,) * 2
-            total_cells = n * grid_hw[0] * grid_hw[1]
-            fractions[s] = 1.0
-            stage_active[s] = (total_cells, total_cells)
+    def dense_stage0(self, i: int):
+        cfg, grid0 = self.config, _grid(0)
+        x = ops.dense_pointwise(self._neck_grid(i, 0), self.weights.ingest)
+        ext = np.broadcast_to(self.queries[i][:, None, None], (cfg.f_query,) + grid0)
+        x = ops.dense_fuse(x, ext, self.weights.stage0_fuse)
+        for kernel in self.weights.stage0_fcn:
+            x = np.maximum(ops.dense_conv2d(x, kernel), 0.0)
+        seg = ops.dense_chain(x, self.weights.seg_head[0])[0]
+        refine = ops.dense_chain(x, self.weights.refine_head[0])[0]
+        return x, seg, refine
 
-            def one(i: int, s=s, grid_hw=grid_hw):
-                x = ops.dense_subdivide(feats[i], [lambda rows, m=m: ops.apply_chain(m, rows)
-                                                   for m in self.weights.subdiv[s]])
-                ys, xs = _cell_centers(self.rois[i].box, *grid_hw)
-                ext = self.neck.sample(stage_level(self.k0[i], s), ys, xs)
-                ext = ext.reshape(grid_hw + (cfg.f_neck,)).transpose(2, 0, 1)
-                x = ops.dense_fuse(x, ext, self.weights.fuse[s])
-                x = ops.dense_pointwise(x, self.weights.halve[s])
-                x = ops.dense_sfm(x, *self.weights.sfm[s])
-                seg = ops.dense_chain(x, self.weights.seg_head[s])[0]
-                refine = ops.dense_chain(x, self.weights.refine_head[s])[0]
-                if cfg.mode == "oracle":
-                    seg, refine = self._oracle_values(i, grid_hw)
-                return x, sigmoid(seg), np.asarray(refine, dtype=np.float64)
-
-            results = self._map(one, [(i,) for i in range(n)])
-            feats = [r[0] for r in results]
-            masks = [r[1] for r in results]
-            refine_grids = [r[2] for r in results]
-            parents = total_cells // 4
-            _stage_entries(ledger, s, parents, total_cells, total_cells, total_cells, cfg)
-            stage_masks.append(list(masks))
-
-        per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
-                             class_id=self.rois[i].class_id) for i in range(n)]
-        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks,
-                                stage_fractions=fractions, stage_active=stage_active,
-                                ledger=ledger)
+    def dense_stage(self, i: int, s: int, x: np.ndarray, cells: np.ndarray):
+        x = ops.dense_subdivide(x, self._child_maps(s))
+        x = ops.dense_fuse(x, self._neck_grid(i, s), self.weights.fuse[s])
+        x = ops.dense_pointwise(x, self.weights.halve[s])
+        x = ops.dense_sfm(x, *self.weights.sfm[s])
+        seg = ops.dense_chain(x, self.weights.seg_head[s])[0].ravel()
+        refine = ops.dense_chain(x, self.weights.refine_head[s])[0].ravel()
+        return x, x.shape[1] * x.shape[2], _all_cells(_grid(s)), seg, refine
 
 
 def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
@@ -694,4 +669,6 @@ def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
     array operators) with identical weights and shapes.
     """
     engine = _Engine(rois, config, weights, neck)
-    return engine.run_sparse() if sparse else engine.run_dense()
+    if sparse:
+        return engine.run(engine.sparse_stage0, engine.sparse_stage, config.top_n_active)
+    return engine.run(engine.dense_stage0, engine.dense_stage, None)

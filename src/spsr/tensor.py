@@ -10,7 +10,7 @@ are ever recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -19,26 +19,10 @@ from .errors import ContractError
 
 INDEX_DTYPE = np.uint32
 
-# Out-of-grid neighbors always read as the zero vector; there is exactly one
-# padding policy, applied by every gather in this package.
-PADDING_POLICY = "zero-vector"
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class CellCoord:
-    """Grid cell address. ``stage`` records which refinement grid it lives on."""
-
-    y: int
-    x: int
-    stage: int = 0
-
-    def key(self) -> tuple[int, int]:
-        return (self.y, self.x)
 
 
 @dataclass
@@ -83,7 +67,6 @@ class SpsTensor:
     active: np.ndarray
     passive: np.ndarray
     index_map: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         act = np.asarray(self.active, dtype=np.float64)
@@ -98,8 +81,7 @@ class SpsTensor:
         self.active = _readonly(act)
         self.passive = _readonly(pas)
         self.index_map = _readonly(idx)
-        if self.validate:
-            self._check_index_map()
+        self._check_index_map()
 
     def _check_index_map(self):
         n_a, n_p = self.n_active, self.n_passive
@@ -145,15 +127,12 @@ class SpsTensor:
         order = np.argsort(self.index_map[ys, xs], kind="stable")
         return np.stack([ys[order], xs[order]], axis=1)
 
-    def is_active_cell(self, y: int, x: int) -> bool:
-        return bool(self.index_map[y, x] < self.n_active)
-
 
 def _normalize_cells(cells: Iterable, h: int, w: int) -> np.ndarray:
     """Return unique (y, x) pairs in row-major order, bounds-checked."""
     pairs = []
     for c in cells:
-        y, x = (c.y, c.x) if isinstance(c, CellCoord) else (int(c[0]), int(c[1]))
+        y, x = int(c[0]), int(c[1])
         if not (0 <= y < h and 0 <= x < w):
             raise ContractError(f"cell ({y}, {x}) outside {h}x{w} grid")
         pairs.append((y, x))
@@ -194,23 +173,31 @@ def to_dense(s: SpsTensor) -> DenseTensor:
     return DenseTensor(features=dense.transpose(2, 0, 1))
 
 
-def gather_neighborhood(s: SpsTensor, c: CellCoord | tuple, offsets: Sequence[tuple]) -> np.ndarray:
-    """Collect the feature rows at ``(y+dy, x+dx)`` for one active cell.
+def gather_taps(s: SpsTensor, coords: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Rows at ``coords + taps`` through the index map, ``[N, T, F]``.
 
-    Out-of-grid offsets yield the zero vector (padding policy).
+    Out-of-grid taps read the zero vector, the one padding policy of every
+    gather in this package.
     """
-    y, x = (c.y, c.x) if isinstance(c, CellCoord) else (int(c[0]), int(c[1]))
+    ny = coords[:, 0:1] + taps[None, :, 0]
+    nx = coords[:, 1:2] + taps[None, :, 1]
+    inside = (ny >= 0) & (ny < s.h) & (nx >= 0) & (nx < s.w)
+    rows = s.rows()
+    flat = np.where(inside, s.index_map.astype(np.int64)[ny.clip(0, s.h - 1), nx.clip(0, s.w - 1)], 0)
+    gathered = rows[flat]
+    gathered[~inside] = 0.0
+    return gathered
+
+
+def gather_neighborhood(s: SpsTensor, c: tuple, offsets: Sequence[tuple]) -> np.ndarray:
+    """Collect the feature rows at ``(y+dy, x+dx)`` for one active cell."""
+    y, x = int(c[0]), int(c[1])
     if not (0 <= y < s.h and 0 <= x < s.w):
         raise ContractError(f"cell ({y}, {x}) outside grid")
-    if not s.is_active_cell(y, x):
+    if s.index_map[y, x] >= s.n_active:
         raise ContractError(f"cell ({y}, {x}) is not active")
-    rows = s.rows()
-    out = np.zeros((len(offsets), s.f))
-    for i, (dy, dx) in enumerate(offsets):
-        ny, nx = y + int(dy), x + int(dx)
-        if 0 <= ny < s.h and 0 <= nx < s.w:
-            out[i] = rows[int(s.index_map[ny, nx])]
-    return out
+    taps = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
+    return gather_taps(s, np.array([[y, x]]), taps)[0]
 
 
 def subdivide(s: SpsTensor, child_maps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> SpsTensor:

@@ -236,6 +236,28 @@ class TestConvertCommand:
         assert main(["convert", "--input", js, "--output", bin2]) == 0
         assert open(bin1, "rb").read() == open(bin2, "rb").read()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_binary_exit_2(self, tmp_path, value):
+        active = np.ones((2, 3))
+        active[1, 2] = value
+        t = SpsTensor(active=active, passive=np.zeros((1, 3)), index_map=[[0, 1, 2]])
+        src, out = str(tmp_path / "t.bin"), tmp_path / "t.json"
+        io.save_sps(src, t)
+        assert main(["convert", "--input", src, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["active", "passive"])
+    def test_non_finite_json_exit_2(self, tmp_path, token, field):
+        record = {"format": io.TENSOR_FORMAT, "f": 2, "h": 1, "w": 2,
+                  "active": [[1.0, 2.0]], "passive": [[3.0, 4.0]], "index_map": [[0, 1]]}
+        record[field] = [[1.0, float(token)]]
+        src, out = tmp_path / "t.json", tmp_path / "t.bin"
+        src.write_text(json.dumps(record))  # json writes the bare NaN/Infinity token
+        assert token in src.read_text()
+        assert main(["convert", "--input", str(src), "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_magic_exit_2(self, tmp_path):
         bad = tmp_path / "x.bin"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)

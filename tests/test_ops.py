@@ -240,3 +240,66 @@ class TestDegenerate:
         assert ops.fuse_external(s, np.zeros((0, 2)), random_linear(rng, 6, 4)).n_active == 0
         out = ops.halve_features(s, random_linear(rng, 4, 2))
         assert out.n_passive == 16 and out.f == 2
+
+
+class TestBilinearReference:
+    """``dense_bilinear`` and ``deform_conv_sparse`` share one bilinear kernel, so
+    SciPy's ``map_coordinates`` is the independent reference for both."""
+
+    def _positions(self, rng, h, w, n):
+        """n fractional, n integer and 5 out-of-grid (y, x) positions."""
+        frac = np.stack([rng.uniform(-1.5, h + 0.5, n), rng.uniform(-1.5, w + 0.5, n)], axis=1)
+        integer = np.stack([rng.integers(-1, h + 1, n), rng.integers(-1, w + 1, n)], axis=1)
+        outside = np.array([[-3.0, 2.0], [2.0, w + 2.5], [h + 4.0, -6.0], [-1.0, -1.0], [h, w]])
+        return np.concatenate([frac, integer.astype(float), outside])
+
+    def _scipy(self, features, pos):
+        from scipy.ndimage import map_coordinates
+        return np.stack([map_coordinates(c, pos.T, order=1, mode="grid-constant", cval=0.0)
+                         for c in features], axis=1)
+
+    def test_dense_bilinear_matches_scipy(self, rng):
+        d = tensor.DenseTensor(rng.standard_normal((4, 7, 9)))
+        pos = self._positions(rng, 7, 9, 60)
+        got = ops.dense_bilinear(d.features, pos[:, 0], pos[:, 1])
+        np.testing.assert_allclose(got, self._scipy(d.features, pos), rtol=0, atol=1e-12)
+
+    def test_deform_conv_sparse_matches_scipy(self, rng):
+        d, s = random_sps(rng, h=7, w=9, f=4, n_active=45)
+        pos = self._positions(rng, 7, 9, 20)
+        # a 1x1 identity kernel turns the deformable conv into one bilinear sample per cell
+        k = ops.ConvKernel(np.eye(4)[:, :, None, None], np.zeros(4))
+        off = ops.OffsetField((pos - s.active_coords())[:, None, :])
+        got = ops.deform_conv_sparse(s, k, off).active
+        np.testing.assert_allclose(got, self._scipy(d.features, pos), rtol=0, atol=1e-12)
+
+
+def pipeline_shaped_sps(rng, f=32, side=112):
+    """An SPS tensor shaped like refinement stage 3: ``side x side`` cells, F=32,
+    passive rows shared by the 2x2 children of a coarse cell, and active cells
+    on every border and corner as well as inside."""
+    coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((f, side // 2, side // 2))), [])
+    fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
+    last, edge = side - 1, range(0, side, 3)
+    cells = {(0, 0), (0, last), (last, 0), (last, last)}
+    cells |= {(0, x) for x in edge} | {(last, x) for x in edge}
+    cells |= {(y, 0) for y in edge} | {(y, last) for y in edge}
+    cells |= {(int(y), int(x)) for y, x in rng.integers(0, side, size=(1500, 2))}
+    s = tensor.reselect(fine, sorted(cells))
+    assert s.n_passive < side * side - s.n_active  # passive rows are shared
+    return tensor.to_dense(s).features, s
+
+
+class TestPipelineShapes:
+    """sparse == dense at the shapes the refinement stages run, with criterion 1's tolerance."""
+
+    @pytest.mark.parametrize("dilation", [1, 3, 5])
+    def test_conv2d_sparse_equals_dense(self, rng, dilation):
+        dense, s = pipeline_shaped_sps(rng)
+        k = random_kernel(rng, 32, dilation=dilation)
+        assert_sparse_matches_dense(ops.conv2d_sparse(s, k), ops.dense_conv2d(dense, k), s)
+
+    def test_sfm_equals_dense(self, rng):
+        dense, s = pipeline_shaped_sps(rng)
+        ks = tuple(random_kernel(rng, 32, dilation=d) for d in (1, 3, 5))
+        assert_sparse_matches_dense(ops.sfm(s, *ks), ops.dense_sfm(dense, *ks), s)

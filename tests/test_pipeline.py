@@ -267,6 +267,18 @@ class TestRefinementEngine:
             np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
         assert sparse.ledger.stage_macs() == dense.ledger.stage_macs()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_dense_route_bookkeeping(self, threads):
+        rois = [disk_roi(seed=70 + i) for i in range(3)]
+        cfg = small_config(threads=threads)  # the dense route ignores the budget
+        res = pl.run_refinement(rois, cfg, sparse=False)
+        assert res.stage_fractions == {s: 1.0 for s in range(1, cfg.stages + 1)}
+        for s in range(1, cfg.stages + 1):
+            total = len(rois) * (pl.BASE_GRID * 2**s) ** 2
+            assert res.stage_active[s] == (total, total)
+        want = pl.analytic_dense_ledger(cfg, len(rois)).entries
+        assert [e.to_dict() for e in res.ledger.entries] == [e.to_dict() for e in want]
+
     def test_full_active_ledger_matches_analytic(self):
         cfg = small_config(mode="weights", top_n_active=None)
         res = pl.run_refinement([disk_roi()], cfg, sparse=True)
