@@ -7,6 +7,8 @@ it changes the feature size of every row). Each operator has a dense twin
 oracle and as the dense pipeline route. Integer taps come from one gather
 (``tensor.gather_taps``) and real-valued samples from one bilinear kernel
 (:func:`_bilinear`), which the dense twins reach through an identity index map.
+The bilinear kernel is one sparse-matrix product: a CSR matrix of corner
+weights, at most four per sample, times the feature rows.
 """
 
 from __future__ import annotations
@@ -169,8 +171,8 @@ def conv2d_sparse(s: SpsTensor, k: ConvKernel) -> SpsTensor:
         raise ContractError("conv output feature size must equal input (residual-compatible)")
     if s.n_active == 0:
         return s
-    coords = s.active_coords()
-    gathered = gather_taps(s, coords, _tap_offsets(k.k, k.dilation))
+    taps = _tap_offsets(k.k, k.dilation)
+    gathered = gather_taps(s.tap_rows(), s.index_map, s.active_coords(), taps)
     return SpsTensor(active=_contract(gathered, k), passive=s.passive, index_map=s.index_map)
 
 
@@ -198,24 +200,38 @@ def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTens
 
 def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Sample the field that ``index_map`` resolves into ``rows`` at real
-    positions; output ``py.shape + (F,)``, zero outside the grid."""
+    positions; output ``py.shape + (F,)``, zero outside the grid.
+
+    The samples are one product ``W @ rows`` with a sparse weight matrix ``W``
+    (one CSR row per sample). Each row holds its corners in the order (y0, x0),
+    (y0, x1), (y1, x0), (y1, x1), with column ``index_map[cy, cx]``; a corner
+    outside the grid or with zero weight gets no entry, so an all-outside
+    sample is a ``+0.0`` row. Two corners may share a column (cells that
+    reference one passive row). The matrix is never canonicalised (no
+    ``sum_duplicates``, ``sort_indices`` or ``eliminate_zeros``): the product
+    then adds each row's terms in corner order from ``+0.0``, exactly as a
+    four-corner loop of ``out += weight * row`` does, so results are
+    bit-identical to it.
+    """
+    from scipy.sparse import csr_array  # loaded only where samples are taken
+
     h, w = index_map.shape
+    shape = np.shape(py)
+    py, px = np.ravel(py), np.ravel(px)
     y0 = np.floor(py).astype(np.int64)
     x0 = np.floor(px).astype(np.int64)
     wy = py - y0
     wx = px - x0
-    out = np.zeros(py.shape + (rows.shape[1],))
-    for cy, weight_y in ((y0, 1.0 - wy), (y0 + 1, wy)):
-        for cx, weight_x in ((x0, 1.0 - wx), (x0 + 1, wx)):
-            weight = weight_y * weight_x
-            inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-            use = inside & (weight != 0.0)
-            if not np.any(use):
-                continue
-            vals = rows[index_map[cy.clip(0, h - 1), cx.clip(0, w - 1)]]
-            vals[~use] = 0.0
-            out += weight[..., None] * vals
-    return out
+    ay, ax = 1.0 - wy, 1.0 - wx
+    cy = np.stack([y0, y0, y0 + 1, y0 + 1], axis=1)
+    cx = np.stack([x0, x0 + 1, x0, x0 + 1], axis=1)
+    weight = np.stack([ay * ax, ay * wx, wy * ax, wy * wx], axis=1)
+    keep = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w) & (weight != 0.0)
+    indptr = np.zeros(len(y0) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    matrix = csr_array((weight[keep], index_map[cy[keep], cx[keep]], indptr),
+                       shape=(len(y0), rows.shape[0]))
+    return (matrix @ rows).reshape(shape + (rows.shape[1],))
 
 
 def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTensor:
@@ -230,10 +246,10 @@ def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTens
     if s.n_active == 0:
         return s
     coords = s.active_coords()
+    rows, index = s.tap_rows(), s.index_map.astype(np.int64)
     acc = np.zeros((s.n_active, s.f))
     for k in (k1, k3, k5):
-        gathered = gather_taps(s, coords, _tap_offsets(3, k.dilation))
-        acc += _contract(gathered, k)
+        acc += _contract(gather_taps(rows, index, coords, _tap_offsets(3, k.dilation)), k)
     return SpsTensor(active=acc, passive=s.passive, index_map=s.index_map)
 
 

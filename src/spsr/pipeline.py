@@ -23,13 +23,15 @@ import numpy as np
 
 from . import ops
 from .cost import CostLedger, macs_bilinear, macs_conv
-from .errors import ContractError
+from .errors import ContractError, SchemaError
 from .geometry import mask_nms
 from .metrics import PanopticSegment, mask_iou
 from .tensor import SpsTensor, reselect, subdivide
 
 BASE_GRID = 14
 ORACLE_LOGIT = 12.0  # oracle masks are binary; +/- this logit keeps sigmoid saturated
+MAX_NECK_ELEMENTS = 1 << 26  # largest neck accepted: float64 values over all its levels
+NECK_LEVELS = (2, 3, 4, 5)  # pyramid levels of a synthesized neck
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -316,12 +318,17 @@ class RunConfig:
     def __post_init__(self):
         if not 1 <= self.stages <= 3:
             raise ContractError("stages must lie in 1..3")
+        for name in ("f0", "f_query", "f_neck"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
         if self.f0 % (2**self.stages) != 0:
             raise ContractError(f"f0={self.f0} not divisible by 2^{self.stages}")
         if self.mode not in ("oracle", "weights"):
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.threads < 1:
             raise ContractError("threads must be >= 1")
+        if self.image_hw is not None:
+            neck_grids(self.image_hw, self.f_neck)  # bound the neck before anything is drawn
 
     def stage_configs(self) -> list[StageConfig]:
         return [StageConfig.build(s, self.f0) for s in range(self.stages + 1)]
@@ -346,31 +353,55 @@ class RoiInput:
             self.query = np.asarray(self.query, dtype=np.float64)
 
 
+def neck_grids(image_hw: tuple, f_neck: int) -> dict:
+    """``{level: (gh, gw)}`` of the neck over an ``image_hw`` image.
+
+    Raises ``SchemaError`` for a non-positive image side, or for a neck of more
+    than ``MAX_NECK_ELEMENTS`` values, so an oversized request fails before
+    anything is allocated.
+    """
+    ih, iw = image_hw
+    if ih < 1 or iw < 1:
+        raise SchemaError(f"image size {iw}x{ih} must be positive")
+    grids = {level: (-(-ih // 2**level), -(-iw // 2**level)) for level in NECK_LEVELS}
+    elements = f_neck * sum(gh * gw for gh, gw in grids.values())
+    if elements > MAX_NECK_ELEMENTS:
+        raise SchemaError(f"neck of a {iw}x{ih} image with F={f_neck} holds {elements} values, "
+                          f"over the {MAX_NECK_ELEMENTS} cap")
+    return grids
+
+
 @dataclass
 class NeckFeatures:
-    """Image-level feature grids per pyramid level (stride ``2**level``)."""
+    """Image-level feature grids per pyramid level (stride ``2**level``).
+
+    Each level is a C-contiguous ``[gh, gw, F]`` array (channel-last), so the
+    ``F`` values of one cell are one contiguous row of ``level.reshape(-1, F)``.
+    """
 
     levels: dict
     image_hw: tuple
 
     @classmethod
-    def synthesize(cls, seed: int, image_hw: tuple, f_neck: int,
-                   level_range: tuple = (2, 5)) -> "NeckFeatures":
-        ih, iw = image_hw
+    def synthesize(cls, seed: int, image_hw: tuple, f_neck: int) -> "NeckFeatures":
+        """Seeded standard-normal levels; each is drawn ``[F, gh, gw]`` and
+        stored transposed, one level at a time."""
         levels = {}
-        for level in range(level_range[0], level_range[1] + 1):
-            stride = 2**level
-            gh, gw = max(1, -(-ih // stride)), max(1, -(-iw // stride))
-            rng = seeded_rng(seed, "neck", level)
-            levels[level] = rng.standard_normal((f_neck, gh, gw))
+        for level, (gh, gw) in neck_grids(image_hw, f_neck).items():
+            draw = seeded_rng(seed, "neck", level).standard_normal((f_neck, gh, gw))
+            levels[level] = np.ascontiguousarray(draw.transpose(1, 2, 0))
+            del draw
         return cls(levels=levels, image_hw=image_hw)
 
     def sample(self, level: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Bilinear sample at image coordinates; ``(n, F)``, zero outside."""
         if level not in self.levels:
             raise ContractError(f"no neck features for level {level}")
+        grid = self.levels[level]
+        gh, gw, f = grid.shape
         stride = float(2**level)
-        return ops.dense_bilinear(self.levels[level], ys / stride - 0.5, xs / stride - 0.5)
+        return ops._bilinear(grid.reshape(-1, f), np.arange(gh * gw).reshape(gh, gw),
+                             ys / stride - 0.5, xs / stride - 0.5)
 
 
 def _mlp(arrays: Mapping, prefix: str, dims: Sequence[int], seed: int,
@@ -512,11 +543,11 @@ class _Engine:
                 if r.ref_mask.shape[0] < side or r.ref_mask.shape[1] < side:
                     raise ContractError(
                         f"reference mask {r.ref_mask.shape} coarser than final {side}x{side} grid")
-        self.weights = PipelineWeights(weights, config)
         if neck is None:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
         self.neck = neck
+        self.weights = PipelineWeights(weights, config)
         self.k0 = [assign_level(r.box) for r in self.rois]
         self.queries = [
             r.query if r.query is not None

@@ -121,6 +121,17 @@ class SpsTensor:
             return self.active
         return np.concatenate([self.active, self.passive], axis=0)
 
+    def tap_rows(self) -> np.ndarray:
+        """:meth:`rows` followed by one zero row, the row that
+        :func:`gather_taps` reads for out-of-grid taps."""
+        n_a = self.n_active
+        out = np.zeros((n_a + self.n_passive + 1, self.f))
+        if n_a:
+            out[:n_a] = self.active
+        if self.n_passive:
+            out[n_a:-1] = self.passive
+        return out
+
     def active_coords(self) -> np.ndarray:
         """``(N_A, 2)`` array of (y, x), ordered by active row index."""
         ys, xs = np.nonzero(self.index_map < self.n_active)
@@ -173,20 +184,19 @@ def to_dense(s: SpsTensor) -> DenseTensor:
     return DenseTensor(features=dense.transpose(2, 0, 1))
 
 
-def gather_taps(s: SpsTensor, coords: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Rows at ``coords + taps`` through the index map, ``[N, T, F]``.
+def gather_taps(rows: np.ndarray, index: np.ndarray, coords: np.ndarray,
+                taps: np.ndarray) -> np.ndarray:
+    """Rows at ``coords + taps`` through the index map ``index``, ``[N, T, F]``.
 
-    Out-of-grid taps read the zero vector, the one padding policy of every
-    gather in this package.
+    ``rows`` ends in one zero row (:meth:`SpsTensor.tap_rows`), which every
+    out-of-grid tap reads: the one padding policy of every gather in this
+    package.
     """
+    h, w = index.shape
     ny = coords[:, 0:1] + taps[None, :, 0]
     nx = coords[:, 1:2] + taps[None, :, 1]
-    inside = (ny >= 0) & (ny < s.h) & (nx >= 0) & (nx < s.w)
-    rows = s.rows()
-    flat = np.where(inside, s.index_map.astype(np.int64)[ny.clip(0, s.h - 1), nx.clip(0, s.w - 1)], 0)
-    gathered = rows[flat]
-    gathered[~inside] = 0.0
-    return gathered
+    inside = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
+    return rows[np.where(inside, index[ny.clip(0, h - 1), nx.clip(0, w - 1)], len(rows) - 1)]
 
 
 def gather_neighborhood(s: SpsTensor, c: tuple, offsets: Sequence[tuple]) -> np.ndarray:
@@ -197,7 +207,7 @@ def gather_neighborhood(s: SpsTensor, c: tuple, offsets: Sequence[tuple]) -> np.
     if s.index_map[y, x] >= s.n_active:
         raise ContractError(f"cell ({y}, {x}) is not active")
     taps = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
-    return gather_taps(s, np.array([[y, x]]), taps)[0]
+    return gather_taps(s.tap_rows(), s.index_map, np.array([[y, x]]), taps)[0]
 
 
 def subdivide(s: SpsTensor, child_maps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> SpsTensor:

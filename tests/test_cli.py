@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from spsr import io, metrics
+from spsr import cli, io, metrics, pipeline
 from spsr.cli import main
 from spsr.metrics import rle_encode
 from spsr.pipeline import make_targets
@@ -101,6 +103,77 @@ class TestRefineCommand:
               "--ref-masks", mask_path, "--out", out_flag, "--top-n", "50"] + REFINE_FAST)
         ledger = json.load(open(os.path.join(out_flag, "ledger.json")))
         assert ledger["stages"][1]["active_cells"] == 200  # flag wins over env
+
+
+@pytest.fixture
+def no_neck_draw(monkeypatch):
+    """Fail the test if a neck is drawn: an oversized one must be rejected first."""
+    seeded_rng = pipeline.seeded_rng
+
+    def guarded(*parts):
+        if "neck" in parts:
+            raise AssertionError("the neck must be rejected before it is drawn")
+        return seeded_rng(*parts)
+
+    monkeypatch.setattr(pipeline, "seeded_rng", guarded)
+
+
+class TestNeckBounds:
+    @pytest.mark.parametrize("size", [["10000000", "10000000"], ["-5", "-5"], ["0", "5"]])
+    def test_refine_image_size_exit_2(self, tmp_path, capsys, no_neck_draw, size):
+        roi_path, _, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "weights", "--rois", roi_path, "--out", str(out),
+                     "--image-size", *size] + REFINE_FAST)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "masks.json").exists()
+
+    def test_refine_image_size_from_boxes_exit_2(self, tmp_path, no_neck_draw):
+        roi_path = str(tmp_path / "rois.json")
+        io.dump_json(roi_path, [{"box": [0, 0, 1e7, 1e7], "class": 0, "score": 0.9}])
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "weights", "--rois", roi_path,
+                     "--out", str(out)] + REFINE_FAST)
+        assert code == 2
+        assert not (out / "masks.json").exists()
+
+    @pytest.mark.parametrize("canvas", ["10000000", "0", "-5"])
+    def test_bench_canvas_exit_2(self, tmp_path, monkeypatch, no_neck_draw, canvas):
+        def no_corpus(spec):
+            raise AssertionError("the canvas must be rejected before the corpus is drawn")
+
+        monkeypatch.setattr(cli, "gen_synthetic", no_corpus)
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--count", "2", "--canvas", canvas, "--out", str(out)] + REFINE_FAST)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--f-neck", "--f0", "--f-query"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_feature_size_exit_3(self, tmp_path, no_neck_draw, flag, value):
+        roi_path, _, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        args = REFINE_FAST + [flag, value]
+        code = main(["refine", "--mode", "weights", "--rois", roi_path, "--out", str(out)] + args)
+        assert code == 3
+        assert not (out / "masks.json").exists()
+        bench_out = tmp_path / "bench.json"
+        assert main(["bench", "--count", "1", "--canvas", "160", "--out", str(bench_out)] + args) == 3
+        assert not bench_out.exists()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """``eval`` never samples the neck, so it must not pay for ``scipy.sparse``;
+    the bilinear kernel loads it on first use."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, numpy as np, spsr.cli\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "from spsr import ops\n"
+            "ops.dense_bilinear(np.ones((2, 3, 3)), np.array([0.5]), np.array([1.5]))\n"
+            "assert 'scipy.sparse' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def box_record(image_id, cls, box, score=None):

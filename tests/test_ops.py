@@ -303,3 +303,103 @@ class TestPipelineShapes:
         dense, s = pipeline_shaped_sps(rng)
         ks = tuple(random_kernel(rng, 32, dilation=d) for d in (1, 3, 5))
         assert_sparse_matches_dense(ops.sfm(s, *ks), ops.dense_sfm(dense, *ks), s)
+
+
+def four_corner_bilinear(rows, index_map, py, px):
+    """The bilinear kernel as a four-corner loop of masked gathers: the reference
+    that the sparse-matrix kernel must reproduce bit for bit."""
+    h, w = index_map.shape
+    y0 = np.floor(py).astype(np.int64)
+    x0 = np.floor(px).astype(np.int64)
+    wy = py - y0
+    wx = px - x0
+    out = np.zeros(py.shape + (rows.shape[1],))
+    for cy, weight_y in ((y0, 1.0 - wy), (y0 + 1, wy)):
+        for cx, weight_x in ((x0, 1.0 - wx), (x0 + 1, wx)):
+            weight = weight_y * weight_x
+            inside = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
+            use = inside & (weight != 0.0)
+            if not np.any(use):
+                continue
+            vals = rows[index_map[cy.clip(0, h - 1), cx.clip(0, w - 1)]]
+            vals[~use] = 0.0
+            out += weight[..., None] * vals
+    return out
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBilinearKernel:
+    """``ops._bilinear`` == the four-corner loop, bit for bit, on neck-like shapes."""
+
+    H, W, F = 23, 31, 256
+
+    def _neck(self, rng):
+        rows = rng.standard_normal((self.H * self.W, self.F))
+        return rows, np.arange(self.H * self.W).reshape(self.H, self.W)
+
+    def _check(self, rows, index_map, py, px):
+        got = ops._bilinear(rows, index_map, py, px)
+        assert_bit_identical(got, four_corner_bilinear(rows, index_map, py, px))
+        return got
+
+    def test_fractional_positions(self, rng):
+        rows, index_map = self._neck(rng)
+        py = rng.uniform(0, self.H - 1, (40, 25))
+        px = rng.uniform(0, self.W - 1, (40, 25))
+        assert self._check(rows, index_map, py, px).shape == (40, 25, self.F)
+
+    def test_integer_positions_drop_zero_weight_corners(self, rng):
+        rows, index_map = self._neck(rng)
+        py = rng.integers(0, self.H, 500).astype(float)
+        px = rng.integers(0, self.W, 500).astype(float)
+        px[:250] += rng.uniform(0, 1, 250)  # integer y only: two corners weigh zero
+        got = self._check(rows, index_map, py, px)
+        exact = index_map[py[250:].astype(int), px[250:].astype(int)]
+        np.testing.assert_array_equal(got[250:], rows[exact])
+        # a zero-weight corner adds nothing (not 0 * row): a NaN row beside exact samples stays out
+        rows[index_map[5, 7]] = np.nan
+        got = self._check(rows, index_map, np.array([4.0, 5.0, 4.0]), np.array([6.0, 6.0, 7.0]))
+        assert np.all(np.isfinite(got))
+
+    def test_on_and_past_every_edge(self, rng):
+        rows, index_map = self._neck(rng)
+        ys = [-1.5, -1.0, -0.5, -0.25, 0.0, 0.5, self.H - 1.5, self.H - 1.0,
+              self.H - 0.75, self.H - 0.5, self.H, self.H + 0.5]
+        xs = [-1.5, -1.0, -0.5, -0.25, 0.0, 0.5, self.W - 1.5, self.W - 1.0,
+              self.W - 0.75, self.W - 0.5, self.W, self.W + 0.5]
+        py, px = (a.astype(float) for a in np.meshgrid(ys, xs, indexing="ij"))
+        self._check(rows, index_map, py, px)
+
+    def test_all_outside_is_positive_zero(self, rng):
+        rows, index_map = self._neck(rng)
+        py = np.array([-3.0, -1.0, self.H, self.H + 7.5, 4.0, 4.0, -2.5])
+        px = np.array([2.0, -1.0, 3.0, 1.0, -1.0, self.W, self.W + 2.5])
+        got = self._check(rows, index_map, py, px)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+    def test_negative_zero_rows(self, rng):
+        # -0.0 features: a sum that starts from +0.0 never ends in -0.0
+        rows, index_map = self._neck(rng)
+        rows[:, :8] = -0.0
+        py = rng.uniform(-1, self.H, 300)
+        px = rng.uniform(-1, self.W, 300)
+        self._check(rows, index_map, py, px)
+
+    def test_shared_passive_rows_duplicate_columns(self, rng):
+        # 2x2 children of a coarse cell share one passive row, so two corners
+        # of one sample can resolve to the same row (duplicate CSR columns)
+        coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((self.F, 8, 8))), [])
+        fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
+        s = tensor.reselect(fine, [(int(y), int(x)) for y, x in rng.integers(0, 16, (30, 2))])
+        py = rng.uniform(-1, 16, 400)
+        px = rng.uniform(-1, 16, 400)
+        y0, x0 = np.floor(py).astype(int), np.floor(px).astype(int)
+        inside = (y0 >= 0) & (y0 < 15) & (x0 >= 0) & (x0 < 15)
+        same = (s.index_map[y0[inside], x0[inside]] == s.index_map[y0[inside], x0[inside] + 1])
+        assert np.count_nonzero(same) > 50
+        self._check(s.rows(), s.index_map, py, px)

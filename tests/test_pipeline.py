@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spsr import pipeline as pl
-from spsr.errors import ContractError
+from spsr.errors import ContractError, SchemaError
 from spsr.metrics import boundary_iou
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
 
@@ -350,3 +350,53 @@ class TestRefinementEngine:
         res = pl.run_refinement([roi], small_config(mode="weights", top_n_active=200))
         assert res.per_roi[0].probs.shape == (112, 112)
         assert res.ledger.total_macs() > 0
+
+
+class TestNeckFeatures:
+    def test_levels_are_the_seeded_draw_channel_last(self):
+        neck = pl.NeckFeatures.synthesize(5, (150, 97), 12)
+        assert sorted(neck.levels) == [2, 3, 4, 5]
+        for level, grid in neck.levels.items():
+            stride = 2**level
+            gh, gw = -(-150 // stride), -(-97 // stride)
+            draw = pl.seeded_rng(5, "neck", level).standard_normal((12, gh, gw))
+            assert grid.shape == (gh, gw, 12) and grid.flags.c_contiguous
+            np.testing.assert_array_equal(grid, draw.transpose(1, 2, 0))
+
+    def test_sample_at_cell_centers_reads_cells(self):
+        neck = pl.NeckFeatures.synthesize(2, (64, 48), 5)
+        grid = neck.levels[3]
+        ys, xs = np.array([4.0, 12.0, 60.0]), np.array([4.0, 44.0, 20.0])
+        got = neck.sample(3, ys, xs)
+        np.testing.assert_array_equal(got, grid[(ys // 8).astype(int), (xs // 8).astype(int)])
+
+
+class TestNeckBounds:
+    def test_benchmark_canvas_and_test_canvases_pass(self):
+        assert pl.neck_grids((448, 448), 256)[2] == (112, 112)
+        for side in (160, 320, 1333):
+            pl.neck_grids((side, side), 256)
+
+    @pytest.mark.parametrize("image_hw", [(0, 10), (10, 0), (-5, -5)])
+    def test_non_positive_image_rejected(self, image_hw):
+        with pytest.raises(SchemaError):
+            pl.neck_grids(image_hw, 8)
+        with pytest.raises(SchemaError):
+            small_config(image_hw=image_hw)
+
+    def test_cap_is_on_the_element_count(self):
+        # a 1 x W image has one row per level: W/4 + W/8 + W/16 + W/32 cells at W = 32k
+        w = 32 * 2**12
+        cells = sum(-(-w // 2**level) for level in pl.NECK_LEVELS)
+        f = pl.MAX_NECK_ELEMENTS // cells
+        pl.neck_grids((1, w), f)
+        with pytest.raises(SchemaError):
+            pl.neck_grids((1, w), f + 1)
+        with pytest.raises(SchemaError):
+            pl.NeckFeatures.synthesize(0, (10**7, 10**7), 8)
+
+    @pytest.mark.parametrize("field", ["f0", "f_query", "f_neck"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_feature_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ContractError):
+            small_config(**{field: value})

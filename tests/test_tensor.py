@@ -146,6 +146,31 @@ class TestGatherNeighborhood:
                     assert np.all(rows[i] == 0.0)
 
 
+class TestGatherTaps:
+    def test_zero_row_equals_masked_gather(self, rng):
+        # reference: gather through a clipped map, then zero the out-of-grid taps
+        taps = rng.integers(-4, 5, size=(9, 2))
+        for _ in range(200):
+            _, s = random_sps(rng)
+            if s.n_active == 0:
+                continue
+            coords = s.active_coords()
+            ny = coords[:, 0:1] + taps[None, :, 0]
+            nx = coords[:, 1:2] + taps[None, :, 1]
+            inside = (ny >= 0) & (ny < s.h) & (nx >= 0) & (nx < s.w)
+            want = s.rows()[s.index_map[ny.clip(0, s.h - 1), nx.clip(0, s.w - 1)]]
+            want[~inside] = 0.0
+            got = tensor.gather_taps(s.tap_rows(), s.index_map, coords, taps)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_tap_rows_end_in_one_zero_row(self, rng):
+        _, s = random_sps(rng, h=4, w=5, f=3, n_active=7)
+        rows = s.tap_rows()
+        np.testing.assert_array_equal(rows[:-1], s.rows())
+        assert rows.shape == (s.n_active + s.n_passive + 1, 3) and not np.any(rows[-1])
+
+
 class TestSubdivide:
     def test_identity_children_copy_parent(self, rng):
         d, s = random_sps(rng, h=4, w=4, f=3)
