@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50, help="corpus size")
     p.add_argument("--shape", choices=("disk", "ellipse", "blob"), default="blob")
     p.add_argument("--canvas", type=int, default=448, help="square canvas side")
-    p.add_argument("--force-dense-active", action="store_true",
-                   help="run the sparse route with every cell active")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
     p = sub.add_parser("convert", help="convert SPS tensor dumps binary <-> JSON",
@@ -99,6 +97,16 @@ def _run_config(args, mode: str, image_hw=None) -> RunConfig:
     return RunConfig(stages=args.stages, top_n_active=args.top_n, seed=args.seed,
                      mode=mode, f0=args.f0, f_query=args.f_query, f_neck=args.f_neck,
                      threads=args.threads, image_hw=image_hw)
+
+
+def _compare(dense_ledger, result) -> dict:
+    """:func:`compare` of ``result``'s ledger, with each refinement stage's
+    active fraction attached."""
+    report = compare(dense_ledger, result.ledger)
+    for stage in report["stages"]:
+        if stage["stage"] in result.stage_fractions:
+            stage["active_fraction"] = result.stage_fractions[stage["stage"]]
+    return report
 
 
 def cmd_refine(args) -> int:
@@ -121,10 +129,7 @@ def cmd_refine(args) -> int:
     io.dump_json(os.path.join(args.out, "masks.json"),
                  io.masks_to_dict(out_masks, [r.score for r in result.per_roi],
                                   [r.class_id for r in result.per_roi]))
-    report = compare(analytic_dense_ledger(config, len(rois)), result.ledger)
-    for stage in report["stages"]:
-        if stage["stage"] in result.stage_fractions:
-            stage["active_fraction"] = result.stage_fractions[stage["stage"]]
+    report = _compare(analytic_dense_ledger(config, len(rois)), result)
     io.dump_json(os.path.join(args.out, "ledger.json"), report)
     print(f"refined {len(rois)} RoIs -> {args.out}")
     return 0
@@ -152,8 +157,6 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
-    if args.force_dense_active:
-        config.top_n_active = None
     side = config.final_side
     rois = []
     for i in range(args.count):
@@ -169,10 +172,7 @@ def cmd_bench(args) -> int:
     sparse = run_refinement(rois, config, neck=neck, sparse=True)
     t2 = time.perf_counter()
 
-    report = compare(dense.ledger, sparse.ledger)
-    for stage in report["stages"]:
-        if stage["stage"] in sparse.stage_fractions:
-            stage["active_fraction"] = sparse.stage_fractions[stage["stage"]]
+    report = _compare(dense.ledger, sparse)
     report["corpus"] = {"count": args.count, "shape": args.shape,
                         "canvas": args.canvas, "seed": args.seed,
                         "f0": config.f0, "stages": config.stages,

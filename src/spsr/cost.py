@@ -6,7 +6,6 @@ index arithmetic are not counted. A bilinear sample costs 4 MACs per channel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ContractError
@@ -55,10 +54,6 @@ class CostLedger:
     def add(self, op: str, stage: int, macs: int, active_cells: int, total_cells: int):
         self.entries.append(LedgerEntry(op, stage, macs, active_cells, total_cells))
 
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        self.entries.extend(other.entries)
-        return self
-
     def total_macs(self) -> int:
         return sum(e.macs for e in self.entries)
 
@@ -79,9 +74,6 @@ class CostLedger:
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.entries],
                 "total_macs": self.total_macs()}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def compare(dense: CostLedger, sparse: CostLedger) -> dict:

@@ -24,32 +24,7 @@ NMS_THRESHOLD_SMALL_SCALE = 0.65
 NMS_THRESHOLD_LARGE_SCALE = 0.70
 
 
-@dataclass(frozen=True)
-class Box:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def __post_init__(self):
-        if not (self.x1 >= self.x0 and self.y1 >= self.y0):
-            raise ContractError(f"degenerate box {(self.x0, self.y0, self.x1, self.y1)}")
-
-    @property
-    def w(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def h(self) -> float:
-        return self.y1 - self.y0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.y0, self.x1, self.y1], dtype=np.float64)
-
-
 def _as_boxes(b) -> np.ndarray:
-    if isinstance(b, Box):
-        return b.as_array()
     arr = np.asarray(b, dtype=np.float64)
     if arr.shape[-1] != 4:
         raise ContractError(f"boxes must have 4 coordinates, got shape {arr.shape}")
@@ -210,9 +185,6 @@ class MatchResult:
 
     labels: np.ndarray
     per_gt: list = field(default_factory=list)
-
-    def positives(self) -> np.ndarray:
-        return np.nonzero(self.labels >= 0)[0]
 
 
 def topk_match(anchors, gts, k: int) -> MatchResult:

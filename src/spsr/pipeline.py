@@ -194,25 +194,14 @@ def paste_mask(roi_probs: np.ndarray, box: RoiBox, image_hw: tuple) -> np.ndarra
         return out
     px = np.arange(x_lo, x_hi)
     py = np.arange(y_lo, y_hi)
-    u = (px + 0.5 - box.x0) / box.w * probs.shape[1] - 0.5
-    v = (py + 0.5 - box.y0) / box.h * probs.shape[0] - 0.5
-    sampled = _bilinear_clamped(probs, v, u)
-    out[y_lo:y_hi, x_lo:x_hi] = sampled >= 0.5
+    h, w = probs.shape
+    u = np.clip((px + 0.5 - box.x0) / box.w * w - 0.5, 0, w - 1)
+    v = np.clip((py + 0.5 - box.y0) / box.h * h - 0.5, 0, h - 1)
+    # clamped positions never reach the kernel's zero outside: edge clamping
+    vv, uu = np.meshgrid(v, u, indexing="ij")
+    sampled = ops._bilinear(probs.reshape(-1, 1), np.arange(h * w).reshape(h, w), vv, uu)
+    out[y_lo:y_hi, x_lo:x_hi] = sampled[:, :, 0] >= 0.5
     return out
-
-
-def _bilinear_clamped(grid: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Separable bilinear sampling with edge clamping; ``[len(ys), len(xs)]``."""
-    h, w = grid.shape
-    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
-    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)
-    wx = np.clip(xs - x0, 0.0, 1.0)
-    top = grid[np.ix_(y0, x0)] * (1 - wx)[None, :] + grid[np.ix_(y0, x1)] * wx[None, :]
-    bot = grid[np.ix_(y1, x0)] * (1 - wx)[None, :] + grid[np.ix_(y1, x1)] * wx[None, :]
-    return top * (1 - wy)[:, None] + bot * wy[:, None]
 
 
 def seg_score(cls_score: float, probs: np.ndarray) -> float:
@@ -327,6 +316,8 @@ class RunConfig:
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.threads < 1:
             raise ContractError("threads must be >= 1")
+        if self.top_n_active is not None and self.top_n_active < 0:
+            raise ContractError("top_n_active must be >= 0")
         if self.image_hw is not None:
             neck_grids(self.image_hw, self.f_neck)  # bound the neck before anything is drawn
 

@@ -141,16 +141,15 @@ class SpsTensor:
 
 def _normalize_cells(cells: Iterable, h: int, w: int) -> np.ndarray:
     """Return unique (y, x) pairs in row-major order, bounds-checked."""
-    pairs = []
-    for c in cells:
-        y, x = int(c[0]), int(c[1])
-        if not (0 <= y < h and 0 <= x < w):
-            raise ContractError(f"cell ({y}, {x}) outside {h}x{w} grid")
-        pairs.append((y, x))
-    if not pairs:
+    arr = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
+    if arr.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    arr = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-    return arr  # np.unique sorts lexicographically == row-major
+    arr = arr.astype(np.int64)
+    inside = (arr[:, 0] >= 0) & (arr[:, 0] < h) & (arr[:, 1] >= 0) & (arr[:, 1] < w)
+    if not inside.all():
+        y, x = arr[np.argmin(inside), :2]
+        raise ContractError(f"cell ({y}, {x}) outside {h}x{w} grid")
+    return np.stack(np.divmod(np.unique(arr[:, 0] * w + arr[:, 1]), w), axis=1)
 
 
 def from_dense(d: DenseTensor, active_cells: Iterable) -> SpsTensor:
@@ -158,23 +157,11 @@ def from_dense(d: DenseTensor, active_cells: Iterable) -> SpsTensor:
 
     Active rows follow row-major order of the active cells; every non-active
     cell contributes its own passive row (no deduplication at construction).
+    This is :func:`reselect` of the all-passive view of ``d``.
     """
-    cells = _normalize_cells(active_cells, d.h, d.w)
-    active_mask = np.zeros((d.h, d.w), dtype=bool)
-    if len(cells):
-        active_mask[cells[:, 0], cells[:, 1]] = True
-
-    index_map = np.empty((d.h, d.w), dtype=np.int64)
-    n_a = len(cells)
-    if n_a:
-        index_map[cells[:, 0], cells[:, 1]] = np.arange(n_a)
-    pys, pxs = np.nonzero(~active_mask)
-    index_map[pys, pxs] = n_a + np.arange(len(pys))
-
-    feats = d.features
-    active = feats[:, cells[:, 0], cells[:, 1]].T if n_a else np.zeros((0, d.f))
-    passive = feats[:, pys, pxs].T if len(pys) else np.zeros((0, d.f))
-    return SpsTensor(active=active, passive=passive, index_map=index_map)
+    view = SpsTensor(active=np.zeros((0, d.f)), passive=d.features.reshape(d.f, -1).T,
+                     index_map=np.arange(d.h * d.w).reshape(d.h, d.w))
+    return reselect(view, active_cells)
 
 
 def to_dense(s: SpsTensor) -> DenseTensor:

@@ -163,6 +163,22 @@ class TestNeckBounds:
         assert not bench_out.exists()
 
 
+@pytest.mark.parametrize("top_n", ["-1", "-5"])
+def test_negative_top_n_exit_3(tmp_path, capsys, top_n):
+    roi_path, _, _ = write_inputs(tmp_path, n=1)
+    out = tmp_path / "out"
+    code = main(["refine", "--mode", "weights", "--rois", roi_path, "--out", str(out),
+                 "--top-n", top_n] + REFINE_FAST)
+    assert code == 3
+    assert "top_n_active" in capsys.readouterr().err
+    assert not (out / "masks.json").exists() and not (out / "ledger.json").exists()
+    bench_out = tmp_path / "bench.json"
+    code = main(["bench", "--count", "1", "--canvas", "160", "--top-n", top_n,
+                 "--out", str(bench_out)] + REFINE_FAST)
+    assert code == 3
+    assert not bench_out.exists()
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """``eval`` never samples the neck, so it must not pay for ``scipy.sparse``;
     the bilinear kernel loads it on first use."""
@@ -289,9 +305,10 @@ class TestBenchCommand:
         assert "wall_time" in capsys.readouterr().out
 
     def test_force_dense_active_zero_reduction(self, tmp_path):
+        # a budget at the stage-3 cell count (2 RoIs x 112 x 112) keeps every cell
         out = str(tmp_path / "bench.json")
         code = main(["bench", "--count", "2", "--canvas", "160", "--seed", "2",
-                     "--force-dense-active", "--out", out] + REFINE_FAST)
+                     "--top-n", str(2 * 112 * 112), "--out", out] + REFINE_FAST)
         assert code == 0
         assert json.load(open(out))["reduction_fraction"] == 0.0
 

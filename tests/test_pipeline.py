@@ -159,16 +159,56 @@ class TestPasteMask:
         probs = np.zeros((4, 4))
         probs[1, 1] = 1.0
         box = pl.RoiBox(0, 0, 8, 8)
-        out_probs = pl._bilinear_clamped(probs, np.array([2.5 / 8 * 4 - 0.5]),
-                                         np.array([2.5 / 8 * 4 - 0.5]))
-        # position (0.75, 0.75): weights 0.25/0.75 across cells 0 and 1
-        assert out_probs[0, 0] == pytest.approx(0.75 * 0.75)
+        # pixel (2, 2) samples position (0.75, 0.75): weights 0.25/0.75 across
+        # cells 0 and 1, so it reads 0.75 * 0.75 * scale, and the 0.5 threshold
+        # flips exactly where that value crosses 0.5
+        at_half = 0.5 / (0.75 * 0.75)
+        assert pl.paste_mask(probs * at_half * (1 + 1e-9), box, (8, 8))[2, 2]
+        assert not pl.paste_mask(probs * at_half * (1 - 1e-9), box, (8, 8))[2, 2]
         out = pl.paste_mask(probs, box, (8, 8))
         assert out[2, 2] == (0.75 * 0.75 >= 0.5)
 
     def test_outside_image_empty(self):
         out = pl.paste_mask(np.ones((14, 14)), pl.RoiBox(50, 50, 60, 60), (32, 32))
         assert not out.any()
+
+
+class TestPasteMaskReference:
+    """``paste_mask`` samples through ``ops._bilinear`` at clamped positions;
+    SciPy's edge-replicating ``map_coordinates`` is the independent reference."""
+
+    BOXES = [
+        (0.0, 0.0, 7.0, 5.0),      # one pixel per cell: positions on every edge
+        (3.0, 2.0, 31.0, 22.0),    # 4x upsampling: past every edge by up to 0.375
+        (-5.3, 1.7, 20.9, 30.2),   # fractional, clipped at the image's left edge
+        (10.6, -4.2, 39.4, 12.8),  # fractional, clipped at the top and right
+        (2.2, 3.9, 5.1, 6.3),      # downsampling
+    ]
+
+    @pytest.mark.parametrize("box", BOXES)
+    def test_sampling_matches_scipy_nearest(self, monkeypatch, rng, box):
+        from scipy.ndimage import map_coordinates
+        probs = rng.random((5, 7))
+        bilinear, seen = pl.ops._bilinear, []
+
+        def spy(*args):
+            seen.append(bilinear(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(pl.ops, "_bilinear", spy)
+        b = pl.RoiBox(*box)
+        out = pl.paste_mask(probs, b, (24, 32))
+        x_lo, x_hi = max(0, int(np.ceil(b.x0 - 0.5))), min(32, int(np.ceil(b.x1 - 0.5)))
+        y_lo, y_hi = max(0, int(np.ceil(b.y0 - 0.5))), min(24, int(np.ceil(b.y1 - 0.5)))
+        u = (np.arange(x_lo, x_hi) + 0.5 - b.x0) / b.w * 7 - 0.5
+        v = (np.arange(y_lo, y_hi) + 0.5 - b.y0) / b.h * 5 - 0.5
+        vv, uu = np.meshgrid(v, u, indexing="ij")
+        want = map_coordinates(probs, [vv, uu], order=1, mode="nearest")
+        assert len(seen) == 1
+        np.testing.assert_allclose(seen[0][:, :, 0], want, rtol=0, atol=1e-12)
+        expected = np.zeros((24, 32), dtype=bool)
+        expected[y_lo:y_hi, x_lo:x_hi] = seen[0][:, :, 0] >= 0.5
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestSegScore:
@@ -303,6 +343,13 @@ class TestRefinementEngine:
         refined = res.per_roi[0].probs >= 0.5
         coarse = np.repeat(np.repeat(res.stage_masks[0][0] >= 0.5, 8, 0), 8, 1)
         assert boundary_iou(refined, roi.ref_mask) > boundary_iou(coarse, roi.ref_mask)
+
+    @pytest.mark.parametrize("top_n", [-1, -5])
+    def test_negative_budget_rejected(self, top_n):
+        with pytest.raises(ContractError, match="top_n_active"):
+            small_config(top_n_active=top_n)
+        small_config(top_n_active=0)
+        small_config(top_n_active=None)
 
     def test_zero_budget_is_pure_upsampling(self):
         roi = disk_roi(seed=5)

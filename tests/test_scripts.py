@@ -1,0 +1,20 @@
+"""The README's example scripts run end to end at tiny sizes."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script, args", [
+    ("demo_end_to_end.py", ["--count", "3", "--canvas", "96", "--f0", "8"]),
+    ("run_bench.py", ["--count", "2", "--canvas", "160", "--f0", "16", "--budgets", "300"]),
+])
+def test_script_exits_0(script, args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

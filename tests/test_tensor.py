@@ -46,6 +46,67 @@ class TestFromDense:
         np.testing.assert_array_equal(s.active[2], d.features[:, 2, 1])
 
 
+def per_cell_from_dense(d, active_cells):
+    """Reference split: a Python bounds check per cell, then an active mask and
+    an index map built cell by cell (active cells row-major, then every other
+    cell row-major)."""
+    pairs = []
+    for c in active_cells:
+        y, x = int(c[0]), int(c[1])
+        if not (0 <= y < d.h and 0 <= x < d.w):
+            raise ContractError(f"cell ({y}, {x}) outside {d.h}x{d.w} grid")
+        pairs.append((y, x))
+    cells = np.unique(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+    active_mask = np.zeros((d.h, d.w), dtype=bool)
+    active_mask[cells[:, 0], cells[:, 1]] = True
+    index_map = np.empty((d.h, d.w), dtype=np.int64)
+    index_map[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
+    pys, pxs = np.nonzero(~active_mask)
+    index_map[pys, pxs] = len(cells) + np.arange(len(pys))
+    active = d.features[:, cells[:, 0], cells[:, 1]].T
+    passive = d.features[:, pys, pxs].T
+    return active, passive, index_map
+
+
+class TestFromDenseReference:
+    """``from_dense`` (``reselect`` of the all-passive view) == the per-cell builder."""
+
+    @staticmethod
+    def assert_same_split(s, ref):
+        active, passive, index_map = ref
+        assert np.array_equal(s.active, active.reshape(-1, s.f))
+        assert np.array_equal(s.passive, passive.reshape(-1, s.f))
+        assert np.array_equal(s.index_map, index_map)
+
+    @pytest.mark.parametrize("kind", ["ndarray", "list", "generator"])
+    def test_random_cells(self, rng, kind):
+        for _ in range(200):
+            h, w, f = (int(v) for v in rng.integers(1, 13, size=3))
+            d = tensor.DenseTensor(rng.standard_normal((f, h, w)))
+            # duplicates included: up to 1.5x the grid, drawn with replacement
+            cells = rng.integers(0, [h, w], size=(int(rng.integers(0, 3 * h * w // 2 + 1)), 2))
+            given = {"ndarray": lambda: cells,
+                     "list": lambda: [tuple(c) for c in cells.tolist()],
+                     "generator": lambda: (tuple(c) for c in cells)}[kind]
+            self.assert_same_split(tensor.from_dense(d, given()), per_cell_from_dense(d, given()))
+
+    def test_duplicate_cells_collapse(self, rng):
+        d = tensor.DenseTensor(rng.standard_normal((2, 3, 4)))
+        cells = [(2, 3), (0, 1), (2, 3), (0, 1), (0, 1)]
+        s = tensor.from_dense(d, cells)
+        assert s.n_active == 2 and s.n_passive == 10
+        self.assert_same_split(s, per_cell_from_dense(d, cells))
+
+    @pytest.mark.parametrize("bad", [(3, 0), (0, 4), (-1, 2), (1, -1)])
+    def test_out_of_grid_ndarray_rejected(self, rng, bad):
+        d = tensor.DenseTensor(rng.standard_normal((2, 3, 4)))
+        cells = np.array([(0, 0), bad, (1, 1)])
+        with pytest.raises(ContractError, match=rf"cell \({bad[0]}, {bad[1]}\) outside 3x4"):
+            tensor.from_dense(d, cells)
+        with pytest.raises(ContractError, match=rf"cell \({bad[0]}, {bad[1]}\) outside 3x4"):
+            per_cell_from_dense(d, cells)
+
+
 class TestToDense:
     def test_roundtrip_exact(self, rng):
         for _ in range(20):
