@@ -7,6 +7,7 @@ keys and an indent of 2, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,6 +24,7 @@ SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
+CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
 
 
 def dump_json(path: str, obj):
@@ -49,8 +51,26 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
+
+
+def _finite(values, what: str) -> list[float]:
+    """``values`` as floats; ``ValueError`` for NaN or an infinity."""
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{what} must be finite, got {out}")
+    return out
+
+
+def _class_id(value) -> int:
+    """A record's class: an integer in int32 range; ``ValueError`` otherwise."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"class {value!r} is not an integer")
+    cls = int(value)
+    if not CLASS_RANGE[0] <= cls <= CLASS_RANGE[1]:
+        raise ValueError(f"class {cls} lies outside the int32 range")
+    return cls
 
 
 # --- weight bundles ----------------------------------------------------------
@@ -191,9 +211,9 @@ def load_rois(path: str) -> list[RoiInput]:
     rois = []
     for i, rec in enumerate(data):
         try:
-            box = RoiBox(*[float(v) for v in rec["box"]])
+            box = RoiBox(*_finite(rec["box"], "box coordinates"))
             rois.append(RoiInput(box=box, cls_score=float(rec.get("score", 1.0)),
-                                 class_id=int(rec.get("class", 0))))
+                                 class_id=_class_id(rec.get("class", 0))))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: bad RoI record {i}: {e}") from e
     return rois
@@ -231,15 +251,15 @@ def load_eval_entries(path: str, need_score: bool, need_mask: bool = False) -> l
         try:
             if rec.get("iscrowd", False):
                 raise SchemaError("crowd regions are not supported")
-            box = np.asarray([float(v) for v in rec["box"]]) if "box" in rec else None
+            box = np.asarray(_finite(rec["box"], "box coordinates")) if "box" in rec else None
             mask = rle_from_dict(rec["rle"]) if "rle" in rec else None
             if box is None and mask is None:
                 raise SchemaError("record carries neither box nor rle")
             if need_mask and mask is None:
                 raise SchemaError("this task needs an rle mask per record")
-            score = float(rec["score"]) if need_score else float(rec.get("score", 1.0))
+            score = _finite([rec["score"] if need_score else rec.get("score", 1.0)], "score")[0]
             entries.append(EvalEntry(image_id=int(rec.get("image_id", 0)),
-                                     class_id=int(rec["class"]), score=score,
+                                     class_id=_class_id(rec["class"]), score=score,
                                      box=box, mask=mask))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: bad record {i}: {e}") from e
@@ -261,7 +281,7 @@ def load_panoptic(path: str):
             image_id = int(rec["image_id"])
             segs = []
             for seg in rec["segments"]:
-                cls = int(seg["class"])
+                cls = _class_id(seg["class"])
                 (things if seg.get("is_thing", True) else stuffs).add(cls)
                 segs.append(PanopticSegment(class_id=cls,
                                             mask=rle_decode(rle_from_dict(seg["rle"]))))

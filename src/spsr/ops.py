@@ -4,11 +4,22 @@ Every sparse operator updates only the active rows; the passive rows and the
 index map pass through untouched (feature halving is the one exception, since
 it changes the feature size of every row). Each operator has a dense twin
 (``dense_*``) acting on a plain ``[F, H, W]`` array, used as the equivalence
-oracle and as the dense pipeline route. Integer taps come from one gather
-(``tensor.gather_taps``) and real-valued samples from one bilinear kernel
-(:func:`_bilinear`), which the dense twins reach through an identity index map.
+oracle and as the dense pipeline route. Integer taps resolve through the one
+tap index of ``tensor.gather_taps`` (out-of-grid taps read a zero row) and
+real-valued samples through one bilinear kernel (:func:`_bilinear`), which the
+dense twins reach through an identity index map.
 The bilinear kernel is one sparse-matrix product: a CSR matrix of corner
 weights, at most four per sample, times the feature rows.
+
+A sparse convolution is one GEMM (:func:`_contract`). Its input is
+feature-major columns ``[F_in * T, n]``, row ``i * T + t`` holding feature ``i``
+of tap ``t`` for each of the ``n`` active cells, and its weights are the
+``[F_out, F_in * T]`` view of ``[F_out, F_in, K, K]``. The integer-tap
+convolutions gather those columns with one ``np.take`` from the transposed
+tap rows; the deformable one transposes its bilinear samples. This is exactly
+the matmul that ``np.einsum("nti,oit->no", taps, w, optimize=True)`` runs on a
+``[n, T, F_in]`` tap block, after copying that block into the same layout, so
+the results are bit-identical to the einsum it replaces.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .tensor import SpsTensor, gather_taps
+from .tensor import SpsTensor, _tap_index
 
 ACTIVATIONS = ("none", "relu")
 
@@ -140,9 +151,27 @@ def _tap_offsets(k: int, dilation: int) -> np.ndarray:
     return np.stack([dy.ravel(), dx.ravel()], axis=1)  # [K*K, 2], row-major taps
 
 
-def _contract(gathered: np.ndarray, k: ConvKernel) -> np.ndarray:
-    w = k.weights.reshape(k.f_out, k.f_in, k.k * k.k)
-    return np.einsum("nti,oit->no", gathered, w, optimize=True) + k.bias
+# the 25 distinct taps of sfm's dilation-1, -3 and -5 branches, and each branch's 9 of them
+_SFM_TAPS, _SFM_BRANCHES = np.unique(np.concatenate([_tap_offsets(3, d) for d in (1, 3, 5)]),
+                                     axis=0, return_inverse=True)
+_SFM_BRANCHES = _SFM_BRANCHES.reshape(3, 9)
+
+
+def _tap_columns(s: SpsTensor) -> np.ndarray:
+    """:meth:`SpsTensor.tap_rows` feature-major, a C-contiguous ``[F, N + 1]``
+    array, so that one ``np.take`` gathers a whole ``[F, T, n]`` column block."""
+    return np.ascontiguousarray(s.tap_rows().T)
+
+
+def _im2col(columns: np.ndarray, tap_index: np.ndarray) -> np.ndarray:
+    """Feature-major columns ``[F * T, n]`` (row ``i * T + t``) of a ``[T, n]`` tap index."""
+    return np.take(columns, tap_index, axis=1).reshape(-1, tap_index.shape[1])
+
+
+def _contract(cols: np.ndarray, k: ConvKernel) -> np.ndarray:
+    """``[n, F_out]`` outputs of feature-major columns ``[F_in * T, n]``: one GEMM
+    with the ``[F_out, F_in * T]`` weight view, then the bias."""
+    return np.matmul(k.weights.reshape(k.f_out, -1), cols).T + k.bias
 
 
 def pointwise(s: SpsTensor, t: LinearTransform) -> SpsTensor:
@@ -171,9 +200,11 @@ def conv2d_sparse(s: SpsTensor, k: ConvKernel) -> SpsTensor:
         raise ContractError("conv output feature size must equal input (residual-compatible)")
     if s.n_active == 0:
         return s
-    taps = _tap_offsets(k.k, k.dilation)
-    gathered = gather_taps(s.tap_rows(), s.index_map, s.active_coords(), taps)
-    return SpsTensor(active=_contract(gathered, k), passive=s.passive, index_map=s.index_map)
+    columns = _tap_columns(s)
+    taps = _tap_index(s.index_map, s.active_coords(), _tap_offsets(k.k, k.dilation),
+                      columns.shape[1] - 1)
+    return SpsTensor(active=_contract(_im2col(columns, taps), k), passive=s.passive,
+                     index_map=s.index_map)
 
 
 def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTensor:
@@ -194,8 +225,9 @@ def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTens
     base = _tap_offsets(k.k, k.dilation)
     py = coords[:, 0:1] + base[None, :, 0] + off.offsets[:, :, 0]
     px = coords[:, 1:2] + base[None, :, 1] + off.offsets[:, :, 1]
-    gathered = _bilinear(s.rows(), s.index_map, py, px)
-    return SpsTensor(active=_contract(gathered, k), passive=s.passive, index_map=s.index_map)
+    gathered = _bilinear(s.rows(), s.index_map, py, px)  # [n, T, F]
+    cols = gathered.transpose(2, 1, 0).reshape(-1, s.n_active)
+    return SpsTensor(active=_contract(cols, k), passive=s.passive, index_map=s.index_map)
 
 
 def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -245,11 +277,11 @@ def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTens
             raise ContractError("branch feature sizes must equal tensor F")
     if s.n_active == 0:
         return s
-    coords = s.active_coords()
-    rows, index = s.tap_rows(), s.index_map.astype(np.int64)
+    columns = _tap_columns(s)
+    taps = _tap_index(s.index_map, s.active_coords(), _SFM_TAPS, columns.shape[1] - 1)
     acc = np.zeros((s.n_active, s.f))
-    for k in (k1, k3, k5):
-        acc += _contract(gather_taps(rows, index, coords, _tap_offsets(3, k.dilation)), k)
+    for k, branch in zip((k1, k3, k5), _SFM_BRANCHES):
+        acc += _contract(_im2col(columns, taps[branch]), k)
     return SpsTensor(active=acc, passive=s.passive, index_map=s.index_map)
 
 

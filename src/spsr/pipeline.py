@@ -132,6 +132,18 @@ def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.nd
     """Per-cell targets: mask value at the cell center, and whether the cell's
     pixel footprint mixes foreground with background."""
     gt = np.asarray(gt_mask, dtype=bool)
+    return _cell_targets(gt, _summed_area(gt), grid_hw)
+
+
+def _summed_area(gt: np.ndarray) -> np.ndarray:
+    """Summed-area table of a bool mask, framed by a zero row and column."""
+    sat = np.zeros((gt.shape[0] + 1, gt.shape[1] + 1), dtype=np.int64)
+    sat[1:, 1:] = gt.cumsum(axis=0).cumsum(axis=1)
+    return sat
+
+
+def _cell_targets(gt: np.ndarray, sat: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`make_targets` of the bool mask ``gt`` with its summed-area table ``sat``."""
     rows, cols = gt.shape
     h, w = grid_hw
     if rows < h or cols < w:
@@ -142,10 +154,8 @@ def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.nd
 
     by = np.floor(np.arange(h + 1) * rows / h).astype(np.int64)
     bx = np.floor(np.arange(w + 1) * cols / w).astype(np.int64)
-    sat = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-    sat[1:, 1:] = gt.cumsum(axis=0).cumsum(axis=1)
-    count = (sat[by[1:, None], bx[None, 1:]] - sat[by[:-1, None], bx[None, 1:]]
-             - sat[by[1:, None], bx[None, :-1]] + sat[by[:-1, None], bx[None, :-1]])
+    corners = sat[by[:, None], bx[None, :]]
+    count = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
     area = (by[1:, None] - by[:-1, None]) * (bx[None, 1:] - bx[None, :-1])
     refine = (count > 0) & (count < area)
     return seg, refine
@@ -526,6 +536,7 @@ class _Engine:
             raise ContractError("need at least one RoI")
         self.rois = list(rois)
         self.config = config
+        self.oracle_targets = []  # oracle mode: per RoI, {grid_hw: (seg, refine)} of every stage
         if config.mode == "oracle":
             side = config.final_side
             for i, r in enumerate(self.rois):
@@ -534,6 +545,9 @@ class _Engine:
                 if r.ref_mask.shape[0] < side or r.ref_mask.shape[1] < side:
                     raise ContractError(
                         f"reference mask {r.ref_mask.shape} coarser than final {side}x{side} grid")
+                sat = _summed_area(r.ref_mask)  # once per RoI, for every stage's grid
+                self.oracle_targets.append({grid: _cell_targets(r.ref_mask, sat, grid)
+                                            for grid in map(_grid, range(config.stages + 1))})
         if neck is None:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
@@ -560,7 +574,7 @@ class _Engine:
             return list(pool.map(fn, items))
 
     def _oracle_values(self, roi: int, grid_hw: tuple):
-        seg, refine = make_targets(self.rois[roi].ref_mask, grid_hw)
+        seg, refine = self.oracle_targets[roi][grid_hw]
         logits = np.where(seg, ORACLE_LOGIT, -ORACLE_LOGIT)
         return logits, refine.astype(np.float64)
 

@@ -171,19 +171,34 @@ def to_dense(s: SpsTensor) -> DenseTensor:
     return DenseTensor(features=dense.transpose(2, 0, 1))
 
 
+def _tap_index(index: np.ndarray, coords: np.ndarray, taps: np.ndarray, pad: int) -> np.ndarray:
+    """Row of each tap ``coords + taps`` through the index map ``index``,
+    tap-major ``[T, N]``; a tap outside the grid gets row ``pad``.
+
+    The map is framed by a border of ``pad`` as wide as the longest tap, so a
+    tap of an in-grid coord lands in the grid or in that border, and each
+    index is one flat lookup.
+    """
+    h, w = index.shape
+    r = int(np.abs(taps).max(initial=0))
+    framed = np.full((h + 2 * r, w + 2 * r), pad, dtype=np.intp)
+    framed[r:r + h, r:r + w] = index
+    stride = w + 2 * r
+    return framed.ravel()[taps[:, 0:1] * stride + taps[:, 1:2]
+                          + ((coords[:, 0] + r) * stride + coords[:, 1] + r)]
+
+
 def gather_taps(rows: np.ndarray, index: np.ndarray, coords: np.ndarray,
                 taps: np.ndarray) -> np.ndarray:
-    """Rows at ``coords + taps`` through the index map ``index``, ``[N, T, F]``.
+    """Rows at ``coords + taps`` through the index map ``index``, ``[N, T, F]``;
+    ``coords`` lie in the grid.
 
     ``rows`` ends in one zero row (:meth:`SpsTensor.tap_rows`), which every
     out-of-grid tap reads: the one padding policy of every gather in this
-    package.
+    package. The tap index comes from ``_tap_index``, which the sparse
+    convolutions in ``ops`` call too.
     """
-    h, w = index.shape
-    ny = coords[:, 0:1] + taps[None, :, 0]
-    nx = coords[:, 1:2] + taps[None, :, 1]
-    inside = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-    return rows[np.where(inside, index[ny.clip(0, h - 1), nx.clip(0, w - 1)], len(rows) - 1)]
+    return rows[_tap_index(index, coords, taps, len(rows) - 1).T]
 
 
 def gather_neighborhood(s: SpsTensor, c: tuple, offsets: Sequence[tuple]) -> np.ndarray:

@@ -192,6 +192,66 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def assert_exit_2_no_output(capsys, code, *outputs):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not any(out.exists() for out in outputs)
+
+
+class TestBadInputValues:
+    """Values a JSON file can hold but a loader must refuse: exit 2 with a
+    message, no traceback and no output file."""
+
+    def _refine(self, tmp_path, rois_text):
+        path = tmp_path / "rois.json"
+        path.write_text(rois_text)
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "weights", "--rois", str(path), "--out", str(out)]
+                    + REFINE_FAST)
+        return code, out / "masks.json", out / "ledger.json"
+
+    @pytest.mark.parametrize("box", [[0, 0, "Infinity", 50], ["-Infinity", 0, 40, 50],
+                                     [0, "NaN", 40, 50]])
+    def test_non_finite_box_exit_2(self, tmp_path, capsys, box):
+        text = '[{"box": [%s], "class": 1}]' % ", ".join(str(v) for v in box)
+        assert_exit_2_no_output(capsys, *self._refine(tmp_path, text))
+
+    @pytest.mark.parametrize("cls", ["1e30", "2147483648", "-2147483649", "1.5", "Infinity",
+                                     "NaN", '"one"'])
+    def test_bad_class_exit_2(self, tmp_path, capsys, cls):
+        text = '[{"box": [0, 0, 40, 50], "class": %s}]' % cls
+        assert_exit_2_no_output(capsys, *self._refine(tmp_path, text))
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        depth = 100_000
+        deep = "[" * depth + "]" * depth
+        assert_exit_2_no_output(capsys, *self._refine(tmp_path, deep))
+        (tmp_path / "p.json").write_text(deep)
+        io.dump_json(str(tmp_path / "g.json"), [])
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "det", "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
+    @pytest.mark.parametrize("field,value", [("box", [0.0, 0.0, float("nan"), 10.0]),
+                                             ("box", [0.0, float("-inf"), 10.0, 10.0]),
+                                             ("score", float("nan")),
+                                             ("score", float("inf"))])
+    @pytest.mark.parametrize("side", ["preds", "gts"])
+    def test_non_finite_eval_record_exit_2(self, tmp_path, capsys, field, value, side):
+        good = box_record(0, 1, [0, 0, 10, 10], 0.9)
+        bad = dict(good, **{field: value})
+        files = {"preds": [good], "gts": [good]}
+        files[side] = [bad]
+        for name, records in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(records))
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "det", "--preds", str(tmp_path / "preds.json"),
+                     "--gts", str(tmp_path / "gts.json"), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
+
 def box_record(image_id, cls, box, score=None):
     rec = {"image_id": image_id, "class": cls, "box": list(box)}
     if score is not None:

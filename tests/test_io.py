@@ -92,3 +92,19 @@ class TestRefineWithWeights:
         assert code == 0
         masks = io.load_ref_masks(out + "/masks.json")
         assert masks[0].shape == (112, 112)
+
+
+class TestRoiValues:
+    @pytest.mark.parametrize("cls,want", [(0, 0), (3.0, 3), (2**31 - 1, 2**31 - 1),
+                                          (-2**31, -2**31), ("7", 7)])
+    def test_class_in_int32_range_accepted(self, tmp_path, cls, want):
+        path = str(tmp_path / "rois.json")
+        io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0], "class": cls}])
+        assert io.load_rois(path)[0].class_id == want
+
+    @pytest.mark.parametrize("cls", [2**31, -2**31 - 1, 1e30, 0.5, float("inf"), [1]])
+    def test_class_outside_int32_rejected(self, tmp_path, cls):
+        path = str(tmp_path / "rois.json")
+        io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0], "class": cls}])
+        with pytest.raises(SchemaError, match="bad RoI record 0"):
+            io.load_rois(path)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from spsr import ops, tensor
+from spsr import ops, pipeline, tensor
 from spsr.cost import macs_conv
 from spsr.errors import ContractError
+from spsr.synthetic import SyntheticShapeSpec, gen_synthetic
 
 from conftest import identity_transform, random_kernel, random_linear, random_sps
 
@@ -274,17 +275,17 @@ class TestBilinearReference:
         np.testing.assert_allclose(got, self._scipy(d.features, pos), rtol=0, atol=1e-12)
 
 
-def pipeline_shaped_sps(rng, f=32, side=112):
+def pipeline_shaped_sps(rng, f=32, side=112, n_inside=1500):
     """An SPS tensor shaped like refinement stage 3: ``side x side`` cells, F=32,
     passive rows shared by the 2x2 children of a coarse cell, and active cells
-    on every border and corner as well as inside."""
+    on every border and corner as well as up to ``n_inside`` drawn anywhere."""
     coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((f, side // 2, side // 2))), [])
     fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
     last, edge = side - 1, range(0, side, 3)
     cells = {(0, 0), (0, last), (last, 0), (last, last)}
     cells |= {(0, x) for x in edge} | {(last, x) for x in edge}
     cells |= {(y, 0) for y in edge} | {(y, last) for y in edge}
-    cells |= {(int(y), int(x)) for y, x in rng.integers(0, side, size=(1500, 2))}
+    cells |= {(int(y), int(x)) for y, x in rng.integers(0, side, size=(n_inside, 2))}
     s = tensor.reselect(fine, sorted(cells))
     assert s.n_passive < side * side - s.n_active  # passive rows are shared
     return tensor.to_dense(s).features, s
@@ -403,3 +404,127 @@ class TestBilinearKernel:
         same = (s.index_map[y0[inside], x0[inside]] == s.index_map[y0[inside], x0[inside] + 1])
         assert np.count_nonzero(same) > 50
         self._check(s.rows(), s.index_map, py, px)
+
+
+# --- the parent einsum contraction, kept as the bit-identity reference --------
+
+
+def einsum_contract(gathered, k):
+    """Row-major ``[n, T, F]`` taps contracted by ``einsum``: the form the
+    feature-major GEMM replaced."""
+    w = k.weights.reshape(k.f_out, k.f_in, k.k * k.k)
+    return np.einsum("nti,oit->no", gathered, w, optimize=True) + k.bias
+
+
+def einsum_conv2d_sparse(s, k):
+    if s.n_active == 0:
+        return s
+    gathered = tensor.gather_taps(s.tap_rows(), s.index_map, s.active_coords(),
+                                  ops._tap_offsets(k.k, k.dilation))
+    return tensor.SpsTensor(active=einsum_contract(gathered, k), passive=s.passive,
+                            index_map=s.index_map)
+
+
+def einsum_sfm(s, k1, k3, k5):
+    if s.n_active == 0:
+        return s
+    acc = np.zeros((s.n_active, s.f))
+    for k in (k1, k3, k5):
+        acc += einsum_conv2d_sparse(s, k).active
+    return tensor.SpsTensor(active=acc, passive=s.passive, index_map=s.index_map)
+
+
+def einsum_deform_conv_sparse(s, k, off):
+    coords = s.active_coords()
+    base = ops._tap_offsets(k.k, k.dilation)
+    py = coords[:, 0:1] + base[None, :, 0] + off.offsets[:, :, 0]
+    px = coords[:, 1:2] + base[None, :, 1] + off.offsets[:, :, 1]
+    gathered = ops._bilinear(s.rows(), s.index_map, py, px)
+    return tensor.SpsTensor(active=einsum_contract(gathered, k), passive=s.passive,
+                            index_map=s.index_map)
+
+
+def corner_sps(rng, f, side=9):
+    """One active cell, in a corner, among passive rows shared by 2x2 children."""
+    coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((f, side, side))), [])
+    fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
+    return tensor.reselect(fine, [(2 * side - 1, 0)])
+
+
+def fully_active_sps(rng, f, side):
+    d = tensor.DenseTensor(rng.standard_normal((f, side, side)))
+    return tensor.from_dense(d, [(y, x) for y in range(side) for x in range(side)])
+
+
+class TestContractBitIdentity:
+    """The feature-major GEMM of ``conv2d_sparse``, ``sfm`` and ``deform_conv_sparse``
+    equals the einsum contraction bit for bit, sign bits included, at the shapes
+    the pipeline runs: the stage-0 ``fcn`` (F=64, n=196), a fully active stage 1
+    (F=32, n=784), stages 2-3 with shared passive rows and active cells on every
+    border and corner (F=16 and 8, n about 800), and a single active cell."""
+
+    SHAPES = {
+        "fcn-f64-n196": lambda rng: fully_active_sps(rng, 64, 14),
+        "f32-n784-no-passive": lambda rng: fully_active_sps(rng, 32, 28),
+        "f16-n800-shared-passive": lambda rng: pipeline_shaped_sps(rng, 16, 56, n_inside=760)[1],
+        "f8-n800-shared-passive": lambda rng: pipeline_shaped_sps(rng, 8, 112, n_inside=660)[1],
+        "f16-n1": lambda rng: corner_sps(rng, 16),
+    }
+
+    @pytest.fixture(params=sorted(SHAPES))
+    def sps(self, request, rng):
+        s = self.SHAPES[request.param](rng)
+        if request.param.endswith("-n1"):
+            assert s.n_active == 1
+        else:
+            assert 190 <= s.n_active <= 850
+        return s
+
+    @staticmethod
+    def _check(got, want):
+        assert_bit_identical(got.active, want.active)
+        np.testing.assert_array_equal(got.passive, want.passive)
+        np.testing.assert_array_equal(got.index_map, want.index_map)
+
+    @pytest.mark.parametrize("dilation", [1, 3, 5])
+    def test_conv2d_sparse(self, rng, sps, dilation):
+        k = random_kernel(rng, sps.f, dilation=dilation)
+        self._check(ops.conv2d_sparse(sps, k), einsum_conv2d_sparse(sps, k))
+
+    def test_sfm(self, rng, sps):
+        ks = tuple(random_kernel(rng, sps.f, dilation=d) for d in (1, 3, 5))
+        self._check(ops.sfm(sps, *ks), einsum_sfm(sps, *ks))
+
+    def test_deform_conv_sparse(self, rng, sps):
+        k = random_kernel(rng, sps.f, dilation=2)
+        off = ops.OffsetField(rng.uniform(-2.5, 2.5, (sps.n_active, 9, 2)))
+        self._check(ops.deform_conv_sparse(sps, k, off), einsum_deform_conv_sparse(sps, k, off))
+
+
+def test_weights_mode_refinement_equals_einsum_reference(monkeypatch):
+    """Every stage's probabilities of a weights-mode run at f0=64, with the
+    budget binding at stages 2 and 3, equal a run on the einsum reference."""
+    boxes = [gen_synthetic(SyntheticShapeSpec(canvas_h=224, canvas_w=224, seed=40 + i))[1]
+             for i in range(6)]
+    rois = [pipeline.RoiInput(box=box) for box in boxes]
+    config = pipeline.RunConfig(mode="weights", f0=64, f_query=64, f_neck=64, seed=3,
+                                top_n_active=1500, image_hw=(224, 224))
+    got = pipeline.run_refinement(rois, config)
+    assert got.stage_fractions[1] == 1.0
+    assert got.stage_fractions[2] < 1.0 and got.stage_fractions[3] < 1.0
+
+    calls = {"conv2d_sparse": 0, "sfm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ops, "conv2d_sparse", counted("conv2d_sparse", einsum_conv2d_sparse))
+    monkeypatch.setattr(ops, "sfm", counted("sfm", einsum_sfm))
+    want = pipeline.run_refinement(rois, config)
+    assert calls == {"conv2d_sparse": 4 * len(rois), "sfm": 3 * len(rois)}
+    for s, (got_masks, want_masks) in enumerate(zip(got.stage_masks, want.stage_masks)):
+        for g, w in zip(got_masks, want_masks):
+            assert np.array_equal(g, w), f"stage {s} probabilities differ"

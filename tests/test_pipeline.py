@@ -366,6 +366,25 @@ class TestRefinementEngine:
             assert a.score == b.score
         assert res1.ledger.to_dict() == res4.ledger.to_dict()
 
+    def test_oracle_targets_use_each_rois_own_mask(self, monkeypatch):
+        rois = []
+        for seed in (61, 62, 63):
+            _, box, shape = gen_synthetic(SyntheticShapeSpec(shape="blob", canvas_h=160,
+                                                             canvas_w=160, seed=seed))
+            rois.append(pl.RoiInput(box=box, ref_mask=reference_mask(shape, box, 112)))
+        got = pl.run_refinement(rois, small_config(top_n_active=400))
+        for roi, probs in zip(rois, got.stage_masks[0]):
+            np.testing.assert_array_equal(probs >= 0.5, pl.make_targets(roi.ref_mask, (14, 14))[0])
+        # summed-area tables are built once per RoI; a run that rebuilds the
+        # table of the mask at hand for every stage must give the same masks
+        cell_targets = pl._cell_targets
+        monkeypatch.setattr(pl, "_cell_targets", lambda gt, sat, grid_hw:
+                            cell_targets(gt, pl._summed_area(gt), grid_hw))
+        want = pl.run_refinement(rois, small_config(top_n_active=400))
+        for got_masks, want_masks in zip(got.stage_masks, want.stage_masks):
+            for g, w in zip(got_masks, want_masks):
+                np.testing.assert_array_equal(g, w)
+
     def test_budget_binds_and_fractions_decay(self):
         rois = [disk_roi(seed=40 + i) for i in range(4)]
         res = pl.run_refinement(rois, small_config(top_n_active=500))
