@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common],
                        help="compare sparse vs dense pipelines on synthetic masks")
-    p.add_argument("--count", type=int, default=50, help="corpus size")
+    p.add_argument("--count", type=int, default=50, help=f"corpus size (at most {io.MAX_ROIS})")
     p.add_argument("--shape", choices=("disk", "ellipse", "blob"), default="blob")
     p.add_argument("--canvas", type=int, default=448, help="square canvas side")
     p.add_argument("--out", default=None, help="write the report JSON here")
@@ -157,6 +157,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
+    if args.count > io.MAX_ROIS:
+        raise SchemaError(f"--count {args.count} is over the {io.MAX_ROIS}-RoI cap")
     side = config.final_side
     rois = []
     for i in range(args.count):

@@ -24,6 +24,7 @@ SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
+MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
 
 
@@ -208,11 +209,16 @@ def load_rois(path: str) -> list[RoiInput]:
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: RoI file must contain a list")
+    if len(data) > MAX_ROIS:
+        raise SchemaError(f"{path}: {len(data)} RoIs, over the {MAX_ROIS} cap")
     rois = []
     for i, rec in enumerate(data):
         try:
             box = RoiBox(*_finite(rec["box"], "box coordinates"))
-            rois.append(RoiInput(box=box, cls_score=float(rec.get("score", 1.0)),
+            score = _finite([rec.get("score", 1.0)], "score")[0]
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score {score} lies outside [0, 1]")
+            rois.append(RoiInput(box=box, cls_score=score,
                                  class_id=_class_id(rec.get("class", 0))))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: bad RoI record {i}: {e}") from e

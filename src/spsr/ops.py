@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
 from .tensor import SpsTensor, _tap_index
@@ -308,17 +309,27 @@ def relu_active(s: SpsTensor) -> SpsTensor:
 
 # --- dense reference implementations -------------------------------------
 #
-# These act on plain [F, H, W] arrays. The convolutions, fusions and chains
-# share no code with the sparse operators above; the bilinear sampler is the
-# one kernel both sides use, and tests/test_ops.py checks it against SciPy's
-# map_coordinates as the independent reference.
+# These act on plain [F, H, W] arrays, and each layer is one GEMM over the
+# [F, H*W] view: a pointwise layer is ``W @ x.reshape(F, -1)``, a convolution
+# multiplies the ``[F_out, F_in*K*K]`` weight view with one ``[F_in*K*K, H*W]``
+# im2col block cut from the zero-padded input (Chellapilla et al. 2006), and a
+# fusion applies its first layer as two weight blocks, one per input, so the
+# two inputs are never concatenated. A strided input such as a transposed
+# channel-last grid reshapes to a strided view, which BLAS reads transposed.
+# The convolutions, fusions and chains share no code with the sparse
+# operators above; the bilinear sampler is the one kernel both sides use, and
+# tests/test_ops.py checks it against SciPy's map_coordinates as the
+# independent reference.
+
+
+def _activate(out: np.ndarray, t: LinearTransform) -> np.ndarray:
+    return np.maximum(out, 0.0) if t.activation == "relu" else out
 
 
 def dense_pointwise(x: np.ndarray, t: LinearTransform) -> np.ndarray:
-    out = np.einsum("oi,ihw->ohw", t.weights, x, optimize=True) + t.bias[:, None, None]
-    if t.activation == "relu":
-        out = np.maximum(out, 0.0)
-    return out
+    f, h, w = x.shape
+    out = t.weights @ x.reshape(f, -1) + t.bias[:, None]
+    return _activate(out, t).reshape(t.f_out, h, w)
 
 
 def dense_chain(x: np.ndarray, transform: TransformChain) -> np.ndarray:
@@ -329,17 +340,25 @@ def dense_chain(x: np.ndarray, transform: TransformChain) -> np.ndarray:
     return x
 
 
+def _shifts(x: np.ndarray, pad: int) -> np.ndarray:
+    """``[F, 2*pad + 1, 2*pad + 1, H, W]`` view of ``x`` zero-padded by ``pad``:
+    entry ``[:, pad + dy, pad + dx]`` is ``x`` shifted by the tap offset (dy, dx)."""
+    f, h, w = x.shape
+    return sliding_window_view(np.pad(x, ((0, 0), (pad, pad), (pad, pad))), (h, w), axis=(1, 2))
+
+
+def _conv_gemm(shifts: np.ndarray, k: ConvKernel) -> np.ndarray:
+    """``[F_out, H*W]`` convolution: one GEMM with the im2col block, a copy of
+    the kernel's ``K*K`` taps of a :func:`_shifts` view."""
+    pad, r = shifts.shape[1] // 2, (k.k // 2) * k.dilation
+    taps = slice(pad - r, pad + r + 1, k.dilation)
+    cols = shifts[:, taps, taps].reshape(-1, shifts.shape[3] * shifts.shape[4])
+    return k.weights.reshape(k.f_out, -1) @ cols + k.bias[:, None]
+
+
 def dense_conv2d(x: np.ndarray, k: ConvKernel) -> np.ndarray:
     f, h, w = x.shape
-    r = (k.k // 2) * k.dilation
-    padded = np.pad(x, ((0, 0), (r, r), (r, r)))
-    out = np.zeros((k.f_out, h, w))
-    for ky in range(k.k):
-        for kx in range(k.k):
-            oy, ox = ky * k.dilation, kx * k.dilation
-            window = padded[:, oy:oy + h, ox:ox + w]
-            out += np.einsum("oi,ihw->ohw", k.weights[:, :, ky, kx], window, optimize=True)
-    return out + k.bias[:, None, None]
+    return _conv_gemm(_shifts(x, (k.k // 2) * k.dilation), k).reshape(k.f_out, h, w)
 
 
 def dense_bilinear(x: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -356,19 +375,33 @@ def dense_deform_conv(x: np.ndarray, k: ConvKernel, offsets: np.ndarray) -> np.n
     py = ys[:, :, None] + base[None, None, :, 0] + offsets[:, :, :, 0]
     px = xs[:, :, None] + base[None, None, :, 1] + offsets[:, :, :, 1]
     gathered = dense_bilinear(x, py, px)  # [H, W, T, F]
-    wgt = k.weights.reshape(k.f_out, k.f_in, k.k * k.k)
-    out = np.einsum("hwti,oit->ohw", gathered, wgt, optimize=True)
-    return out + k.bias[:, None, None]
+    cols = gathered.transpose(3, 2, 0, 1).reshape(-1, h * w)  # row i*T + t
+    out = k.weights.reshape(k.f_out, -1) @ cols + k.bias[:, None]
+    return out.reshape(k.f_out, h, w)
 
 
 def dense_sfm(x: np.ndarray, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> np.ndarray:
-    return dense_conv2d(x, k1) + dense_conv2d(x, k3) + dense_conv2d(x, k5)
+    """The three branch convolutions, each one GEMM, read one padded input."""
+    f, h, w = x.shape
+    shifts = _shifts(x, max((k.k // 2) * k.dilation for k in (k1, k3, k5)))
+    out = _conv_gemm(shifts, k1) + _conv_gemm(shifts, k3) + _conv_gemm(shifts, k5)
+    return out.reshape(k1.f_out, h, w)
 
 
 def dense_fuse(x: np.ndarray, ext: np.ndarray, transform: TransformChain) -> np.ndarray:
-    """Dense twin of :func:`fuse_external`; ``ext`` is ``[F_e, H, W]``."""
-    stacked = np.concatenate([x, ext], axis=0)
-    return x + dense_chain(stacked, transform)
+    """Dense twin of :func:`fuse_external`; ``ext`` is ``[F_e, H, W]``.
+
+    The first layer's weights split into the block that reads ``x`` and the
+    block that reads ``ext``; the later layers are plain pointwise layers.
+    """
+    first, *rest = [transform] if isinstance(transform, LinearTransform) else transform
+    f, h, w = x.shape
+    out = (first.weights[:, :f] @ x.reshape(f, -1)
+           + first.weights[:, f:] @ ext.reshape(ext.shape[0], -1) + first.bias[:, None])
+    update = _activate(out, first).reshape(first.f_out, h, w)
+    for t in rest:
+        update = dense_pointwise(update, t)
+    return x + update
 
 
 def dense_subdivide(x: np.ndarray, child_maps: Sequence) -> np.ndarray:

@@ -192,6 +192,10 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("reached work that a rejected input must not start")
+
+
 def assert_exit_2_no_output(capsys, code, *outputs):
     assert code == 2
     err = capsys.readouterr().err
@@ -232,6 +236,21 @@ class TestBadInputValues:
         out = tmp_path / "r.json"
         code = main(["eval", "--task", "det", "--preds", str(tmp_path / "p.json"),
                      "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "1.5", "-0.1"])
+    def test_bad_roi_score_exit_2_before_any_stage(self, tmp_path, capsys, monkeypatch, score):
+        monkeypatch.setattr(pipeline, "select_active", fail_if_called)
+        text = '[{"box": [0, 0, 40, 50], "class": 1, "score": %s}]' % score
+        assert_exit_2_no_output(capsys, *self._refine(tmp_path, text))
+
+    def test_roi_count_over_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "select_active", fail_if_called)
+        monkeypatch.setattr(cli, "gen_synthetic", fail_if_called)
+        text = json.dumps([{"box": [0, 0, 40, 50]}] * (io.MAX_ROIS + 1))
+        assert_exit_2_no_output(capsys, *self._refine(tmp_path, text))
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--count", str(io.MAX_ROIS + 1), "--out", str(out)] + REFINE_FAST)
         assert_exit_2_no_output(capsys, code, out)
 
     @pytest.mark.parametrize("field,value", [("box", [0.0, 0.0, float("nan"), 10.0]),

@@ -108,3 +108,26 @@ class TestRoiValues:
         io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0], "class": cls}])
         with pytest.raises(SchemaError, match="bad RoI record 0"):
             io.load_rois(path)
+
+    @pytest.mark.parametrize("score", [0.0, 0.25, 1.0, "0.5"])
+    def test_score_in_unit_interval_accepted(self, tmp_path, score):
+        path = str(tmp_path / "rois.json")
+        io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0], "score": score}])
+        assert io.load_rois(path)[0].cls_score == float(score)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"), 1.5, -0.1,
+                                       1 + 1e-12, None, "high"])
+    def test_score_outside_unit_interval_rejected(self, tmp_path, score):
+        path = str(tmp_path / "rois.json")
+        io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0], "score": 0.5},
+                            {"box": [1.0, 2.0, 30.0, 40.0], "score": score}])
+        with pytest.raises(SchemaError, match="bad RoI record 1"):
+            io.load_rois(path)
+
+    def test_roi_count_cap(self, tmp_path):
+        path = str(tmp_path / "rois.json")
+        io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0]}] * io.MAX_ROIS)
+        assert len(io.load_rois(path)) == io.MAX_ROIS
+        io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0]}] * (io.MAX_ROIS + 1))
+        with pytest.raises(SchemaError, match="cap"):
+            io.load_rois(path)

@@ -528,3 +528,197 @@ def test_weights_mode_refinement_equals_einsum_reference(monkeypatch):
     for s, (got_masks, want_masks) in enumerate(zip(got.stage_masks, want.stage_masks)):
         for g, w in zip(got_masks, want_masks):
             assert np.array_equal(g, w), f"stage {s} probabilities differ"
+
+
+# --- the parent einsum/concat dense twins, kept as the reference of the GEMM forms --
+
+
+def einsum_dense_pointwise(x, t):
+    out = np.einsum("oi,ihw->ohw", t.weights, x, optimize=True) + t.bias[:, None, None]
+    if t.activation == "relu":
+        out = np.maximum(out, 0.0)
+    return out
+
+
+def einsum_dense_chain(x, transform):
+    if isinstance(transform, ops.LinearTransform):
+        return einsum_dense_pointwise(x, transform)
+    for t in transform:
+        x = einsum_dense_pointwise(x, t)
+    return x
+
+
+def einsum_dense_conv2d(x, k):
+    f, h, w = x.shape
+    r = (k.k // 2) * k.dilation
+    padded = np.pad(x, ((0, 0), (r, r), (r, r)))
+    out = np.zeros((k.f_out, h, w))
+    for ky in range(k.k):
+        for kx in range(k.k):
+            oy, ox = ky * k.dilation, kx * k.dilation
+            window = padded[:, oy:oy + h, ox:ox + w]
+            out += np.einsum("oi,ihw->ohw", k.weights[:, :, ky, kx], window, optimize=True)
+    return out + k.bias[:, None, None]
+
+
+def einsum_dense_sfm(x, k1, k3, k5):
+    return einsum_dense_conv2d(x, k1) + einsum_dense_conv2d(x, k3) + einsum_dense_conv2d(x, k5)
+
+
+def einsum_dense_fuse(x, ext, transform):
+    return x + einsum_dense_chain(np.concatenate([x, ext], axis=0), transform)
+
+
+def einsum_dense_deform_conv(x, k, offsets):
+    f, h, w = x.shape
+    base = ops._tap_offsets(k.k, k.dilation)
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    py = ys[:, :, None] + base[None, None, :, 0] + offsets[:, :, :, 0]
+    px = xs[:, :, None] + base[None, None, :, 1] + offsets[:, :, :, 1]
+    gathered = ops.dense_bilinear(x, py, px)
+    wgt = k.weights.reshape(k.f_out, k.f_in, k.k * k.k)
+    return np.einsum("hwti,oit->ohw", gathered, wgt, optimize=True) + k.bias[:, None, None]
+
+
+def assert_close_to_reference(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def neck_view(rng, f_e, side):
+    """``[F_e, side, side]`` as the dense route's neck input: channel-last sample
+    rows, reshaped and transposed, so not C-contiguous."""
+    rows = rng.standard_normal((side * side, f_e))
+    ext = rows.reshape(side, side, f_e).transpose(2, 0, 1)
+    assert not ext.flags.c_contiguous
+    return rows, ext
+
+
+class TestDenseGemmForms:
+    """Each dense twin, one GEMM over ``[F, H*W]``, equals the einsum/concat form it
+    replaced at the shapes the dense route runs: stage 0 (F=64 on 14x14), stage 1
+    (F=32 on 28x28) and the stage-3 ``sfm`` (F=8 on 112x112)."""
+
+    GRIDS = {"f64-14": (64, 14), "f32-28": (32, 28), "f8-112": (8, 112)}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("activation", ["none", "relu"])
+    def test_pointwise_and_halve(self, rng, grid, activation):
+        f, side = self.GRIDS[grid]
+        x = rng.standard_normal((f, side, side))
+        for f_out in (f, f // 2):
+            t = random_linear(rng, f, f_out, activation=activation)
+            assert_close_to_reference(ops.dense_pointwise(x, t), einsum_dense_pointwise(x, t))
+        chain = [random_linear(rng, f, f, "relu"), random_linear(rng, f, 1)]
+        assert_close_to_reference(ops.dense_chain(x, chain), einsum_dense_chain(x, chain))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("dilation", [1, 3, 5])
+    def test_conv2d(self, rng, grid, dilation):
+        f, side = self.GRIDS[grid]
+        x = rng.standard_normal((f, side, side))
+        k = random_kernel(rng, f, dilation=dilation)
+        assert_close_to_reference(ops.dense_conv2d(x, k), einsum_dense_conv2d(x, k))
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_sfm(self, rng, grid):
+        f, side = self.GRIDS[grid]
+        x = rng.standard_normal((f, side, side))
+        ks = tuple(random_kernel(rng, f, dilation=d) for d in (1, 3, 5))
+        assert_close_to_reference(ops.dense_sfm(x, *ks), einsum_dense_sfm(x, *ks))
+
+    def test_conv2d_kernel_larger_than_grid(self, rng):
+        x = rng.standard_normal((3, 2, 5))
+        k = ops.ConvKernel(rng.standard_normal((3, 3, 5, 5)), rng.standard_normal(3), dilation=2)
+        assert_close_to_reference(ops.dense_conv2d(x, k), einsum_dense_conv2d(x, k))
+
+    def test_deform_conv(self, rng):
+        x = rng.standard_normal((8, 12, 12))
+        k = random_kernel(rng, 8, dilation=2)
+        offsets = rng.uniform(-2.5, 2.5, (12, 12, 9, 2))
+        assert_close_to_reference(ops.dense_deform_conv(x, k, offsets),
+                                  einsum_dense_deform_conv(x, k, offsets))
+
+    FUSE = {"single": lambda rng, f, f_e: ops.LinearTransform(
+                rng.standard_normal((f, f + f_e)), rng.standard_normal(f)),
+            "relu-chain": lambda rng, f, f_e: [random_linear(rng, f + f_e, f, "relu"),
+                                               random_linear(rng, f, f)]}
+
+    @pytest.mark.parametrize("chain", sorted(FUSE))
+    @pytest.mark.parametrize("grid", [(64, 28), (16, 112)])
+    def test_fuse_neck_view(self, rng, chain, grid):
+        f, side = grid
+        rows, ext = neck_view(rng, 256, side)
+        assert np.shares_memory(ext.reshape(256, -1), rows)  # read in place, not copied
+        x = rng.standard_normal((f, side, side))
+        transform = self.FUSE[chain](rng, f, 256)
+        assert_close_to_reference(ops.dense_fuse(x, ext, transform),
+                                  einsum_dense_fuse(x, ext, transform))
+
+    @pytest.mark.parametrize("chain", sorted(FUSE))
+    def test_fuse_broadcast_query(self, rng, chain):
+        x = rng.standard_normal((64, 14, 14))
+        ext = np.broadcast_to(rng.standard_normal(256)[:, None, None], (256, 14, 14))
+        transform = self.FUSE[chain](rng, 64, 256)
+        assert_close_to_reference(ops.dense_fuse(x, ext, transform),
+                                  einsum_dense_fuse(x, ext, transform))
+
+
+def weights_mode_run(rois, sparse):
+    config = pipeline.RunConfig(mode="weights", f0=32, f_query=64, f_neck=64, seed=5,
+                                image_hw=(224, 224))
+    return pipeline.run_refinement(rois, config, sparse=sparse)
+
+
+def synthetic_rois(count, seed0):
+    return [pipeline.RoiInput(box=gen_synthetic(SyntheticShapeSpec(
+        canvas_h=224, canvas_w=224, seed=seed0 + i))[1]) for i in range(count)]
+
+
+def test_weights_mode_dense_route_equals_einsum_reference(monkeypatch):
+    """Every stage's probabilities of a weights-mode dense run match a run with
+    the einsum/concat dense twins patched in."""
+    rois = synthetic_rois(3, 60)
+    got = weights_mode_run(rois, sparse=False)
+    for name, ref in (("dense_pointwise", einsum_dense_pointwise),
+                      ("dense_chain", einsum_dense_chain), ("dense_conv2d", einsum_dense_conv2d),
+                      ("dense_sfm", einsum_dense_sfm), ("dense_fuse", einsum_dense_fuse)):
+        monkeypatch.setattr(ops, name, ref)
+    want = weights_mode_run(rois, sparse=False)
+    assert len(got.stage_masks) == 4
+    for s, (got_masks, want_masks) in enumerate(zip(got.stage_masks, want.stage_masks)):
+        for g, w in zip(got_masks, want_masks):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"stage {s} probabilities differ")
+
+
+def test_dense_twins_use_no_sparse_helper(rng, monkeypatch):
+    """The dense twins are the sparse operators' oracle, so none of them may reach
+    the sparse gather or contraction helpers: every ``ops.dense_*`` call of a
+    dense weights-mode run, and each twin called directly, runs with those
+    helpers made to fail."""
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"dense route reached {name}")
+        return fail
+
+    for owner, name in ((ops, "_contract"), (ops, "_im2col"), (ops, "_tap_columns"),
+                        (ops, "_tap_index"), (tensor, "_tap_index"), (tensor, "gather_taps")):
+        monkeypatch.setattr(owner, name, forbidden(name))
+    calls = {}
+    for name in [n for n in dir(ops) if n.startswith("dense_")]:
+        def counted(*args, _fn=getattr(ops, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(ops, name, counted)
+    weights_mode_run(synthetic_rois(2, 70), sparse=False)
+    assert {"dense_pointwise", "dense_chain", "dense_conv2d", "dense_sfm", "dense_fuse",
+            "dense_subdivide"} <= set(calls)
+
+    x = rng.standard_normal((4, 9, 9))
+    k = random_kernel(rng, 4, dilation=3)
+    ops.dense_conv2d(x, k)
+    ops.dense_sfm(x, *(random_kernel(rng, 4, dilation=d) for d in (1, 3, 5)))
+    ops.dense_deform_conv(x, k, rng.uniform(-1, 1, (9, 9, 9, 2)))
+    ops.dense_fuse(x, neck_view(rng, 6, 9)[1], random_linear(rng, 10, 4))
+    ops.dense_chain(x, [random_linear(rng, 4, 4, "relu"), random_linear(rng, 4, 2)])
