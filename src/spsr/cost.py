@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 from .errors import ContractError
 
 
-def macs_conv(cells: int, k: int, f_in: int, f_out: int, dilation: int = 1) -> int:
-    """MACs of a K x K convolution (or 1 x 1 linear layer) over ``cells`` sites.
-
-    Dilation does not change the count; the argument documents the op shape.
-    """
-    if min(cells, k, f_in, f_out, dilation) < 0 or min(k, f_in, f_out, dilation) == 0:
+def macs_conv(cells: int, k: int, f_in: int, f_out: int) -> int:
+    """MACs of a K x K convolution (or 1 x 1 linear layer) over ``cells`` sites,
+    at any dilation."""
+    if cells < 0 or min(k, f_in, f_out) <= 0:
         raise ContractError("conv dims must be positive (cells may be zero)")
     return cells * k * k * f_in * f_out
 

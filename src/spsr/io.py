@@ -24,6 +24,7 @@ SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
+MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic file, all decoded at once
 MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
 
@@ -273,25 +274,34 @@ def load_eval_entries(path: str, need_score: bool, need_mask: bool = False) -> l
 
 
 def load_panoptic(path: str):
-    """Panoptic file: list of {image_id, segments: [{class, is_thing, rle}]}.
+    """Panoptic file: list of {image_id, segments: [{class, is_thing, rle}]}, one
+    record per image. No mask is decoded before the whole file is parsed and its
+    summed canvases are checked against ``MAX_PANOPTIC_PIXELS``.
 
     Returns (segments by image, thing classes, stuff classes).
     """
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: panoptic file must contain a list")
-    by_image: dict = {}
+    records: dict = {}  # image id -> [(class, Rle)]
     things, stuffs = set(), set()
     for i, rec in enumerate(data):
         try:
             image_id = int(rec["image_id"])
+            if image_id in records:
+                raise ValueError(f"image_id {image_id} already has a record")
             segs = []
             for seg in rec["segments"]:
                 cls = _class_id(seg["class"])
                 (things if seg.get("is_thing", True) else stuffs).add(cls)
-                segs.append(PanopticSegment(class_id=cls,
-                                            mask=rle_decode(rle_from_dict(seg["rle"]))))
-            by_image[image_id] = segs
+                segs.append((cls, rle_from_dict(seg["rle"])))
+            records[image_id] = segs
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: bad panoptic record {i}: {e}") from e
+    pixels = sum(rle.height * rle.width for segs in records.values() for _, rle in segs)
+    if pixels > MAX_PANOPTIC_PIXELS:
+        raise SchemaError(f"{path}: segments hold {pixels} pixels, "
+                          f"over the {MAX_PANOPTIC_PIXELS} cap")
+    by_image = {image_id: [PanopticSegment(class_id=cls, mask=rle_decode(rle)) for cls, rle in segs]
+                for image_id, segs in records.items()}
     return by_image, things, stuffs

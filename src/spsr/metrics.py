@@ -323,8 +323,8 @@ def boundary_band(mask: np.ndarray, d: int) -> np.ndarray:
     return mask & ~eroded
 
 
-def _band_width(shape: tuple, d_frac: float = BOUNDARY_FRACTION) -> int:
-    return max(1, int(round(d_frac * float(np.hypot(*shape)))))
+def _band_width(shape: tuple) -> int:
+    return max(1, int(round(BOUNDARY_FRACTION * float(np.hypot(*shape)))))
 
 
 def _banded_iou(a: np.ndarray, band_a: np.ndarray, b: np.ndarray, band_b: np.ndarray) -> float:
@@ -334,14 +334,14 @@ def _banded_iou(a: np.ndarray, band_a: np.ndarray, b: np.ndarray, band_b: np.nda
     return mask_iou(a & band, b & band)
 
 
-def boundary_iou(a: np.ndarray, b: np.ndarray, d_frac: float = BOUNDARY_FRACTION) -> float:
+def boundary_iou(a: np.ndarray, b: np.ndarray) -> float:
     """Mask IoU restricted to the union of both masks' contour bands.
 
-    The band width is ``round(d_frac * diagonal)`` pixels (at least one).
+    The band width is ``round(BOUNDARY_FRACTION * diagonal)`` pixels (at least one).
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
-    d = _band_width(a.shape, d_frac)
+    d = _band_width(a.shape)
     return _banded_iou(a, boundary_band(a, d), b, boundary_band(b, d))
 
 
@@ -407,16 +407,20 @@ class PqReport:
         }
 
 
-def _check_disjoint(segments: Sequence[PanopticSegment], what: str):
+def _check_disjoint(preds: Sequence[PanopticSegment], gts: Sequence[PanopticSegment]):
+    """Segments of one image share one canvas on both sides; each side's are disjoint."""
+    segments = [*preds, *gts]
     if not segments:
         return
-    total = np.zeros(segments[0].mask.shape, dtype=np.int64)
-    for s in segments:
-        if s.mask.shape != total.shape:
-            raise ContractError(f"{what} segment canvases differ")
-        total += s.mask
-    if np.any(total > 1):
-        raise ContractError(f"{what} segments overlap")
+    total = np.zeros(segments[0].mask.shape, dtype=np.int64)  # one count canvas for both sides
+    for segs, what in ((preds, "predicted"), (gts, "ground-truth")):
+        total.fill(0)
+        for s in segs:
+            if s.mask.shape != total.shape:
+                raise ContractError(f"{what} segment canvases differ")
+            total += s.mask
+        if np.any(total > 1):
+            raise ContractError(f"{what} segments overlap")
 
 
 def pq(preds: Mapping[int, Sequence[PanopticSegment]],
@@ -436,8 +440,7 @@ def pq(preds: Mapping[int, Sequence[PanopticSegment]],
     for image_id in sorted(set(preds) | set(gts)):
         p_segs = list(preds.get(image_id, []))
         g_segs = list(gts.get(image_id, []))
-        _check_disjoint(p_segs, "predicted")
-        _check_disjoint(g_segs, "ground-truth")
+        _check_disjoint(p_segs, g_segs)
         gt_classes.update(g.class_id for g in g_segs)
 
         matched_p: set = set()

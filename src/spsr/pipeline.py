@@ -89,6 +89,10 @@ class StageConfig:
         side = BASE_GRID * 2**s
         return cls(s=s, h=side, w=side, f=f0 // 2**s)
 
+    @property
+    def hw(self) -> tuple:
+        return self.h, self.w
+
 
 def assign_level(box: RoiBox) -> int:
     """Feature-pyramid level for a box, by sqrt-area relative to a 56px object."""
@@ -159,11 +163,6 @@ def _cell_targets(gt: np.ndarray, sat: np.ndarray, grid_hw: tuple) -> tuple[np.n
     area = (by[1:, None] - by[:-1, None]) * (bx[None, 1:] - bx[None, :-1])
     refine = (count > 0) & (count < area)
     return seg, refine
-
-
-def _grid(s: int) -> tuple:
-    """Side lengths of the stage-s refinement grid."""
-    return (BASE_GRID * 2**s,) * 2
 
 
 def _all_cells(grid_hw: tuple) -> np.ndarray:
@@ -332,11 +331,12 @@ class RunConfig:
             neck_grids(self.image_hw, self.f_neck)  # bound the neck before anything is drawn
 
     def stage_configs(self) -> list[StageConfig]:
+        """The stage plan: grid and feature width of stages 0..stages."""
         return [StageConfig.build(s, self.f0) for s in range(self.stages + 1)]
 
     @property
     def final_side(self) -> int:
-        return BASE_GRID * 2**self.stages
+        return self.stage_configs()[-1].h
 
 
 @dataclass
@@ -405,13 +405,12 @@ class NeckFeatures:
                              ys / stride - 0.5, xs / stride - 0.5)
 
 
-def _mlp(arrays: Mapping, prefix: str, dims: Sequence[int], seed: int,
-         hidden_relu: bool = True) -> list[ops.LinearTransform]:
+def _mlp(arrays: Mapping, prefix: str, dims: Sequence[int], seed: int) -> list[ops.LinearTransform]:
     layers = []
     for i, (f_in, f_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = _array(arrays, f"{prefix}.l{i}.weight", (f_out, f_in), seed)
         b = _array(arrays, f"{prefix}.l{i}.bias", (f_out,), seed)
-        act = "relu" if hidden_relu and i < len(dims) - 2 else "none"
+        act = "relu" if i < len(dims) - 2 else "none"
         layers.append(ops.LinearTransform(weights=w, bias=b, activation=act))
     return layers
 
@@ -447,9 +446,9 @@ class PipelineWeights:
         self.fuse: dict = {}
         self.halve: dict = {}
         self.sfm: dict = {}
-        for s in range(1, config.stages + 1):
-            f_in = f0 // 2 ** (s - 1)
-            f_out = f_in // 2
+        plan = config.stage_configs()
+        for prev, cur in zip(plan, plan[1:]):
+            s, f_in, f_out = cur.s, prev.f, cur.f
             self.subdiv[s] = [_mlp(arrays, f"stage{s}.subdiv.m{c}", [f_in, f_in, f_in], seed)
                               for c in range(4)]
             self.fuse[s] = _mlp(arrays, f"stage{s}.fuse", [f_in + fe, f_in, f_in], seed)
@@ -475,7 +474,6 @@ class RefinementResult:
     per_roi: list
     stage_masks: list  # stage -> list of per-RoI probability grids
     stage_fractions: dict  # stage (1..S) -> selected cells / parent cells
-    stage_active: dict  # stage -> (active child cells, total cells)
     ledger: CostLedger
 
 
@@ -486,24 +484,24 @@ def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.n
     return ys, xs
 
 
-def _stage0_entries(ledger: CostLedger, cells: int, total: int, cfg: RunConfig):
+def _stage0_entries(ledger: CostLedger, cells: int, cfg: RunConfig):
+    """Stage 0 runs densely on both routes: all ``cells`` are active."""
     f0, fq, fe = cfg.f0, cfg.f_query, cfg.f_neck
-    ledger.add("neck_sample", 0, macs_bilinear(cells, fe), cells, total)
-    ledger.add("ingest", 0, macs_conv(cells, 1, fe, f0), cells, total)
+    ledger.add("neck_sample", 0, macs_bilinear(cells, fe), cells, cells)
+    ledger.add("ingest", 0, macs_conv(cells, 1, fe, f0), cells, cells)
     ledger.add("query_fuse", 0,
-               macs_conv(cells, 1, f0 + fq, f0) + macs_conv(cells, 1, f0, f0), cells, total)
-    ledger.add("fcn", 0, 4 * macs_conv(cells, 3, f0, f0), cells, total)
+               macs_conv(cells, 1, f0 + fq, f0) + macs_conv(cells, 1, f0, f0), cells, cells)
+    ledger.add("fcn", 0, 4 * macs_conv(cells, 3, f0, f0), cells, cells)
     ledger.add("seg_head", 0,
-               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, total)
+               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
     ledger.add("refine_head", 0,
-               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, total)
+               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
 
 
-def _stage_entries(ledger: CostLedger, s: int, parents: int, children: int,
+def _stage_entries(ledger: CostLedger, prev: StageConfig, cur: StageConfig, parents: int,
                    halve_rows: int, total: int, cfg: RunConfig):
-    f_in = cfg.f0 // 2 ** (s - 1)
-    f_out = f_in // 2
-    fe = cfg.f_neck
+    s, f_in, f_out, fe = cur.s, prev.f, cur.f, cfg.f_neck
+    children = 4 * parents
     ledger.add("subdivide", s, 8 * macs_conv(parents, 1, f_in, f_in), children, total)
     ledger.add("neck_sample", s, macs_bilinear(children, fe), children, total)
     ledger.add("neck_fuse", s,
@@ -520,12 +518,11 @@ def _stage_entries(ledger: CostLedger, s: int, parents: int, children: int,
 def analytic_dense_ledger(config: RunConfig, n_rois: int) -> CostLedger:
     """Ledger of a dense run (every cell active) with these shapes."""
     ledger = CostLedger()
-    cells0 = n_rois * BASE_GRID * BASE_GRID
-    _stage0_entries(ledger, cells0, cells0, config)
-    for s in range(1, config.stages + 1):
-        parents = n_rois * (BASE_GRID * 2 ** (s - 1)) ** 2
-        children = 4 * parents
-        _stage_entries(ledger, s, parents, children, children, children, config)
+    plan = config.stage_configs()
+    cells = [n_rois * st.h * st.w for st in plan]
+    _stage0_entries(ledger, cells[0], config)
+    for prev, cur in zip(plan, plan[1:]):
+        _stage_entries(ledger, prev, cur, cells[prev.s], cells[cur.s], cells[cur.s], config)
     return ledger
 
 
@@ -536,18 +533,19 @@ class _Engine:
             raise ContractError("need at least one RoI")
         self.rois = list(rois)
         self.config = config
-        self.oracle_targets = []  # oracle mode: per RoI, {grid_hw: (seg, refine)} of every stage
+        self.plan = config.stage_configs()
+        self.oracle_targets = []  # oracle mode: per RoI, [(seg, refine) of stage s]
         if config.mode == "oracle":
-            side = config.final_side
+            final = self.plan[-1]
             for i, r in enumerate(self.rois):
                 if r.ref_mask is None:
                     raise ContractError(f"oracle mode needs a reference mask for RoI {i}")
-                if r.ref_mask.shape[0] < side or r.ref_mask.shape[1] < side:
-                    raise ContractError(
-                        f"reference mask {r.ref_mask.shape} coarser than final {side}x{side} grid")
+                if r.ref_mask.shape[0] < final.h or r.ref_mask.shape[1] < final.w:
+                    raise ContractError(f"reference mask {r.ref_mask.shape} coarser than "
+                                        f"final {final.h}x{final.w} grid")
                 sat = _summed_area(r.ref_mask)  # once per RoI, for every stage's grid
-                self.oracle_targets.append({grid: _cell_targets(r.ref_mask, sat, grid)
-                                            for grid in map(_grid, range(config.stages + 1))})
+                self.oracle_targets.append([_cell_targets(r.ref_mask, sat, st.hw)
+                                            for st in self.plan])
         if neck is None:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
@@ -573,14 +571,14 @@ class _Engine:
         with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
             return list(pool.map(fn, items))
 
-    def _oracle_values(self, roi: int, grid_hw: tuple):
-        seg, refine = self.oracle_targets[roi][grid_hw]
+    def _oracle_values(self, roi: int, s: int):
+        seg, refine = self.oracle_targets[roi][s]
         logits = np.where(seg, ORACLE_LOGIT, -ORACLE_LOGIT)
         return logits, refine.astype(np.float64)
 
     def _neck_rows(self, i: int, s: int, coords: np.ndarray) -> np.ndarray:
         """Neck features of RoI i's level at stage s, at the centers of ``coords``."""
-        ys, xs = _cell_centers(self.rois[i].box, coords, _grid(s))
+        ys, xs = _cell_centers(self.rois[i].box, coords, self.plan[s].hw)
         return self.neck.sample(stage_level(self.k0[i], s), ys, xs)
 
     def _child_maps(self, s: int) -> list:
@@ -597,35 +595,30 @@ class _Engine:
         cfg = self.config
         ledger = CostLedger()
         n = len(self.rois)
-        grid0 = _grid(0)
 
         def first(i: int):
             feats, seg, refine = stage0(i)
             if cfg.mode == "oracle":
-                seg, refine = self._oracle_values(i, grid0)
+                seg, refine = self._oracle_values(i, 0)
             return feats, sigmoid(seg), np.asarray(refine, dtype=np.float64)
 
         feats, masks, refine_grids = zip(*self._map(first))
-        cells0 = n * grid0[0] * grid0[1]
-        _stage0_entries(ledger, cells0, cells0, cfg)
+        _stage0_entries(ledger, n * self.plan[0].h * self.plan[0].w, cfg)
 
         stage_masks = [list(masks)]
         fractions: dict = {}
-        stage_active: dict = {}
 
-        for s in range(1, cfg.stages + 1):
+        for prev, cur in zip(self.plan, self.plan[1:]):
+            s = cur.s
             parent_total = sum(g.size for g in refine_grids)
             selected = select_active(refine_grids, top_n)
             n_selected = int(sum(len(c) for c in selected))
             fractions[s] = n_selected / parent_total
-            grid_hw = _grid(s)
-            total_cells = n * grid_hw[0] * grid_hw[1]
-            stage_active[s] = (4 * n_selected, total_cells)
 
             def one(i: int):
                 feat, rows, coords, seg, refine = stage(i, s, feats[i], selected[i])
                 if cfg.mode == "oracle":
-                    seg_grid, refine_grid = self._oracle_values(i, grid_hw)
+                    seg_grid, refine_grid = self._oracle_values(i, s)
                     seg = seg_grid[coords[:, 0], coords[:, 1]]
                     refine = refine_grid[coords[:, 0], coords[:, 1]]
                 mask = assemble_mask(masks[i], coords, seg)
@@ -633,19 +626,18 @@ class _Engine:
                 return feat, rows, mask, rgrid
 
             feats, rows, masks, refine_grids = zip(*self._map(one))
-            _stage_entries(ledger, s, n_selected, 4 * n_selected, sum(rows), total_cells, cfg)
+            _stage_entries(ledger, prev, cur, n_selected, sum(rows), n * cur.h * cur.w, cfg)
             stage_masks.append(list(masks))
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
                              class_id=self.rois[i].class_id) for i in range(n)]
         return RefinementResult(per_roi=per_roi, stage_masks=stage_masks,
-                                stage_fractions=fractions, stage_active=stage_active,
-                                ledger=ledger)
+                                stage_fractions=fractions, ledger=ledger)
 
     # -- sparse route: SPS operators at the selected cells ----------------------
 
     def sparse_stage0(self, i: int):
-        cfg, grid0 = self.config, _grid(0)
+        cfg, grid0 = self.config, self.plan[0].hw
         x = self.weights.ingest.apply(self._neck_rows(i, 0, _all_cells(grid0)))
         index = np.arange(grid0[0] * grid0[1]).reshape(grid0)
         t = SpsTensor(active=x, passive=np.zeros((0, cfg.f0)), index_map=index)
@@ -671,12 +663,12 @@ class _Engine:
     # -- dense route: plain [F, H, W] operators at every cell -------------------
 
     def _neck_grid(self, i: int, s: int) -> np.ndarray:
-        grid_hw = _grid(s)
+        grid_hw = self.plan[s].hw
         rows = self._neck_rows(i, s, _all_cells(grid_hw))
         return rows.reshape(grid_hw + (self.config.f_neck,)).transpose(2, 0, 1)
 
     def dense_stage0(self, i: int):
-        cfg, grid0 = self.config, _grid(0)
+        cfg, grid0 = self.config, self.plan[0].hw
         x = ops.dense_pointwise(self._neck_grid(i, 0), self.weights.ingest)
         ext = np.broadcast_to(self.queries[i][:, None, None], (cfg.f_query,) + grid0)
         x = ops.dense_fuse(x, ext, self.weights.stage0_fuse)
@@ -693,7 +685,7 @@ class _Engine:
         x = ops.dense_sfm(x, *self.weights.sfm[s])
         seg = ops.dense_chain(x, self.weights.seg_head[s])[0].ravel()
         refine = ops.dense_chain(x, self.weights.refine_head[s])[0].ravel()
-        return x, x.shape[1] * x.shape[2], _all_cells(_grid(s)), seg, refine
+        return x, x.shape[1] * x.shape[2], _all_cells(self.plan[s].hw), seg, refine
 
 
 def run_refinement(rois: Sequence[RoiInput], config: RunConfig,

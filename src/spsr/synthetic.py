@@ -15,6 +15,8 @@ from .errors import ContractError
 from .pipeline import RoiBox, seeded_rng
 
 SHAPES = ("disk", "ellipse", "blob")
+BLOB_HARMONICS = 4  # boundary harmonics of a blob, orders 2..5
+BLOB_AMPLITUDE = 0.25  # summed harmonic amplitudes, relative to the radius
 
 
 @dataclass(frozen=True)
@@ -23,18 +25,12 @@ class SyntheticShapeSpec:
     canvas_h: int = 448
     canvas_w: int = 448
     seed: int = 0
-    harmonics: int = 4
-    amplitude: float = 0.25
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ContractError(f"unknown shape {self.shape!r}")
         if self.canvas_h < 16 or self.canvas_w < 16:
             raise ContractError("canvas too small")
-        if self.shape == "blob" and not (0.0 <= self.amplitude <= 0.35):
-            raise ContractError("blob amplitude must lie in [0, 0.35]")
-        if self.harmonics < 1:
-            raise ContractError("need at least one harmonic")
 
 
 @dataclass(frozen=True)
@@ -87,16 +83,16 @@ def sample_shape(spec: SyntheticShapeSpec) -> SyntheticShape:
     ry = rx if spec.shape == "disk" else float(rng.uniform(r_lo, r_hi))
     angle = 0.0 if spec.shape == "disk" else float(rng.uniform(0.0, np.pi))
     # worst-case reach of the boundary, used to keep the shape inside the canvas
-    reach = max(rx, ry) * (1.0 + (spec.amplitude if spec.shape == "blob" else 0.0))
+    reach = max(rx, ry) * (1.0 + (BLOB_AMPLITUDE if spec.shape == "blob" else 0.0))
     margin = reach + 2.0
     if 2 * margin >= min(spec.canvas_w, spec.canvas_h):
         raise ContractError("shape cannot fit inside the canvas")
     cx = float(rng.uniform(margin, spec.canvas_w - margin))
     cy = float(rng.uniform(margin, spec.canvas_h - margin))
     if spec.shape == "blob":
-        raw = rng.uniform(0.3, 1.0, size=spec.harmonics)
-        amps = raw / raw.sum() * spec.amplitude
-        phases = rng.uniform(0.0, 2 * np.pi, size=spec.harmonics)
+        raw = rng.uniform(0.3, 1.0, size=BLOB_HARMONICS)
+        amps = raw / raw.sum() * BLOB_AMPLITUDE
+        phases = rng.uniform(0.0, 2 * np.pi, size=BLOB_HARMONICS)
         harmonics, phase_t = tuple(float(a) for a in amps), tuple(float(p) for p in phases)
     else:
         harmonics, phase_t = (), ()

@@ -324,6 +324,52 @@ class TestEvalCommand:
         assert report["SQ"] == pytest.approx(0.8, abs=1e-12)
         assert report["RQ"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_repeated_panoptic_image_id_exit_2(self, tmp_path, capsys):
+        def record(cls):
+            rle = io.rle_to_dict(rle_encode(np.ones((4, 4), dtype=bool)))
+            return {"image_id": 0, "segments": [{"class": cls, "is_thing": True, "rle": rle}]}
+
+        io.dump_json(str(tmp_path / "g.json"), [record(1), record(2)])
+        io.dump_json(str(tmp_path / "p.json"), [record(1)])
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "panoptic", "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert code == 2
+        assert "image_id 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_panoptic_pixels_over_cap_exit_2_before_decoding(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_decode(rle):
+            raise AssertionError("an oversized panoptic file must be rejected before decoding")
+
+        monkeypatch.setattr(metrics, "rle_decode", no_decode)
+        monkeypatch.setattr(io, "rle_decode", no_decode)
+        side = 1 << 13  # 2^26 px per segment, the largest canvas one RLE may hold
+        n = io.MAX_PANOPTIC_PIXELS // side**2 + 1
+        rle = {"height": side, "width": side, "counts": [side * side]}
+        seg = {"class": 1, "is_thing": True, "rle": rle}
+        data = [{"image_id": i, "segments": [seg]} for i in range(n)]
+        io.dump_json(str(tmp_path / "p.json"), data)
+        io.dump_json(str(tmp_path / "g.json"), data)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "panoptic", "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_panoptic_canvas_mismatch_exit_3(self, tmp_path):
+        def record(cls, side):
+            rle = io.rle_to_dict(rle_encode(np.ones((side, side), dtype=bool)))
+            return [{"image_id": 0, "segments": [{"class": cls, "is_thing": True, "rle": rle}]}]
+
+        io.dump_json(str(tmp_path / "p.json"), record(1, 4))
+        io.dump_json(str(tmp_path / "g.json"), record(2, 8))
+        code = main(["eval", "--task", "panoptic", "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json")])
+        assert code == 3
+
     def test_schema_error_exit_2(self, tmp_path):
         io.dump_json(str(tmp_path / "p.json"), [{"class": 1}])  # no geometry
         io.dump_json(str(tmp_path / "g.json"), [])

@@ -14,9 +14,6 @@ class TestMacsConv:
     def test_zero_cells(self):
         assert macs_conv(0, 3, 8, 8) == 0
 
-    def test_dilation_does_not_change_count(self):
-        assert macs_conv(7, 3, 4, 4, dilation=5) == macs_conv(7, 3, 4, 4, dilation=1)
-
     def test_fully_active_equals_dense(self):
         cells = 14 * 14
         assert macs_conv(cells, 3, 64, 64) == macs_conv(cells, 3, 64, 64)

@@ -6,6 +6,7 @@ import pytest
 from spsr import io
 from spsr.cli import main
 from spsr.errors import SchemaError
+from spsr.metrics import rle_encode
 from spsr.pipeline import PipelineWeights, RunConfig
 from spsr.tensor import SpsTensor
 
@@ -92,6 +93,32 @@ class TestRefineWithWeights:
         assert code == 0
         masks = io.load_ref_masks(out + "/masks.json")
         assert masks[0].shape == (112, 112)
+
+
+class TestPanopticFile:
+    @staticmethod
+    def write(path, records):
+        rle = io.rle_to_dict(rle_encode(np.ones((10, 10), dtype=bool)))
+        io.dump_json(path, [{"image_id": image_id,
+                             "segments": [{"class": 1, "rle": rle}] * n_segs}
+                            for image_id, n_segs in records])
+
+    def test_pixel_cap_counts_every_segment_of_the_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "pan.json")
+        monkeypatch.setattr(io, "MAX_PANOPTIC_PIXELS", 300)
+        self.write(path, [(0, 2), (1, 1)])  # 300 px: at the cap
+        by_image, things, stuffs = io.load_panoptic(path)
+        assert [len(by_image[i]) for i in (0, 1)] == [2, 1]
+        assert things == {1} and stuffs == set()
+        self.write(path, [(0, 2), (1, 2)])  # 400 px
+        with pytest.raises(SchemaError, match="400 pixels"):
+            io.load_panoptic(path)
+
+    def test_repeated_image_id_rejected(self, tmp_path):
+        path = str(tmp_path / "pan.json")
+        self.write(path, [(3, 1), (4, 1), (3, 1)])
+        with pytest.raises(SchemaError, match="bad panoptic record 2: image_id 3"):
+            io.load_panoptic(path)
 
 
 class TestRoiValues:

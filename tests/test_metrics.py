@@ -460,6 +460,28 @@ class TestPq:
         with pytest.raises(ContractError):
             me.pq({0: segs}, {0: []}, {1, 2}, set())
 
+    @pytest.mark.parametrize("pred_class", [1, 2])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_canvas_mismatch_rejected_for_any_class_pair(self, pred_class, swap):
+        small = [me.PanopticSegment(pred_class, np.ones((4, 4), dtype=bool))]
+        large = [me.PanopticSegment(2, np.ones((8, 8), dtype=bool))]
+        preds, gts = (large, small) if swap else (small, large)
+        with pytest.raises(ContractError, match="canvases differ"):
+            me.pq({0: preds}, {0: gts}, {1, 2}, set())
+
+    def test_canvas_mismatch_within_one_side_rejected(self):
+        segs = [me.PanopticSegment(1, np.ones((4, 4), dtype=bool)),
+                me.PanopticSegment(2, np.zeros((8, 8), dtype=bool))]
+        with pytest.raises(ContractError, match="canvases differ"):
+            me.pq({0: segs}, {0: []}, {1, 2}, set())
+        with pytest.raises(ContractError, match="canvases differ"):
+            me.pq({0: []}, {0: segs}, {1, 2}, set())
+
+    def test_canvases_may_differ_between_images(self):
+        a = [me.PanopticSegment(1, np.ones((4, 4), dtype=bool))]
+        b = [me.PanopticSegment(1, np.ones((8, 8), dtype=bool))]
+        assert me.pq({0: a, 1: b}, {0: a, 1: b}, {1}, set()).pq == 1.0
+
     def test_added_fp_decreases_pq_and_rq(self):
         preds, gts = self.toy()
         base = me.pq(preds, gts, {1}, set())

@@ -313,11 +313,34 @@ class TestRefinementEngine:
         cfg = small_config(threads=threads)  # the dense route ignores the budget
         res = pl.run_refinement(rois, cfg, sparse=False)
         assert res.stage_fractions == {s: 1.0 for s in range(1, cfg.stages + 1)}
-        for s in range(1, cfg.stages + 1):
-            total = len(rois) * (pl.BASE_GRID * 2**s) ** 2
-            assert res.stage_active[s] == (total, total)
         want = pl.analytic_dense_ledger(cfg, len(rois)).entries
         assert [e.to_dict() for e in res.ledger.entries] == [e.to_dict() for e in want]
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    def test_stage_plan_drives_every_stage(self, stages):
+        rois = [disk_roi(seed=80 + i) for i in range(2)]
+        cfg = small_config(stages=stages, mode="weights", top_n_active=None)
+        plan = cfg.stage_configs()
+        assert [(st.s, st.h, st.w, st.f) for st in plan] == [
+            (0, 14, 14, 16), (1, 28, 28, 8), (2, 56, 56, 4), (3, 112, 112, 2)][:stages + 1]
+        assert cfg.final_side == plan[-1].h
+        sparse = pl.run_refinement(rois, cfg, sparse=True)
+        dense = pl.run_refinement(rois, cfg, sparse=False)
+        assert len(sparse.stage_masks) == len(dense.stage_masks) == len(plan)
+        for st, sparse_masks, dense_masks in zip(plan, sparse.stage_masks, dense.stage_masks):
+            for a, b in zip(sparse_masks, dense_masks):
+                assert a.shape == b.shape == st.hw
+                np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
+                # seeded weights keep every probability within ~1e-7 of 0.5, under
+                # the tolerance above, so a misplaced cell shows only in the deviations
+                np.testing.assert_allclose(a - 0.5, b - 0.5, rtol=1e-6, atol=1e-15)
+        want = pl.analytic_dense_ledger(cfg, len(rois)).entries
+        assert [e.to_dict() for e in dense.ledger.entries] == [e.to_dict() for e in want]
+        assert {e.stage: e.total_cells for e in want} == {st.s: 2 * st.h * st.w for st in plan}
+        halve = pl.PipelineWeights(None, cfg).halve
+        assert sorted(halve) == [st.s for st in plan[1:]]
+        for prev, cur in zip(plan, plan[1:]):
+            assert halve[cur.s].weights.shape == (cur.f, prev.f)
 
     def test_full_active_ledger_matches_analytic(self):
         cfg = small_config(mode="weights", top_n_active=None)
