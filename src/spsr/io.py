@@ -24,9 +24,10 @@ SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
-MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic file, all decoded at once
+MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic file; pq decodes none
 MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
+IMAGE_ID_RANGE = (-(1 << 63), (1 << 63) - 1)  # image ids are int64
 
 
 def dump_json(path: str, obj):
@@ -53,26 +54,51 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError, RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad JSON or UTF-8
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
 
 
 def _finite(values, what: str) -> list[float]:
     """``values`` as floats; ``ValueError`` for NaN or an infinity."""
-    out = [float(v) for v in values]
+    try:
+        out = [float(v) for v in values]
+    except OverflowError as e:  # an integer too large for a float
+        raise ValueError(f"{what} must be finite: {e}") from e
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{what} must be finite, got {out}")
     return out
 
 
+def _integers(values: list, what: str, lo: int, hi: int) -> tuple:
+    """Each of ``values`` as an int in [lo, hi]. ``ValueError`` for a value that
+    is not an integer (``1.5``, NaN, an infinity, ``"x"``) or lies outside the
+    range; ``TypeError`` when ``values`` is not a list."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be a list, not {type(values).__name__}")
+    try:  # plain ints (and integral floats) convert in one C-level pass
+        ints = tuple(map(int, values))
+        exact = ints == tuple(values)
+    except (OverflowError, TypeError, ValueError):
+        exact = False
+    if not exact:  # check each value: accepts "7", raises for 1.5, NaN or an infinity
+        for v in values:
+            if isinstance(v, float) and not v.is_integer():
+                raise ValueError(f"{what} {v!r} is not an integer")
+        ints = tuple(map(int, values))
+    if ints and not (lo <= min(ints) and max(ints) <= hi):
+        bad = min(ints) if min(ints) < lo else max(ints)
+        raise ValueError(f"{what} {bad} lies outside [{lo}, {hi}]")
+    return ints
+
+
+def _integer(value, what: str, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi] (see ``_integers``)."""
+    return _integers([value], what, lo, hi)[0]
+
+
 def _class_id(value) -> int:
     """A record's class: an integer in int32 range; ``ValueError`` otherwise."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"class {value!r} is not an integer")
-    cls = int(value)
-    if not CLASS_RANGE[0] <= cls <= CLASS_RANGE[1]:
-        raise ValueError(f"class {cls} lies outside the int32 range")
-    return cls
+    return _integer(value, "class", *CLASS_RANGE)
 
 
 # --- weight bundles ----------------------------------------------------------
@@ -113,11 +139,11 @@ def load_weights(path: str) -> dict:
             dims = struct.unpack_from(f"<{rank}I", data, pos)
             pos += 4 * rank
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
+            arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(dims)
             pos += 4 * count
         except (struct.error, ValueError) as e:
             raise SchemaError(f"truncated weight bundle {path}: {e}") from e
-        arrays[name] = arr.reshape(dims).astype(np.float64)
+        arrays[name] = arr.astype(np.float64)
     return arrays
 
 
@@ -151,7 +177,7 @@ def load_sps(path: str) -> SpsTensor:
         passive = np.frombuffer(data, dtype="<f4", count=n_p * f, offset=pos).reshape(n_p, f)
         pos += 4 * n_p * f
         index = np.frombuffer(data, dtype="<u4", count=h * w, offset=pos).reshape(h, w)
-    except ValueError as e:
+    except (struct.error, ValueError) as e:
         raise SchemaError(f"truncated SPS dump {path}: {e}") from e
     return _finite_sps(active, passive, index, path)
 
@@ -167,23 +193,32 @@ def sps_to_dict(t: SpsTensor) -> dict:
 
 
 def sps_from_dict(d: dict) -> SpsTensor:
+    if not isinstance(d, dict):
+        raise SchemaError("a tensor record must be a JSON object")
     try:
         if d.get("format") != TENSOR_FORMAT:
             raise SchemaError(f"unknown tensor format {d.get('format')!r}")
-        f = int(d["f"])
+        f = _integer(d["f"], "f", 1, (1 << 32) - 1)
         active = np.asarray(d["active"], dtype=np.float64).reshape(-1, f)
         passive = np.asarray(d["passive"], dtype=np.float64).reshape(-1, f)
-        index = np.asarray(d["index_map"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as e:
+        index = np.asarray(d["index_map"])
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"index map values must be integers, not {index.dtype}")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"malformed tensor record: {e}") from e
     return _finite_sps(active, passive, index, "tensor record")
 
 
 def _finite_sps(active, passive, index, source: str) -> SpsTensor:
     """Loaded tensor values must be finite: NaN/Inf would pass every operator
-    and reach JSON output as bare tokens that are not valid JSON."""
+    and reach JSON output as bare tokens that are not valid JSON. Index values
+    must address a row: the tensor's own check counts them in a table as long
+    as the largest value."""
     if not (np.all(np.isfinite(active)) and np.all(np.isfinite(passive))):
         raise SchemaError(f"{source}: tensor values must be finite")
+    rows = len(active) + len(passive)
+    if index.size and not (0 <= index.min() and index.max() < rows):
+        raise SchemaError(f"{source}: index map values must lie in [0, {rows})")
     return SpsTensor(active=active, passive=passive, index_map=index)
 
 
@@ -196,8 +231,9 @@ def rle_to_dict(rle: Rle) -> dict:
 
 def rle_from_dict(d: dict) -> Rle:
     try:
-        height, width = int(d["height"]), int(d["width"])
-        counts = tuple(int(c) for c in d["counts"])
+        height = _integer(d["height"], "height", 1, MAX_MASK_PIXELS)
+        width = _integer(d["width"], "width", 1, MAX_MASK_PIXELS)
+        counts = _integers(d["counts"], "counts", 0, MAX_MASK_PIXELS)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed RLE record: {e}") from e
     if height * width > MAX_MASK_PIXELS:
@@ -249,23 +285,29 @@ def masks_to_dict(masks: list[np.ndarray], scores: list[float],
 
 
 def load_eval_entries(path: str, need_score: bool, need_mask: bool = False) -> list[EvalEntry]:
-    """Detection/segmentation records with a box and/or mask geometry."""
+    """Detection/segmentation records with a box and/or mask geometry: each needs
+    an rle mask when ``need_mask`` (seg, boundary) and a box otherwise (det)."""
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: evaluation file must contain a list")
     entries = []
     for i, rec in enumerate(data):
         try:
+            if not isinstance(rec, dict):
+                raise TypeError("record must be an object")
             if rec.get("iscrowd", False):
                 raise SchemaError("crowd regions are not supported")
             box = np.asarray(_finite(rec["box"], "box coordinates")) if "box" in rec else None
+            if box is not None and box.shape != (4,):
+                raise ValueError(f"a box has 4 coordinates, not {box.size}")
             mask = rle_from_dict(rec["rle"]) if "rle" in rec else None
-            if box is None and mask is None:
-                raise SchemaError("record carries neither box nor rle")
             if need_mask and mask is None:
                 raise SchemaError("this task needs an rle mask per record")
+            if not need_mask and box is None:
+                raise SchemaError("this task needs a box per record")
             score = _finite([rec["score"] if need_score else rec.get("score", 1.0)], "score")[0]
-            entries.append(EvalEntry(image_id=int(rec.get("image_id", 0)),
+            image_id = _integer(rec.get("image_id", 0), "image_id", *IMAGE_ID_RANGE)
+            entries.append(EvalEntry(image_id=image_id,
                                      class_id=_class_id(rec["class"]), score=score,
                                      box=box, mask=mask))
         except (KeyError, TypeError, ValueError) as e:
@@ -275,33 +317,32 @@ def load_eval_entries(path: str, need_score: bool, need_mask: bool = False) -> l
 
 def load_panoptic(path: str):
     """Panoptic file: list of {image_id, segments: [{class, is_thing, rle}]}, one
-    record per image. No mask is decoded before the whole file is parsed and its
-    summed canvases are checked against ``MAX_PANOPTIC_PIXELS``.
+    record per image. The whole file is parsed and its summed canvases are
+    checked against ``MAX_PANOPTIC_PIXELS``; no mask is decoded.
 
-    Returns (segments by image, thing classes, stuff classes).
+    Returns (segments by image, each segment's mask an ``Rle``; thing classes;
+    stuff classes).
     """
     data = load_json(path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}: panoptic file must contain a list")
-    records: dict = {}  # image id -> [(class, Rle)]
+    records: dict = {}  # image id -> [PanopticSegment]
     things, stuffs = set(), set()
     for i, rec in enumerate(data):
         try:
-            image_id = int(rec["image_id"])
+            image_id = _integer(rec["image_id"], "image_id", *IMAGE_ID_RANGE)
             if image_id in records:
                 raise ValueError(f"image_id {image_id} already has a record")
             segs = []
             for seg in rec["segments"]:
                 cls = _class_id(seg["class"])
                 (things if seg.get("is_thing", True) else stuffs).add(cls)
-                segs.append((cls, rle_from_dict(seg["rle"])))
+                segs.append(PanopticSegment(class_id=cls, mask=rle_from_dict(seg["rle"])))
             records[image_id] = segs
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"{path}: bad panoptic record {i}: {e}") from e
-    pixels = sum(rle.height * rle.width for segs in records.values() for _, rle in segs)
+    pixels = sum(s.mask.height * s.mask.width for segs in records.values() for s in segs)
     if pixels > MAX_PANOPTIC_PIXELS:
         raise SchemaError(f"{path}: segments hold {pixels} pixels, "
                           f"over the {MAX_PANOPTIC_PIXELS} cap")
-    by_image = {image_id: [PanopticSegment(class_id=cls, mask=rle_decode(rle)) for cls, rle in segs]
-                for image_id, segs in records.items()}
-    return by_image, things, stuffs
+    return records, things, stuffs

@@ -1,13 +1,16 @@
 """Evaluation metrics: average precision, boundary IoU, panoptic quality.
 
 Masks travel as run-length encodings (column-major counts, alternating
-background/foreground and starting with background) and are decoded to bool
-arrays for pixel work.
+background/foreground and starting with background). AP decodes them to bool
+arrays for pixel work; panoptic quality reads the runs themselves.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,14 +39,12 @@ class Rle:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ContractError("mask dims must be positive")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ContractError("run lengths must be non-negative")
-        if sum(self.counts) != self.height * self.width:
-            raise ContractError(
-                f"run lengths sum to {sum(self.counts)}, expected {self.height * self.width}"
-            )
+        if (total := sum(self.counts)) != self.height * self.width:
+            raise ContractError(f"run lengths sum to {total}, expected {self.height * self.width}")
 
-    @property
+    @cached_property
     def area(self) -> int:
         return int(sum(self.counts[1::2]))
 
@@ -58,7 +59,7 @@ def rle_encode(mask: np.ndarray) -> Rle:
     counts = np.diff(bounds).tolist()
     if flat[0]:
         counts = [0] + counts
-    return Rle(height=mask.shape[0], width=mask.shape[1], counts=tuple(int(c) for c in counts))
+    return Rle(height=mask.shape[0], width=mask.shape[1], counts=tuple(counts))
 
 
 def rle_decode(rle: Rle) -> np.ndarray:
@@ -350,13 +351,10 @@ def boundary_iou(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class PanopticSegment:
-    """A labeled, non-overlapping region of one image."""
+    """A labeled, non-overlapping region of one image: a bool mask or an ``Rle``."""
 
     class_id: int
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
+    mask: np.ndarray | Rle
 
 
 @dataclass
@@ -407,20 +405,27 @@ class PqReport:
         }
 
 
-def _check_disjoint(preds: Sequence[PanopticSegment], gts: Sequence[PanopticSegment]):
-    """Segments of one image share one canvas on both sides; each side's are disjoint."""
-    segments = [*preds, *gts]
-    if not segments:
-        return
-    total = np.zeros(segments[0].mask.shape, dtype=np.int64)  # one count canvas for both sides
-    for segs, what in ((preds, "predicted"), (gts, "ground-truth")):
-        total.fill(0)
-        for s in segs:
-            if s.mask.shape != total.shape:
-                raise ContractError(f"{what} segment canvases differ")
-            total += s.mask
-        if np.any(total > 1):
-            raise ContractError(f"{what} segments overlap")
+def _label_runs(rles: Sequence[Rle], shape: tuple, what: str) -> tuple:
+    """One side's segments of one image as a label map in run form: sorted run
+    ``bounds`` on the flat column-major canvas, and ``values[i]``, the label (0
+    void, ``k + 1`` segment ``k``) of the pixels from ``bounds[i - 1]`` up to
+    ``bounds[i]``. Raises for mixed canvases and for overlapping segments."""
+    if any((r.height, r.width) != shape for r in rles):
+        raise ContractError(f"{what} segment canvases differ")
+    size = shape[0] * shape[1]
+    # Laid end to end (segment k from pixel k * size) and each padded to an even
+    # length, the count lists' running sums pair up as foreground [start, end).
+    counts = chain.from_iterable(r.counts + (0,) * (len(r.counts) % 2) for r in rles)
+    starts, ends = np.cumsum(np.fromiter(counts, dtype=np.int64)).reshape(-1, 2).T
+    keep = ends > starts  # nonempty runs
+    segment, local = np.divmod(starts[keep], size)
+    order = np.argsort(local, kind="stable")
+    bounds = np.column_stack([local, local + ends[keep] - starts[keep]])[order].ravel()
+    if np.any(bounds[2::2] < bounds[1:-1:2]):  # a run starts before the previous one ends
+        raise ContractError(f"{what} segments overlap")
+    values = np.zeros(bounds.size + 1, dtype=np.int64)  # gap, run, gap, ..., run, gap
+    values[1::2] = segment[order] + 1
+    return bounds, values
 
 
 def pq(preds: Mapping[int, Sequence[PanopticSegment]],
@@ -431,51 +436,45 @@ def pq(preds: Mapping[int, Sequence[PanopticSegment]],
     Segments must be pixel-disjoint per image (matching is then unique).
     Report averages run over the classes present in the ground truth.
     """
-    stats: dict[int, PqClassStats] = {}
-
-    def stat(c: int) -> PqClassStats:
-        return stats.setdefault(c, PqClassStats())
-
-    gt_classes: set = set()
+    stats: defaultdict[int, PqClassStats] = defaultdict(PqClassStats)
     for image_id in sorted(set(preds) | set(gts)):
         p_segs = list(preds.get(image_id, []))
         g_segs = list(gts.get(image_id, []))
-        _check_disjoint(p_segs, g_segs)
-        gt_classes.update(g.class_id for g in g_segs)
-
-        matched_p: set = set()
-        matched_g: set = set()
-        for gi, g in enumerate(g_segs):
-            for pi, p in enumerate(p_segs):
-                if pi in matched_p or p.class_id != g.class_id:
-                    continue
-                v = mask_iou(p.mask, g.mask)
-                if v > 0.5:
-                    s = stat(g.class_id)
-                    s.tp += 1
+        if not (p_segs or g_segs):
+            continue
+        p_rles = [s.mask if isinstance(s.mask, Rle) else rle_encode(s.mask) for s in p_segs]
+        g_rles = [s.mask if isinstance(s.mask, Rle) else rle_encode(s.mask) for s in g_segs]
+        shape = next((r.height, r.width) for r in p_rles + g_rles)
+        p_bounds, p_values = _label_runs(p_rles, shape, "predicted")
+        g_bounds, g_values = _label_runs(g_rles, shape, "ground-truth")
+        for g in g_segs:
+            stats[g.class_id].fn += 1
+        for p in p_segs:
+            stats[p.class_id].fp += 1
+        # Both labels are constant between consecutive bounds of either side, so a
+        # pair's intersection sums its pieces' lengths. Codes sort gts in order.
+        cuts = np.sort(np.concatenate(([0], p_bounds, g_bounds)))  # piece starts
+        stride = len(p_segs) + 1
+        codes = (g_values[np.searchsorted(g_bounds, cuts, side="right")] * stride
+                 + p_values[np.searchsorted(p_bounds, cuts, side="right")])
+        codes, piece_codes = np.unique(codes, return_inverse=True)
+        inters = np.bincount(piece_codes, weights=np.diff(cuts, append=shape[0] * shape[1]))
+        for code, inter in zip(codes.tolist(), inters.astype(np.int64).tolist()):
+            gi, pi = divmod(code, stride)  # label k + 1 is segment k, 0 is void
+            if gi and pi and g_segs[gi - 1].class_id == p_segs[pi - 1].class_id:
+                v = inter / (g_rles[gi - 1].area + p_rles[pi - 1].area - inter)
+                if v > 0.5:  # disjointness makes the match unique
+                    s = stats[g_segs[gi - 1].class_id]  # one FN and one FP become a TP
+                    s.tp, s.fn, s.fp = s.tp + 1, s.fn - 1, s.fp - 1
                     s.iou_sum += v
-                    matched_p.add(pi)
-                    matched_g.add(gi)
-                    break  # disjointness makes the match unique
-        for gi, g in enumerate(g_segs):
-            if gi not in matched_g:
-                stat(g.class_id).fn += 1
-        for pi, p in enumerate(p_segs):
-            if pi not in matched_p:
-                stat(p.class_id).fp += 1
 
-    def average(classes):
-        present = [c for c in classes if c in stats]
-        if not present:
-            return 0.0, 0.0, 0.0
-        return (
-            float(np.mean([stats[c].pq for c in present])),
-            float(np.mean([stats[c].sq for c in present])),
-            float(np.mean([stats[c].rq for c in present])),
-        )
+    gt_classes = {c for c, s in stats.items() if s.tp + s.fn}  # every gt is a TP or an FN
 
-    pq_all, sq_all, rq_all = average(sorted(gt_classes))
-    pq_th, _, _ = average(sorted(gt_classes & set(thing_classes)))
-    pq_st, _, _ = average(sorted(gt_classes & set(stuff_classes)))
-    return PqReport(per_class=stats, pq=pq_all, sq=sq_all, rq=rq_all,
-                    pq_thing=pq_th, pq_stuff=pq_st)
+    def mean(name: str, classes: set = gt_classes) -> float:
+        """One per-class value averaged over ``classes`` in sorted order; 0 for none."""
+        values = [getattr(stats[c], name) for c in sorted(classes)]
+        return float(np.mean(values)) if values else 0.0
+
+    return PqReport(per_class=dict(stats), pq=mean("pq"), sq=mean("sq"), rq=mean("rq"),
+                    pq_thing=mean("pq", gt_classes & set(thing_classes)),
+                    pq_stuff=mean("pq", gt_classes & set(stuff_classes)))

@@ -271,6 +271,73 @@ class TestBadInputValues:
         assert_exit_2_no_output(capsys, code, out)
 
 
+    # Integer fields: an infinity or 1e400 used to raise an OverflowError
+    # traceback (exit 1), and 1.5 was truncated to 1.
+    PANOPTIC = ('[{"image_id": %s, "segments": [{"class": 1, "is_thing": true,'
+                ' "rle": {"height": %s, "width": %s, "counts": [%s, %s]}}]}]')
+    GOOD_PANOPTIC = ("0", "4", "4", "0", "16")
+
+    @pytest.mark.parametrize("field", range(5))  # image_id, height, width, both counts
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "1e400", "1.5"])
+    @pytest.mark.parametrize("side", ["preds", "gts"])
+    def test_bad_panoptic_integer_exit_2(self, tmp_path, capsys, field, token, side):
+        bad = list(self.GOOD_PANOPTIC)
+        bad[field] = token
+        texts = {"preds": self.PANOPTIC % self.GOOD_PANOPTIC,
+                 "gts": self.PANOPTIC % self.GOOD_PANOPTIC}
+        texts[side] = self.PANOPTIC % tuple(bad)
+        for name, text in texts.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "panoptic", "--preds", str(tmp_path / "preds.json"),
+                     "--gts", str(tmp_path / "gts.json"), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
+    @pytest.mark.parametrize("task", ["det", "seg"])
+    @pytest.mark.parametrize("token", ["1e400", "Infinity", "1.5"])
+    def test_bad_eval_image_id_exit_2(self, tmp_path, capsys, task, token):
+        good = {"image_id": 0, "class": 1, "score": 0.9, "box": [0, 0, 4, 4],
+                "rle": io.rle_to_dict(rle_encode(np.ones((4, 4), dtype=bool)))}
+        (tmp_path / "g.json").write_text(json.dumps([good]))
+        (tmp_path / "p.json").write_text(json.dumps([good]).replace('"image_id": 0',
+                                                                    f'"image_id": {token}'))
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", task, "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
+    @pytest.mark.parametrize("field,token", [("height", "1e400"), ("height", "Infinity"),
+                                             ("height", "112.5"), ("width", "1e400"),
+                                             ("counts", "[1e400]"), ("counts", "[6272.5, 6271.5]")])
+    def test_bad_ref_mask_integer_exit_2(self, tmp_path, capsys, monkeypatch, field, token):
+        monkeypatch.setattr(pipeline, "select_active", fail_if_called)
+        rois, masks, _ = write_inputs(tmp_path, n=1)
+        rle = {"height": "112", "width": "112", "counts": "[12544]", field: token}
+        with open(masks, "w") as f:
+            f.write('{"format": "sps-rle/1", "masks": [{"height": %(height)s, '
+                    '"width": %(width)s, "counts": %(counts)s}]}' % rle)
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "oracle", "--rois", rois, "--ref-masks", masks,
+                     "--out", str(out)] + REFINE_FAST)
+        assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
+
+
+    @pytest.mark.parametrize("task", ["det", "seg"])
+    def test_eval_record_without_its_geometry_exit_2(self, tmp_path, capsys, task):
+        """det needs a box in every record (a box-less one used to end in a
+        traceback), seg and boundary an rle."""
+        rle = io.rle_to_dict(rle_encode(np.ones((4, 4), dtype=bool)))
+        full = {"image_id": 0, "class": 1, "score": 0.9, "box": [0, 0, 4, 4], "rle": rle}
+        partial = dict(full)
+        del partial["box" if task == "det" else "rle"]
+        (tmp_path / "g.json").write_text(json.dumps([full]))
+        (tmp_path / "p.json").write_text(json.dumps([full, partial]))
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", task, "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
+
 def box_record(image_id, cls, box, score=None):
     rec = {"image_id": image_id, "class": cls, "box": list(box)}
     if score is not None:
@@ -477,3 +544,27 @@ class TestConvertCommand:
         bad = tmp_path / "x.bin"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)
         assert main(["convert", "--input", str(bad), "--output", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("index", ["[[0, 2]]", "[[0, -1]]", "[[0, 4000000000]]",
+                                       "[[0, 1.5]]", "[[0, Infinity]]"])
+    def test_bad_json_index_map_exit_2(self, tmp_path, capsys, index):
+        """An index must address a row; the tensor check would otherwise count
+        the values in a table as long as the largest one."""
+        src, out = tmp_path / "t.json", tmp_path / "t.bin"
+        src.write_text('{"format": "sps-tensor/1", "f": 2, "h": 1, "w": 2, "active": [[1.0, 2.0]],'
+                       ' "passive": [[3.0, 4.0]], "index_map": %s}' % index)
+        assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
+                                              "--output", str(out)]), out)
+
+    @pytest.mark.parametrize("offset,value", [(24 + 8, 5), (24 + 8, 0xF0000000), (0, None)])
+    def test_bad_binary_index_or_header_exit_2(self, tmp_path, capsys, offset, value):
+        src, out = tmp_path / "t.bin", tmp_path / "t.json"
+        io.save_sps(str(src), SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]]))
+        data = bytearray(src.read_bytes())
+        if value is None:
+            data = data[:10]  # a truncated header
+        else:
+            data[offset:offset + 4] = value.to_bytes(4, "little")
+        src.write_bytes(bytes(data))
+        assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
+                                              "--output", str(out)]), out)

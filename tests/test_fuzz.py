@@ -1,0 +1,182 @@
+"""Truncated and mutated inputs for every loader and for ``spsr eval``.
+
+A loader may only accept an input or raise ``SchemaError``/``ContractError``.
+The CLI exits 0, 2 or 3 with no traceback, and leaves no report file unless
+it exits 0.
+"""
+
+import contextlib
+import functools
+import io as stdio
+import json
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spsr import io
+from spsr.cli import main
+from spsr.errors import ContractError, SchemaError
+from spsr.metrics import rle_encode
+from spsr.tensor import SpsTensor
+
+# Raw JSON tokens put in place of one value of a valid document.
+MUTANTS = ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1" + "0" * 400, "-1", "0",
+           "1.5", "1e30", "2147483648", '"x"', '"7"', "null", "true", "[]", "[1]", "{}",
+           '[[1.5, "x"]]', '{"a": [[{}]]}']
+
+
+def _rle(mask):
+    return io.rle_to_dict(rle_encode(np.asarray(mask, dtype=bool)))
+
+
+def _masks():
+    a = np.zeros((6, 5), dtype=bool)
+    a[1:4, 1:3] = True
+    b = np.zeros((6, 5), dtype=bool)
+    b[4:, 2:] = True
+    return a, b
+
+
+def _eval_records():
+    a, b = _masks()
+    return [{"image_id": 0, "class": 1, "score": 0.9, "box": [1, 1, 3, 4], "rle": _rle(a)},
+            {"image_id": 0, "class": 2, "score": 0.4, "box": [2, 4, 5, 6], "rle": _rle(b)},
+            {"image_id": 1, "class": 1, "score": 0.7, "box": [0, 0, 2, 2], "rle": _rle(b)}]
+
+
+def _panoptic_records():
+    a, b = _masks()
+    return [{"image_id": 0, "segments": [{"class": 1, "is_thing": True, "rle": _rle(a)},
+                                         {"class": 2, "is_thing": False, "rle": _rle(b)}]},
+            {"image_id": 3, "segments": [{"class": 1, "is_thing": True, "rle": _rle(b)}]}]
+
+
+def _sps():
+    return SpsTensor(active=[[1.0, 2.0], [0.5, -1.0]], passive=[[3.0, 4.0]],
+                     index_map=[[0, 2], [1, 2]])
+
+
+JSON_DOCS = {
+    "panoptic": _panoptic_records(),
+    "eval": _eval_records(),
+    "rois": [{"box": [10.0, 10.0, 60.0, 50.0], "class": 1, "score": 0.8},
+             {"box": [5.0, 20.0, 40.0, 90.0], "class": 0}],
+    "ref_masks": {"format": io.MASK_FORMAT, "masks": [_rle(_masks()[0]), _rle(_masks()[1])]},
+    "sps_dict": io.sps_to_dict(_sps()),
+}
+
+
+def _paths(doc, prefix=()):
+    """Every path to a value of ``doc``, the root included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _with_token(doc, path, token) -> str:
+    """``doc`` as JSON text with the value at ``path`` replaced by a raw token."""
+    sentinel = "@@mutant@@"
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return token
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = sentinel
+    return json.dumps(doc).replace(json.dumps(sentinel), token)
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """Bytes of ``doc`` with one value replaced, truncated, or with one byte changed."""
+    text = json.dumps(doc).encode()
+    how = draw(st.sampled_from(["value", "value", "truncate", "byte"]))
+    if how == "value":
+        paths = list(_paths(doc))
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        return _with_token(doc, path, draw(st.sampled_from(MUTANTS))).encode()
+    at = draw(st.integers(0, len(text) - 1))
+    if how == "truncate":
+        return text[:at]
+    return text[:at] + bytes([draw(st.integers(0, 255))]) + text[at + 1:]
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    at = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        return data[:at]
+    return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+
+
+@functools.cache
+def binary_docs() -> dict:
+    """Bytes of a valid weight bundle and SPS dump, written once when first drawn."""
+    docs = {}
+    with tempfile.TemporaryDirectory() as d:
+        for kind, save, value in (("weights", io.save_weights, {"a.w": np.arange(6.0).reshape(2, 3),
+                                                                "b": np.ones(2)}),
+                                  ("sps", io.save_sps, _sps())):
+            save(os.path.join(d, kind), value)
+            with open(os.path.join(d, kind), "rb") as f:
+                docs[kind] = f.read()
+    return docs
+
+
+LOADERS = {
+    "panoptic": io.load_panoptic,
+    "eval": lambda p: io.load_eval_entries(p, need_score=True, need_mask=True),
+    "rois": io.load_rois,
+    "ref_masks": io.load_ref_masks,
+    "sps_dict": lambda p: io.sps_from_dict(io.load_json(p)),
+    "weights": io.load_weights,
+    "sps": io.load_sps,
+}
+
+
+@st.composite
+def loader_input(draw):
+    kind = draw(st.sampled_from(sorted(LOADERS)))
+    if kind in ("weights", "sps"):
+        return kind, draw(mutated_bytes(binary_docs()[kind]))
+    return kind, draw(mutated_json(JSON_DOCS[kind]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(loader_input())
+def test_loaders_raise_only_schema_or_contract_errors(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            LOADERS[kind](path)
+        except (SchemaError, ContractError):
+            pass
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(["det", "seg", "boundary", "panoptic"]), st.sampled_from(["preds", "gts"]),
+       st.data())
+def test_eval_exits_0_2_or_3_without_traceback(task, side, data):
+    doc = JSON_DOCS["panoptic" if task == "panoptic" else "eval"]
+    with tempfile.TemporaryDirectory() as d:
+        files = {name: os.path.join(d, f"{name}.json") for name in ("preds", "gts")}
+        for name, path in files.items():
+            with open(path, "wb") as f:
+                f.write(data.draw(mutated_json(doc)) if name == side else json.dumps(doc).encode())
+        out = os.path.join(d, "out", "report.json")
+        err = stdio.StringIO()
+        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--task", task, "--preds", files["preds"],
+                         "--gts", files["gts"], "--out", out])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert os.path.exists(out) == (code == 0)
+        if code:
+            assert err.getvalue().startswith(("error:", "contract violation:"))

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -55,6 +56,13 @@ class TestRleCodec:
         mask = np.array([[1, 0], [0, 0]], dtype=bool)
         rle = me.rle_encode(mask)
         assert rle.counts == (0, 1, 3)
+
+    def test_area_summed_once(self, monkeypatch):
+        rle = me.Rle(height=2, width=3, counts=(1, 2, 1, 2))
+        entry = me.EvalEntry(image_id=0, class_id=1, mask=rle)
+        assert entry.area() == rle.area == 4
+        monkeypatch.setattr(me, "sum", lambda counts: -1, raising=False)
+        assert entry.area() == rle.area == 4  # cached: the counts are not summed again
 
     def test_roundtrip_1000_random(self, rng):
         for _ in range(1000):
@@ -512,3 +520,212 @@ class TestPq:
         gts = {0: [me.PanopticSegment(1, g1), me.PanopticSegment(7, g2)]}
         report = me.pq(gts, gts, {1}, {7})
         assert report.pq_thing == 1.0 and report.pq_stuff == 1.0
+
+
+# --- pq against the decode-and-mask_iou reference ----------------------------
+
+
+def _reference_check_disjoint(preds, gts):
+    """Segments of one image share one canvas on both sides; each side's are disjoint."""
+    segments = [*preds, *gts]
+    if not segments:
+        return
+    total = np.zeros(segments[0].mask.shape, dtype=np.int64)  # one count canvas for both sides
+    for segs, what in ((preds, "predicted"), (gts, "ground-truth")):
+        total.fill(0)
+        for s in segs:
+            if s.mask.shape != total.shape:
+                raise ContractError(f"{what} segment canvases differ")
+            total += s.mask
+        if np.any(total > 1):
+            raise ContractError(f"{what} segments overlap")
+
+
+def reference_pq(preds, gts, thing_classes, stuff_classes):
+    """The earlier ``pq``: every mask decoded to a bool canvas, disjointness
+    checked on an int64 count canvas, each same-class pair scored by ``mask_iou``."""
+    def decoded(segs):
+        return [me.PanopticSegment(s.class_id, me.rle_decode(s.mask) if isinstance(s.mask, me.Rle)
+                                   else np.asarray(s.mask, dtype=bool)) for s in segs]
+
+    stats = {}
+
+    def stat(c):
+        return stats.setdefault(c, me.PqClassStats())
+
+    gt_classes = set()
+    for image_id in sorted(set(preds) | set(gts)):
+        p_segs = decoded(preds.get(image_id, []))
+        g_segs = decoded(gts.get(image_id, []))
+        _reference_check_disjoint(p_segs, g_segs)
+        gt_classes.update(g.class_id for g in g_segs)
+        matched_p, matched_g = set(), set()
+        for gi, g in enumerate(g_segs):
+            for pi, p in enumerate(p_segs):
+                if pi in matched_p or p.class_id != g.class_id:
+                    continue
+                v = me.mask_iou(p.mask, g.mask)
+                if v > 0.5:
+                    s = stat(g.class_id)
+                    s.tp += 1
+                    s.iou_sum += v
+                    matched_p.add(pi)
+                    matched_g.add(gi)
+                    break
+        for gi, g in enumerate(g_segs):
+            if gi not in matched_g:
+                stat(g.class_id).fn += 1
+        for pi, p in enumerate(p_segs):
+            if pi not in matched_p:
+                stat(p.class_id).fp += 1
+
+    def average(classes):
+        present = [c for c in classes if c in stats]
+        if not present:
+            return 0.0, 0.0, 0.0
+        return (float(np.mean([stats[c].pq for c in present])),
+                float(np.mean([stats[c].sq for c in present])),
+                float(np.mean([stats[c].rq for c in present])))
+
+    pq_all, sq_all, rq_all = average(sorted(gt_classes))
+    pq_th, _, _ = average(sorted(gt_classes & set(thing_classes)))
+    pq_st, _, _ = average(sorted(gt_classes & set(stuff_classes)))
+    return me.PqReport(per_class=stats, pq=pq_all, sq=sq_all, rq=rq_all,
+                       pq_thing=pq_th, pq_stuff=pq_st)
+
+
+def outcome(fn, *args):
+    """The sorted-key JSON report, or the exception's type and message."""
+    try:
+        return json.dumps(fn(*args).to_dict(), sort_keys=True)
+    except Exception as e:  # compared, not handled
+        return type(e), str(e)
+
+
+def padded_rle(mask, rng):
+    """``rle_encode(mask)`` with zero-length runs spliced into random runs."""
+    counts = list(me.rle_encode(mask).counts)
+    for _ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(len(counts)))
+        cut = int(rng.integers(counts[i] + 1))
+        counts[i:i + 1] = [cut, 0, counts[i] - cut]
+    return me.Rle(mask.shape[0], mask.shape[1], tuple(counts))
+
+
+def random_panoptic(rng, broken=False):
+    """Multi-image preds and gts as bool masks. Predictions relabel and shift
+    the ground truth so matches happen; images may sit on one side only, hold
+    empty segments, or cover the first and last pixel of the canvas. With
+    ``broken``, one side of one image gets an overlap or a foreign canvas."""
+    preds, gts = {}, {}
+    for image_id in rng.permutation(6)[:int(rng.integers(1, 5))].tolist():
+        h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        n = int(rng.integers(0, 6))
+        labels = rng.integers(0, n + 1, size=(h, w))
+        labels[0, 0] = labels[-1, -1] = n  # runs at pixel 0 and at the last pixel
+        shifted = np.roll(labels, int(rng.integers(0, 2)), axis=int(rng.integers(0, 2)))
+        shifted[rng.random((h, w)) < 0.15] = 0
+        classes = rng.integers(1, 4, size=n + 1)
+        side = int(rng.integers(0, 4))  # 0: gts only, 1: preds only, else both
+        if side != 1:
+            gts[image_id] = [me.PanopticSegment(int(classes[k]), labels == k)
+                             for k in range(1, n + 1)]
+        if side != 0:
+            pred_classes = np.where(rng.random(n + 1) < 0.8, classes, rng.integers(1, 4, n + 1))
+            preds[image_id] = [me.PanopticSegment(int(pred_classes[k]), shifted == k)
+                               for k in range(1, n + 1)]
+    if broken:
+        target = preds if (rng.random() < 0.5 and preds) or not gts else gts
+        segs = target[list(target)[int(rng.integers(len(target)))]]
+        if segs and rng.random() < 0.5:  # covers every pixel: overlaps any nonempty segment
+            extra = me.PanopticSegment(1, np.ones_like(segs[0].mask))
+        else:  # no image in these inputs is 9x10
+            extra = me.PanopticSegment(2, np.zeros((9, 10), dtype=bool))
+        segs.insert(int(rng.integers(len(segs) + 1)), extra)
+    return preds, gts
+
+
+def as_rles(segments_by_image, rng):
+    return {i: [me.PanopticSegment(s.class_id, padded_rle(s.mask, rng)) for s in segs]
+            for i, segs in segments_by_image.items()}
+
+
+class TestPqReference:
+    """``pq`` from label maps against the decode-and-``mask_iou`` reference,
+    byte for byte, with masks given as bool arrays and as ``Rle``."""
+
+    def test_reports_equal_reference(self, rng):
+        matched = 0
+        for _ in range(400):
+            preds, gts = random_panoptic(rng)
+            want = outcome(reference_pq, preds, gts, {1, 2}, {3})
+            assert isinstance(want, str)
+            assert outcome(me.pq, preds, gts, {1, 2}, {3}) == want
+            assert outcome(me.pq, as_rles(preds, rng), as_rles(gts, rng), {1, 2}, {3}) == want
+            matched += sum(s.tp for s in me.pq(preds, gts, {1, 2}, {3}).per_class.values())
+        assert matched > 200  # the inputs do exercise matching
+
+    def test_errors_equal_reference(self, rng):
+        messages = {}
+        for _ in range(300):
+            preds, gts = random_panoptic(rng, broken=True)
+            want = outcome(reference_pq, preds, gts, {1, 2}, {3})
+            assert outcome(me.pq, preds, gts, {1, 2}, {3}) == want
+            assert outcome(me.pq, as_rles(preds, rng), as_rles(gts, rng), {1, 2}, {3}) == want
+            if not isinstance(want, str):  # an insert can miss: no segment to overlap
+                assert want[0] is ContractError
+                messages[want[1]] = messages.get(want[1], 0) + 1
+        assert sum(messages.values()) > 200
+        assert set(messages) == {f"{side} {what}" for side in ("predicted", "ground-truth")
+                            for what in ("segment canvases differ", "segments overlap")}
+
+    def test_edge_runs(self):
+        first_last = np.zeros((3, 4), dtype=bool)
+        first_last[0, 0] = first_last[-1, -1] = True
+        rle = me.rle_encode(first_last)
+        assert rle.counts[0] == 0 and len(rle.counts) % 2 == 0  # pixel 0 and the last pixel
+        empty = np.zeros((3, 4), dtype=bool)
+        zero_runs = me.Rle(3, 4, (0, 1, 0, 0, 10, 0, 0, 1))  # the same mask, with empty runs
+        assert np.array_equal(me.rle_decode(zero_runs), first_last)
+        gts = {0: [me.PanopticSegment(1, first_last), me.PanopticSegment(2, empty)]}
+        for mask in (first_last, rle, zero_runs):
+            preds = {0: [me.PanopticSegment(2, empty), me.PanopticSegment(1, mask)]}
+            got = outcome(me.pq, preds, gts, {1, 2}, set())
+            assert got == outcome(reference_pq, preds, gts, {1, 2}, set())
+            assert json.loads(got)["per_class"]["1"]["TP"] == 1
+
+    def test_many_segments_on_a_small_canvas(self, rng):
+        """More segment pairs than pixels: one-pixel segments on a 4x4 canvas."""
+        cells = [np.eye(16, dtype=bool)[k].reshape(4, 4) for k in range(16)]
+        gts = {0: [me.PanopticSegment(1, c) for c in cells]}
+        preds = {0: [me.PanopticSegment(1 + (k % 2), cells[k]) for k in rng.permutation(16)]}
+        got = outcome(me.pq, preds, gts, {1, 2}, set())
+        assert got == outcome(reference_pq, preds, gts, {1, 2}, set())
+        assert json.loads(got)["per_class"]["1"]["TP"] == 8
+
+    def test_cli_panoptic_decodes_no_mask(self, tmp_path, capsys, monkeypatch, rng):
+        from spsr import io
+        from spsr.cli import main
+
+        preds, gts = random_panoptic(rng)
+        while not (preds and gts):
+            preds, gts = random_panoptic(rng)
+        for name, segments in (("p", preds), ("g", gts)):
+            io.dump_json(str(tmp_path / f"{name}.json"), [
+                {"image_id": i, "segments": [{"class": s.class_id, "is_thing": s.class_id != 3,
+                                              "rle": io.rle_to_dict(me.rle_encode(s.mask))}
+                                             for s in segs]}
+                for i, segs in segments.items()])
+        want = tmp_path / "want.json"
+        io.dump_json(str(want), reference_pq(preds, gts, {1, 2}, {3}).to_dict())
+
+        def no_decode(rle):
+            raise AssertionError("panoptic eval decodes no mask")
+
+        monkeypatch.setattr(me, "rle_decode", no_decode)
+        monkeypatch.setattr(io, "rle_decode", no_decode)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "panoptic", "--preds", str(tmp_path / "p.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == want.read_bytes()
