@@ -2,7 +2,8 @@
 
 Masks travel as run-length encodings (column-major counts, alternating
 background/foreground and starting with background). AP decodes them to bool
-arrays for pixel work; panoptic quality reads the runs themselves.
+arrays and counts pixels only inside mask boxes; panoptic quality reads the
+runs themselves.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
     _check_canvas(a, b)
-    inter = int(np.logical_and(a, b).sum())
-    union = int(np.logical_or(a, b).sum())
+    inter = int(np.count_nonzero(a & b))
+    union = int(np.count_nonzero(a | b))
     return inter / union if union else 0.0
 
 
@@ -111,8 +112,8 @@ class EvalEntry:
 def geometry_iou_fn(kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
     """Pairwise IoU of two entries' boxes, masks or mask boundaries.
 
-    The mask and boundary callables decode each entry's mask, and build its
-    boundary band, once and keep them for the callable's lifetime (keyed by
+    The mask and boundary callables decode each entry's mask, and find its box
+    and boundary band, once and keep them for the callable's lifetime (keyed by
     entry identity), so take a fresh callable per group of entries.
     """
     if kind == "box":
@@ -123,14 +124,11 @@ def geometry_iou_fn(kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
 
     def prepare(e: EvalEntry) -> tuple:
         if id(e) not in prepared:
-            mask = rle_decode(e.mask)
-            band = boundary_band(mask, _band_width(mask.shape)) if kind == "boundary" else None
-            prepared[id(e)] = (mask, band, e)  # holding e keeps its id from being reused
-        return prepared[id(e)][:2]
+            geometry = _geometry(rle_decode(e.mask), banded=kind == "boundary")
+            prepared[id(e)] = (geometry, e)  # holding e keeps its id from being reused
+        return prepared[id(e)][0]
 
-    if kind == "mask":
-        return lambda p, g: mask_iou(prepare(p)[0], prepare(g)[0])
-    return lambda p, g: _banded_iou(*prepare(p), *prepare(g))
+    return lambda p, g: _boxed_iou(prepare(p), prepare(g))
 
 
 def _by_image(entries: Sequence[EvalEntry]) -> dict:
@@ -316,23 +314,72 @@ def ap_suite(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry], kind: str = "
 # --- boundary IoU ----------------------------------------------------------
 
 
+def _box(mask: np.ndarray) -> tuple:
+    """The tight (rows, columns) slices around a mask's pixels; empty slices
+    for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _box_union(a: tuple, b: tuple) -> tuple:
+    if a[0].start == a[0].stop:
+        return b
+    if b[0].start == b[0].stop:
+        return a
+    return tuple(slice(min(s.start, t.start), max(s.stop, t.stop)) for s, t in zip(a, b))
+
+
+def _band_in_box(mask: np.ndarray, box: tuple, d: int) -> np.ndarray:
+    """:func:`boundary_band` of a mask whose pixels all lie in ``box``.
+
+    Only the crop is eroded. Every pixel outside the box is background, as is
+    every pixel off the canvas, so a window that leaves the crop sees a zero
+    either way; the square erosion is a separable minimum.
+    """
+    band = np.zeros(mask.shape, dtype=bool)
+    crop = mask[box]
+    if crop.size:
+        eroded = ndimage.minimum_filter(crop.view(np.uint8), size=2 * d + 1,
+                                        mode="constant", cval=0)
+        band[box] = crop & (eroded == 0)
+    return band
+
+
 def boundary_band(mask: np.ndarray, d: int) -> np.ndarray:
     """Mask pixels within Chebyshev distance d of background (or the border)."""
     mask = np.asarray(mask, dtype=bool)
-    eroded = ndimage.binary_erosion(mask, structure=np.ones((2 * d + 1, 2 * d + 1), dtype=bool),
-                                    border_value=0)
-    return mask & ~eroded
+    return _band_in_box(mask, _box(mask), d)
 
 
 def _band_width(shape: tuple) -> int:
     return max(1, int(round(BOUNDARY_FRACTION * float(np.hypot(*shape)))))
 
 
-def _banded_iou(a: np.ndarray, band_a: np.ndarray, b: np.ndarray, band_b: np.ndarray) -> float:
-    """Mask IoU inside ``band_a | band_b``: the one boundary-IoU formula."""
+def _geometry(mask: np.ndarray, banded: bool) -> tuple:
+    """``(mask, band, box)`` of one bool mask: its boundary band (``None``
+    unless ``banded``; the width comes from the canvas) and its tight box."""
+    box = _box(mask)
+    band = _band_in_box(mask, box, _band_width(mask.shape)) if banded else None
+    return mask, band, box
+
+
+def _boxed_iou(ga: tuple, gb: tuple) -> float:
+    """IoU of two :func:`_geometry` tuples: the mask IoU, or, when both carry
+    bands, the mask IoU inside ``band_a | band_b`` (the one boundary-IoU
+    formula). Pixels are counted on the union of the two boxes; every pixel
+    outside it is background in both masks and both bands, so each count
+    equals the whole canvas's."""
+    (a, band_a, box_a), (b, band_b, box_b) = ga, gb
     _check_canvas(a, b)
-    band = band_a | band_b
-    return mask_iou(a & band, b & band)
+    u = _box_union(box_a, box_b)
+    a, b = a[u], b[u]
+    if band_a is not None:
+        band = band_a[u] | band_b[u]
+        a, b = a & band, b & band
+    return mask_iou(a, b)
 
 
 def boundary_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -342,8 +389,7 @@ def boundary_iou(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
-    d = _band_width(a.shape)
-    return _banded_iou(a, boundary_band(a, d), b, boundary_band(b, d))
+    return _boxed_iou(_geometry(a, banded=True), _geometry(b, banded=True))
 
 
 # --- panoptic quality ------------------------------------------------------

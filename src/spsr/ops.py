@@ -2,7 +2,9 @@
 
 Every sparse operator updates only the active rows; the passive rows and the
 index map pass through untouched (feature halving is the one exception, since
-it changes the feature size of every row). Each operator has a dense twin
+it changes the feature size of every row). The index map and the row counts
+never change, so each output reuses the input's checked map
+(``tensor._with_rows``). Each operator has a dense twin
 (``dense_*``) acting on a plain ``[F, H, W]`` array, used as the equivalence
 oracle and as the dense pipeline route. Integer taps resolve through the one
 tap index of ``tensor.gather_taps`` (out-of-grid taps read a zero row) and
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
-from .tensor import SpsTensor, _tap_index
+from .tensor import SpsTensor, _tap_index, _with_rows
 
 ACTIVATIONS = ("none", "relu")
 
@@ -181,7 +183,7 @@ def pointwise(s: SpsTensor, t: LinearTransform) -> SpsTensor:
         raise ContractError(f"transform expects F={t.f_in}, tensor has F={s.f}")
     if t.f_out != s.f and s.n_passive > 0:
         raise ContractError("feature-size-changing pointwise is only legal on fully-active tensors")
-    return SpsTensor(active=t.apply(s.active), passive=s.passive, index_map=s.index_map)
+    return _with_rows(s, t.apply(s.active))
 
 
 def halve_features(s: SpsTensor, t: LinearTransform) -> SpsTensor:
@@ -190,7 +192,7 @@ def halve_features(s: SpsTensor, t: LinearTransform) -> SpsTensor:
         raise ContractError(f"feature size {s.f} is odd, cannot halve")
     if t.f_in != s.f or t.f_out != s.f // 2:
         raise ContractError(f"halving transform must map {s.f} -> {s.f // 2}")
-    return SpsTensor(active=t.apply(s.active), passive=t.apply(s.passive), index_map=s.index_map)
+    return _with_rows(s, t.apply(s.active), t.apply(s.passive))
 
 
 def conv2d_sparse(s: SpsTensor, k: ConvKernel) -> SpsTensor:
@@ -204,8 +206,7 @@ def conv2d_sparse(s: SpsTensor, k: ConvKernel) -> SpsTensor:
     columns = _tap_columns(s)
     taps = _tap_index(s.index_map, s.active_coords(), _tap_offsets(k.k, k.dilation),
                       columns.shape[1] - 1)
-    return SpsTensor(active=_contract(_im2col(columns, taps), k), passive=s.passive,
-                     index_map=s.index_map)
+    return _with_rows(s, _contract(_im2col(columns, taps), k))
 
 
 def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTensor:
@@ -228,7 +229,7 @@ def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTens
     px = coords[:, 1:2] + base[None, :, 1] + off.offsets[:, :, 1]
     gathered = _bilinear(s.rows(), s.index_map, py, px)  # [n, T, F]
     cols = gathered.transpose(2, 1, 0).reshape(-1, s.n_active)
-    return SpsTensor(active=_contract(cols, k), passive=s.passive, index_map=s.index_map)
+    return _with_rows(s, _contract(cols, k))
 
 
 def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -283,7 +284,7 @@ def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTens
     acc = np.zeros((s.n_active, s.f))
     for k, branch in zip((k1, k3, k5), _SFM_BRANCHES):
         acc += _contract(_im2col(columns, taps[branch]), k)
-    return SpsTensor(active=acc, passive=s.passive, index_map=s.index_map)
+    return _with_rows(s, acc)
 
 
 def fuse_external(s: SpsTensor, ext: np.ndarray, transform: TransformChain) -> SpsTensor:
@@ -297,14 +298,14 @@ def fuse_external(s: SpsTensor, ext: np.ndarray, transform: TransformChain) -> S
     if s.n_active == 0:
         return s
     update = apply_chain(transform, np.concatenate([s.active, ext], axis=1))
-    return SpsTensor(active=s.active + update, passive=s.passive, index_map=s.index_map)
+    return _with_rows(s, s.active + update)
 
 
 def relu_active(s: SpsTensor) -> SpsTensor:
     """Elementwise relu on active rows (MAC-free; used between conv layers)."""
     if s.n_active == 0:
         return s
-    return SpsTensor(active=np.maximum(s.active, 0.0), passive=s.passive, index_map=s.index_map)
+    return _with_rows(s, np.maximum(s.active, 0.0))
 
 
 # --- dense reference implementations -------------------------------------

@@ -50,6 +50,11 @@ class SyntheticShape:
         if self.rx <= 0.0 or self.ry <= 0.0:
             raise ContractError("shape radii must be positive")
 
+    @property
+    def reach(self) -> float:
+        """No point of the shape lies farther than this from its center."""
+        return max(self.rx, self.ry) * (1.0 + sum(abs(a) for a in self.harmonics))
+
     def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         dx = np.asarray(xs, dtype=np.float64) - self.cx
         dy = np.asarray(ys, dtype=np.float64) - self.cy
@@ -69,10 +74,13 @@ class SyntheticShape:
                   out_hw: tuple) -> np.ndarray:
         """Sample the shape at the pixel centers of a frame over [x0,x1)x[y0,y1)."""
         h, w = out_hw
-        xs = x0 + (np.arange(w) + 0.5) * (x1 - x0) / w
-        ys = y0 + (np.arange(h) + 0.5) * (y1 - y0) / h
-        gx, gy = np.meshgrid(xs, ys)
+        gx, gy = np.meshgrid(_centers(x0, x1, w), _centers(y0, y1, h))
         return self.contains(gx, gy)
+
+
+def _centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Pixel-center coordinates of ``n`` pixels spanning ``[lo, hi)``."""
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
 def sample_shape(spec: SyntheticShapeSpec) -> SyntheticShape:
@@ -101,10 +109,20 @@ def sample_shape(spec: SyntheticShapeSpec) -> SyntheticShape:
 
 
 def gen_synthetic(spec: SyntheticShapeSpec) -> tuple[np.ndarray, RoiBox, SyntheticShape]:
-    """Rasterize one seeded shape; returns (image mask, tight box, shape)."""
+    """Rasterize one seeded shape; returns (image mask, tight box, shape).
+
+    Only the pixels within the shape's reach of its center (plus one for
+    rounding) are tested, at the pixel centers of the full-canvas frame; every
+    other pixel is background.
+    """
     shape = sample_shape(spec)
-    mask = shape.rasterize(0.0, 0.0, float(spec.canvas_w), float(spec.canvas_h),
-                           (spec.canvas_h, spec.canvas_w))
+    h, w = spec.canvas_h, spec.canvas_w
+    r = shape.reach + 1.0
+    rows = slice(max(0, int(np.floor(shape.cy - r))), min(h, int(np.ceil(shape.cy + r))))
+    cols = slice(max(0, int(np.floor(shape.cx - r))), min(w, int(np.ceil(shape.cx + r))))
+    gx, gy = np.meshgrid(_centers(0.0, float(w), w)[cols], _centers(0.0, float(h), h)[rows])
+    mask = np.zeros((h, w), dtype=bool)
+    mask[rows, cols] = shape.contains(gx, gy)
     ys, xs = np.nonzero(mask)
     if len(ys) == 0:
         raise ContractError("degenerate shape rasterized to an empty mask")

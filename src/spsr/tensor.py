@@ -139,6 +139,28 @@ class SpsTensor:
         return np.stack([ys[order], xs[order]], axis=1)
 
 
+def _with_rows(s: SpsTensor, active: np.ndarray, passive: np.ndarray | None = None) -> SpsTensor:
+    """``s`` with new feature rows on its unchanged, already-checked index map.
+
+    The map stays valid while the row counts stay the same, so only the new
+    matrices are checked (2D, ``s``'s row counts, one feature width); the
+    map's own check in ``SpsTensor.__post_init__`` is not run again.
+    ``passive`` defaults to ``s``'s passive rows.
+    """
+    act = np.asarray(active, dtype=np.float64)
+    pas = s.passive if passive is None else np.asarray(passive, dtype=np.float64)
+    if act.ndim != 2 or pas.ndim != 2:
+        raise ContractError("active/passive must be 2D matrices")
+    if (act.shape[0], pas.shape[0]) != (s.n_active, s.n_passive):
+        raise ContractError(f"derived rows {act.shape[0]}+{pas.shape[0]} differ from the "
+                            f"index map's {s.n_active}+{s.n_passive}")
+    if act.shape[0] > 0 and pas.shape[0] > 0 and act.shape[1] != pas.shape[1]:
+        raise ContractError("active and passive feature sizes differ")
+    out = object.__new__(SpsTensor)
+    out.active, out.passive, out.index_map = _readonly(act), _readonly(pas), s.index_map
+    return out
+
+
 def _normalize_cells(cells: Iterable, h: int, w: int) -> np.ndarray:
     """Return unique (y, x) pairs in row-major order, bounds-checked."""
     arr = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))

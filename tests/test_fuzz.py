@@ -1,8 +1,8 @@
-"""Truncated and mutated inputs for every loader and for ``spsr eval``.
+"""Truncated and mutated inputs for every loader and every CLI command.
 
 A loader may only accept an input or raise ``SchemaError``/``ContractError``.
-The CLI exits 0, 2 or 3 with no traceback, and leaves no report file unless
-it exits 0.
+The CLI exits 0, 2 or 3 with no traceback, and leaves no output file unless
+it exits 0. The refine and bench runs use tiny sizes (``--f0 16``, two RoIs).
 """
 
 import contextlib
@@ -20,6 +20,7 @@ from spsr import io
 from spsr.cli import main
 from spsr.errors import ContractError, SchemaError
 from spsr.metrics import rle_encode
+from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
 from spsr.tensor import SpsTensor
 
 # Raw JSON tokens put in place of one value of a valid document.
@@ -118,8 +119,12 @@ def binary_docs() -> dict:
     """Bytes of a valid weight bundle and SPS dump, written once when first drawn."""
     docs = {}
     with tempfile.TemporaryDirectory() as d:
+        # refine_weights sets one layer of a --f0 16 --f-neck 8 refinement
         for kind, save, value in (("weights", io.save_weights, {"a.w": np.arange(6.0).reshape(2, 3),
                                                                 "b": np.ones(2)}),
+                                  ("refine_weights", io.save_weights,
+                                   {"stage0.ingest.l0.weight": np.full((16, 8), 0.01),
+                                    "stage0.ingest.l0.bias": np.zeros(16)}),
                                   ("sps", io.save_sps, _sps())):
             save(os.path.join(d, kind), value)
             with open(os.path.join(d, kind), "rb") as f:
@@ -171,12 +176,101 @@ def test_eval_exits_0_2_or_3_without_traceback(task, side, data):
             with open(path, "wb") as f:
                 f.write(data.draw(mutated_json(doc)) if name == side else json.dumps(doc).encode())
         out = os.path.join(d, "out", "report.json")
-        err = stdio.StringIO()
-        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["eval", "--task", task, "--preds", files["preds"],
-                         "--gts", files["gts"], "--out", out])
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        assert os.path.exists(out) == (code == 0)
-        if code:
-            assert err.getvalue().startswith(("error:", "contract violation:"))
+        run_cli(["eval", "--task", task, "--preds", files["preds"], "--gts", files["gts"],
+                 "--out", out], [out])
+
+
+def run_cli(argv, outputs):
+    """Run ``spsr argv``: exit 0, 2 or 3, no traceback, an error line on a
+    failure, and every path of ``outputs`` present only on exit 0."""
+    err = stdio.StringIO()
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert [os.path.exists(p) for p in outputs] == [code == 0] * len(outputs)
+    if code:
+        assert err.getvalue().startswith(("error:", "contract violation:"))
+    return code
+
+
+def _refine_docs():
+    rois, masks = [], []
+    for seed in (5, 6):
+        _, box, shape = gen_synthetic(SyntheticShapeSpec(canvas_h=64, canvas_w=64, seed=seed))
+        rois.append({"box": [box.x0, box.y0, box.x1, box.y1], "class": seed, "score": 0.9})
+        masks.append(io.rle_to_dict(rle_encode(reference_mask(shape, box, 112))))
+    return rois, {"format": io.MASK_FORMAT, "masks": masks}
+
+
+REFINE_ROIS, REFINE_REFS = _refine_docs()
+TINY = ["--f0", "16", "--f-neck", "8", "--f-query", "8"]
+# Option values, valid and not; none asks for more than a few MB or threads.
+OPTIONS = {
+    "--stages": [["0"], ["1"], ["2"], ["4"]],
+    "--top-n": [["-1"], ["0"], ["3"], ["10000"]],
+    "--f0": [["-16"], ["0"], ["12"], ["16"]],
+    "--seed": [["-1"], ["7"], [str(2**64)]],
+    "--threads": [["0"], ["2"]],
+}
+REFINE_OPTIONS = {**OPTIONS, "--image-size": [["0", "64"], ["-3", "-3"], ["64", "48"],
+                                              [str(1 << 20), str(1 << 20)]]}
+BENCH_OPTIONS = {**OPTIONS, "--count": [["-1"], ["0"], ["1"], [str(io.MAX_ROIS + 1)]],
+                 "--canvas": [["-5"], ["8"], ["16"], ["40"]],
+                 "--shape": [["disk"], ["ellipse"]]}
+
+
+def draw_options(data, table):
+    """``TINY`` then a few options of ``table``, each with a drawn value; the
+    later of two repeated options wins."""
+    argv = list(TINY)
+    for name in data.draw(st.lists(st.sampled_from(sorted(table)), max_size=3)):
+        argv += [name] + data.draw(st.sampled_from(table[name]))
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["oracle", "weights"]),
+       st.sampled_from(["rois", "refs", "weights", "options"]), st.data())
+def test_refine_exits_0_2_or_3_without_traceback(mode, target, data):
+    with tempfile.TemporaryDirectory() as d:
+        files = {"rois": os.path.join(d, "rois.json"), "refs": os.path.join(d, "refs.json"),
+                 "weights": os.path.join(d, "weights.bin")}
+        docs = {"rois": json.dumps(REFINE_ROIS).encode(), "refs": json.dumps(REFINE_REFS).encode(),
+                "weights": binary_docs()["refine_weights"]}
+        if target in docs:
+            draw = mutated_bytes if target == "weights" else mutated_json
+            source = docs[target] if target == "weights" else json.loads(docs[target])
+            docs[target] = data.draw(draw(source))
+        for name, path in files.items():
+            with open(path, "wb") as f:
+                f.write(docs[name])
+        out = os.path.join(d, "out")
+        argv = ["refine", "--mode", mode, "--rois", files["rois"], "--out", out]
+        if mode == "oracle":
+            argv += ["--ref-masks", files["refs"]]
+        if mode == "weights" or target == "weights":
+            argv += ["--weights", files["weights"]]
+        argv += draw_options(data, REFINE_OPTIONS) if target == "options" else TINY
+        run_cli(argv, [os.path.join(out, "masks.json"), os.path.join(out, "ledger.json")])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_bench_exits_0_2_or_3_without_traceback(data):
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "out", "bench.json")
+        run_cli(["bench", "--count", "2", "--canvas", "64", "--out", out]
+                + draw_options(data, BENCH_OPTIONS), [out])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sps_dict", "sps"]), st.sampled_from([".json", ".bin"]), st.data())
+def test_convert_exits_0_2_or_3_without_traceback(kind, suffix, data):
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "input.json" if kind == "sps_dict" else "input.bin")
+        with open(src, "wb") as f:
+            f.write(data.draw(mutated_json(JSON_DOCS[kind]) if kind == "sps_dict"
+                              else mutated_bytes(binary_docs()[kind])))
+        out = os.path.join(d, "out", "tensor" + suffix)
+        run_cli(["convert", "--input", src, "--output", out], [out])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from spsr import metrics as me
 from spsr.errors import ContractError
@@ -415,6 +416,200 @@ class TestBoundaryIou:
             a = rng.random((40, 40)) < 0.5
             b = rng.random((40, 40)) < 0.5
             assert me.boundary_iou(a, b) == pytest.approx(me.boundary_iou(b, a), abs=1e-12)
+
+
+def full_canvas_band(mask, d):
+    """The full-canvas band: the whole canvas eroded with a (2d+1)^2 square."""
+    eroded = ndimage.binary_erosion(mask, structure=np.ones((2 * d + 1, 2 * d + 1), dtype=bool),
+                                    border_value=0)
+    return mask & ~eroded
+
+
+def full_canvas_mask_iou(a, b):
+    if a.shape != b.shape:
+        raise ContractError(f"mask canvases differ: {a.shape} vs {b.shape}")
+    inter = int(np.logical_and(a, b).sum())
+    union = int(np.logical_or(a, b).sum())
+    return inter / union if union else 0.0
+
+
+def full_canvas_banded_iou(a, band_a, b, band_b):
+    band = band_a | band_b
+    return full_canvas_mask_iou(a & band, b & band)
+
+
+def full_canvas_width(shape):
+    return max(1, int(round(me.BOUNDARY_FRACTION * float(np.hypot(*shape)))))
+
+
+def full_canvas_boundary_iou(a, b):
+    d = full_canvas_width(a.shape)
+    return full_canvas_banded_iou(a, full_canvas_band(a, d), b, full_canvas_band(b, d))
+
+
+def full_canvas_iou_fn(kind):
+    """``geometry_iou_fn`` with every count taken over whole canvases."""
+    if kind == "box":
+        return lambda p, g: me.box_iou(p.box, g.box)
+    prepared = {}
+
+    def prepare(e):
+        if id(e) not in prepared:
+            mask = me.rle_decode(e.mask)
+            band = full_canvas_band(mask, full_canvas_width(mask.shape)) if kind == "boundary" else None
+            prepared[id(e)] = (mask, band, e)
+        return prepared[id(e)][:2]
+
+    if kind == "mask":
+        return lambda p, g: full_canvas_mask_iou(prepare(p)[0], prepare(g)[0])
+    return lambda p, g: full_canvas_banded_iou(*prepare(p), *prepare(g))
+
+
+def edge_mask(rng, h, w):
+    """One mask of a kind that stresses box-local counting: at the canvas
+    edges and corners, empty, one pixel, thinner than a band window, ragged."""
+    mask = np.zeros((h, w), dtype=bool)
+    kind = rng.choice(["rect", "corner", "edge", "empty", "pixel", "thin", "ragged", "full"])
+    mh, mw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+    y0, x0 = int(rng.integers(0, h - mh + 1)), int(rng.integers(0, w - mw + 1))
+    if kind == "corner":
+        y0, x0 = (0, h - mh)[int(rng.integers(2))], (0, w - mw)[int(rng.integers(2))]
+    elif kind == "edge":
+        if rng.random() < 0.5:
+            y0 = (0, h - mh)[int(rng.integers(2))]
+        else:
+            x0 = (0, w - mw)[int(rng.integers(2))]
+    elif kind == "pixel":
+        mh = mw = 1
+        y0, x0 = int(rng.choice([0, h - 1, rng.integers(h)])), int(rng.choice([0, w - 1, rng.integers(w)]))
+    elif kind == "thin":  # thinner than 2d + 1 across one axis
+        d = full_canvas_width((h, w))
+        if rng.random() < 0.5:
+            mh = int(rng.integers(1, min(2 * d + 1, h) + 1))
+            y0 = int(rng.integers(0, h - mh + 1))
+        else:
+            mw = int(rng.integers(1, min(2 * d + 1, w) + 1))
+            x0 = int(rng.integers(0, w - mw + 1))
+    elif kind == "full":
+        mh, mw, y0, x0 = h, w, 0, 0
+    if kind == "ragged":
+        mask[y0:y0 + mh, x0:x0 + mw] = rng.random((mh, mw)) < 0.7
+    elif kind != "empty":
+        mask[y0:y0 + mh, x0:x0 + mw] = True
+    return mask
+
+
+def related_mask(rng, gt):
+    """A prediction for ``gt``: shifted (boxes overlap), shrunk (nested boxes),
+    grown (nesting the other way), holed, unrelated (often disjoint boxes)."""
+    h, w = gt.shape
+    how = rng.choice(["shift", "shrink", "grow", "hole", "other"])
+    if how == "shift":
+        dy, dx = (int(v) for v in rng.integers(-3, 4, 2))
+        out = np.zeros_like(gt)
+        out[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)] = \
+            gt[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
+        return out
+    if how == "shrink":
+        return ndimage.binary_erosion(gt, iterations=int(rng.integers(1, 4)))
+    if how == "grow":
+        return ndimage.binary_dilation(gt, iterations=int(rng.integers(1, 4)))
+    if how == "hole":
+        out = gt.copy()
+        out[rng.random(gt.shape) < 0.1] = False
+        return out
+    return edge_mask(rng, h, w)
+
+
+def edge_instance(rng, kind):
+    """Multi-image, multi-class entries; each image has its own canvas, from
+    band width 1 up to 4."""
+    preds, gts = [], []
+    for image_id in range(int(rng.integers(1, 4))):
+        h, w = int(rng.integers(1, 160)), int(rng.integers(1, 160))
+        for c in (1, 2, 3)[:int(rng.integers(1, 4))]:
+            for _ in range(int(rng.integers(1, 4))):
+                gt = edge_mask(rng, h, w)
+                gts.append(me.EvalEntry(image_id, c, mask=me.rle_encode(gt)))
+                for _ in range(int(rng.integers(0, 3))):
+                    preds.append(me.EvalEntry(image_id, c, float(rng.choice([0.2, 0.5, 0.9])),
+                                              mask=me.rle_encode(related_mask(rng, gt))))
+            preds.append(me.EvalEntry(image_id, c, float(rng.random()),
+                                      mask=me.rle_encode(edge_mask(rng, h, w))))
+    return preds, gts
+
+
+def bits(x):
+    return type(x), float(x).hex()
+
+
+class TestBoxLocalReference:
+    """Box-local bands and pair IoUs against the full-canvas reference above:
+    byte-identical reports and bit-identical boundary IoUs."""
+
+    @pytest.mark.parametrize("kind", ("mask", "boundary"))
+    def test_reports_equal_full_canvas_reference(self, rng, kind, monkeypatch):
+        for _ in range(40):
+            preds, gts = edge_instance(rng, kind)
+            report = json.dumps(me.ap_suite(preds, gts, kind), sort_keys=True)
+            with monkeypatch.context() as m:
+                m.setattr(me, "geometry_iou_fn", full_canvas_iou_fn)
+                reference = json.dumps(me.ap_suite(preds, gts, kind), sort_keys=True)
+            assert report == reference
+
+    def test_pair_ious_equal_full_canvas_reference(self, rng):
+        seen = Counter()
+        for _ in range(30):
+            preds, gts = edge_instance(rng, "boundary")
+            for kind in ("mask", "boundary"):
+                fn, ref = me.geometry_iou_fn(kind), full_canvas_iou_fn(kind)
+                for p in preds:
+                    for g in gts:
+                        if p.image_id == g.image_id:
+                            assert bits(fn(p, g)) == bits(ref(p, g))
+                            seen[kind, 0.0 < ref(p, g) < 1.0] += 1
+        assert min(seen.values()) > 50  # partial overlaps and 0/1 both occur
+
+    def test_boundary_iou_bits_equal_full_canvas_reference(self, rng):
+        for _ in range(300):
+            h, w = int(rng.integers(1, 160)), int(rng.integers(1, 160))
+            a = edge_mask(rng, h, w)
+            b = related_mask(rng, a) if rng.random() < 0.7 else edge_mask(rng, h, w)
+            assert bits(me.boundary_iou(a, b)) == bits(full_canvas_boundary_iou(a, b))
+            assert bits(me.mask_iou(a, b)) == bits(full_canvas_mask_iou(a, b))
+
+    def test_band_equals_full_canvas_band(self, rng):
+        for _ in range(150):
+            h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            mask = edge_mask(rng, h, w)
+            for d in (1, 2, 5, 15):  # up to a window wider than the canvas
+                np.testing.assert_array_equal(me.boundary_band(mask, d), full_canvas_band(mask, d))
+
+    def test_fixed_edge_cases(self):
+        h, w = 150, 130  # d = 4
+        corner = np.zeros((h, w), dtype=bool)
+        corner[:20, :20] = True
+        far = np.zeros((h, w), dtype=bool)
+        far[-1, -1] = True
+        thin = np.zeros((h, w), dtype=bool)
+        thin[40:43, 10:120] = True  # 3 rows, thinner than the 9-px window
+        nested = np.zeros((h, w), dtype=bool)
+        nested[30:120, 5:125] = True
+        nested[60:80, 40:90] = False
+        inner = np.zeros((h, w), dtype=bool)
+        inner[60:80, 40:90] = True
+        empty = np.zeros((h, w), dtype=bool)
+        masks = [corner, far, thin, nested, inner, empty, np.ones((h, w), dtype=bool)]
+        for a in masks:
+            for b in masks:
+                assert bits(me.boundary_iou(a, b)) == bits(full_canvas_boundary_iou(a, b))
+                assert bits(me.mask_iou(a, b)) == bits(full_canvas_mask_iou(a, b))
+        assert me.boundary_iou(empty, empty) == 0.0
+        assert 0.0 < me.boundary_iou(thin, nested) < 1.0
+
+    def test_canvas_mismatch_rejected(self):
+        with pytest.raises(ContractError, match="canvases differ"):
+            me.boundary_iou(np.ones((8, 8), dtype=bool), np.ones((8, 9), dtype=bool))
 
 
 def partition_segments(rng, classes, shape=(12, 12), n=3):

@@ -722,3 +722,19 @@ def test_dense_twins_use_no_sparse_helper(rng, monkeypatch):
     ops.dense_deform_conv(x, k, rng.uniform(-1, 1, (9, 9, 9, 2)))
     ops.dense_fuse(x, neck_view(rng, 6, 9)[1], random_linear(rng, 10, 4))
     ops.dense_chain(x, [random_linear(rng, 4, 4, "relu"), random_linear(rng, 4, 2)])
+
+
+def test_map_preserving_ops_skip_the_map_check(rng, monkeypatch):
+    """Each op that keeps the index map reuses the input's checked map; only
+    its new matrices are checked (``tensor._with_rows``)."""
+    _, s = random_sps(rng, h=6, w=7, f=4, n_active=20)
+    checks = []
+    monkeypatch.setattr(tensor.SpsTensor, "_check_index_map", lambda self: checks.append(1))
+    k = [random_kernel(rng, 4, dilation=d) for d in (1, 3, 5)]
+    outs = [ops.conv2d_sparse(s, k[0]), ops.sfm(s, *k), ops.relu_active(s),
+            ops.pointwise(s, random_linear(rng, 4, 4)),
+            ops.halve_features(s, random_linear(rng, 4, 2)),
+            ops.fuse_external(s, rng.standard_normal((20, 3)), random_linear(rng, 7, 4)),
+            ops.deform_conv_sparse(s, k[0], ops.OffsetField(rng.uniform(-1, 1, (20, 9, 2))))]
+    assert not checks
+    assert all(out.index_map is s.index_map for out in outs)

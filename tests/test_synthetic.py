@@ -41,6 +41,20 @@ class TestGenSynthetic:
         assert box.x0 == xs.min() and box.x1 == xs.max() + 1
         assert box.y0 == ys.min() and box.y1 == ys.max() + 1
 
+    @pytest.mark.parametrize("shape", ["disk", "ellipse", "blob"])
+    @pytest.mark.parametrize("canvas", [(448, 448), (256, 192), (40, 90)])
+    def test_window_equals_full_canvas_rasterization(self, shape, canvas):
+        h, w = canvas
+        for seed in range(12):
+            mask, box, shp = gen_synthetic(SyntheticShapeSpec(shape=shape, canvas_h=h,
+                                                              canvas_w=w, seed=seed))
+            full = shp.rasterize(0.0, 0.0, float(w), float(h), (h, w))
+            np.testing.assert_array_equal(mask, full)
+            ys, xs = np.nonzero(full)
+            assert (box.x0, box.y0, box.x1, box.y1) == (xs.min(), ys.min(),
+                                                        xs.max() + 1, ys.max() + 1)
+            assert np.hypot(xs + 0.5 - shp.cx, ys + 0.5 - shp.cy).max() <= shp.reach
+
     def test_zero_radius_rejected(self):
         with pytest.raises(ContractError):
             SyntheticShape(kind="disk", cx=10, cy=10, rx=0.0, ry=0.0,

@@ -294,3 +294,50 @@ class TestReselect:
         assert out.n_active == 1 and out.n_passive == 2
         np.testing.assert_array_equal(tensor.to_dense(out).features,
                                       tensor.to_dense(s).features)
+
+
+class TestWithRows:
+    """Ops that keep the index map build their output with ``_with_rows``,
+    which checks the new matrices and reuses the source's checked map."""
+
+    def sps(self, rng):
+        _, s = random_sps(rng, h=5, w=6, f=4, n_active=12)
+        return s
+
+    @pytest.mark.parametrize("active_rows, passive_rows", [(11, None), (13, None), (12, 17),
+                                                           (12, 19), (0, None)])
+    def test_wrong_row_count_rejected(self, rng, active_rows, passive_rows):
+        s = self.sps(rng)
+        passive = None if passive_rows is None else np.zeros((passive_rows, 4))
+        with pytest.raises(ContractError, match="differ from the index map"):
+            tensor._with_rows(s, np.zeros((active_rows, 4)), passive)
+
+    def test_wrong_ndim_or_width_rejected(self, rng):
+        s = self.sps(rng)
+        with pytest.raises(ContractError, match="2D"):
+            tensor._with_rows(s, np.zeros(12))
+        with pytest.raises(ContractError, match="feature sizes differ"):
+            tensor._with_rows(s, np.zeros((12, 3)))
+        with pytest.raises(ContractError, match="feature sizes differ"):
+            tensor._with_rows(s, np.zeros((12, 2)), np.zeros((s.n_passive, 3)))
+
+    def test_reuses_the_checked_map(self, rng, monkeypatch):
+        s = self.sps(rng)
+        checks = []
+        monkeypatch.setattr(tensor.SpsTensor, "_check_index_map", lambda self: checks.append(1))
+        out = tensor._with_rows(s, s.active * 2.0, s.passive + 1.0)
+        assert not checks and out.index_map is s.index_map
+        assert not (out.active.flags.writeable or out.passive.flags.writeable)
+        np.testing.assert_array_equal(tensor.to_dense(out).features[:, s.index_map < 12],
+                                      2.0 * tensor.to_dense(s).features[:, s.index_map < 12])
+
+    def test_other_constructions_stay_checked(self, rng, monkeypatch):
+        s = self.sps(rng)
+        checks = []
+        real = tensor.SpsTensor._check_index_map
+        monkeypatch.setattr(tensor.SpsTensor, "_check_index_map",
+                            lambda self: checks.append(1) or real(self))
+        tensor.reselect(s, [(0, 0)])
+        tensor.subdivide(s, [lambda rows: rows] * 4)
+        tensor.SpsTensor(active=s.active, passive=s.passive, index_map=s.index_map)
+        assert len(checks) == 3
