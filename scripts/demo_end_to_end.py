@@ -42,8 +42,8 @@ def main():
 
     result = run_refinement(rois, config)
     print(f"refined {len(rois)} RoIs; total {result.ledger.total_macs() / 1e9:.2f} GMAC")
-    for s, fraction in sorted(result.stage_fractions.items()):
-        print(f"  stage {s}: active fraction {fraction:.3f}")
+    for s, (active, total) in sorted(result.ledger.stage_cells().items())[1:]:
+        print(f"  stage {s}: active fraction {active / total:.3f}")
 
     preds, gts, pred_pan, gt_pan = [], [], [], []
     for i, (roi, out) in enumerate(zip(rois, result.per_roi)):

@@ -10,18 +10,8 @@ import sys
 import time
 
 from spsr.cost import compare
-from spsr.pipeline import NeckFeatures, RoiInput, RunConfig, run_refinement
-from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
-
-
-def build_corpus(count, canvas, seed, side):
-    rois = []
-    for i in range(count):
-        spec = SyntheticShapeSpec(shape="blob", canvas_h=canvas, canvas_w=canvas,
-                                  seed=seed + i)
-        _, box, shape = gen_synthetic(spec)
-        rois.append(RoiInput(box=box, ref_mask=reference_mask(shape, box, side)))
-    return rois
+from spsr.pipeline import NeckFeatures, RunConfig, run_refinement
+from spsr.synthetic import roi_corpus
 
 
 def main():
@@ -35,7 +25,7 @@ def main():
     args = parser.parse_args()
 
     base = RunConfig(seed=args.seed, f0=args.f0, image_hw=(args.canvas, args.canvas))
-    rois = build_corpus(args.count, args.canvas, args.seed, base.final_side)
+    rois = roi_corpus(args.count, "blob", args.canvas, args.seed, base.final_side)
     neck = NeckFeatures.synthesize(args.seed, (args.canvas, args.canvas), base.f_neck)
 
     t0 = time.perf_counter()
@@ -50,9 +40,8 @@ def main():
         sparse = run_refinement(rois, cfg, neck=neck, sparse=True)
         elapsed = time.perf_counter() - t0
         rep = compare(dense.ledger, sparse.ledger)
-        f = sparse.stage_fractions
-        print(f"{budget:>8} {rep['reduction_fraction']:>10.3f} "
-              f"{f[1]:>8.3f} {f[2]:>8.3f} {f[3]:>8.3f} {elapsed:>6.2f}s")
+        fractions = "".join(f"{st['active_fraction']:>9.3f}" for st in rep["stages"][1:])
+        print(f"{budget:>8} {rep['reduction_fraction']:>10.3f}{fractions} {elapsed:>6.2f}s")
     return 0
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: refine, eval, bench and convert subcommands.
 
-Option values resolve as CLI flag > ``SPSR_*`` environment variable >
-built-in default. All file outputs are deterministic for fixed inputs and
-seed; wall-clock timings go to stdout only.
+The CLI is a thin shell over the library: shared options default to
+:class:`RunConfig`'s fields, ``bench --shape`` and ``--canvas`` to
+:class:`SyntheticShapeSpec`'s, and no environment variable is read. The
+ledger report, its active fractions included, is :func:`compare`'s. All file
+outputs are deterministic for fixed inputs and seed; wall-clock timings go
+to stdout only.
 """
 
 from __future__ import annotations
@@ -17,19 +20,8 @@ from . import io
 from .cost import compare
 from .errors import ContractError, SchemaError
 from .metrics import ap_suite, pq
-from .pipeline import (NeckFeatures, RoiInput, RunConfig, analytic_dense_ledger,
-                       run_refinement)
-from .synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
-
-
-def _env(name: str, default, cast):
-    raw = os.environ.get(f"SPSR_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as e:
-        raise SchemaError(f"bad SPSR_{name}={raw!r}: {e}") from e
+from .pipeline import NeckFeatures, RunConfig, analytic_dense_ledger, run_refinement
+from .synthetic import SHAPES, SyntheticShapeSpec, roi_corpus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,26 +31,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env("SEED", 0, int))
-    common.add_argument("--stages", type=int, default=_env("STAGES", 3, int),
+    common.add_argument("--seed", type=int, default=RunConfig.seed)
+    common.add_argument("--stages", type=int, default=RunConfig.stages,
                         help="refinement stages after the coarse one (1-3)")
-    common.add_argument("--top-n", type=int, default=_env("TOP_N", 10000, int),
+    common.add_argument("--top-n", type=int, default=RunConfig.top_n_active,
                         help="image-wide active-cell budget per stage")
-    common.add_argument("--f0", type=int, default=_env("F0", 256, int),
+    common.add_argument("--f0", type=int, default=RunConfig.f0,
                         help="feature size of the coarse stage")
-    common.add_argument("--f-neck", type=int, default=_env("F_NECK", 256, int),
+    common.add_argument("--f-neck", type=int, default=RunConfig.f_neck,
                         help="channel count of the image-level feature grids")
-    common.add_argument("--f-query", type=int, default=_env("F_QUERY", 256, int),
+    common.add_argument("--f-query", type=int, default=RunConfig.f_query,
                         help="length of the per-RoI query vectors")
-    common.add_argument("--threads", type=int, default=_env("THREADS", 1, int))
+    common.add_argument("--threads", type=int, default=RunConfig.threads)
 
     p = sub.add_parser("refine", parents=[common],
                        help="refine RoI masks; writes masks.json and ledger.json",
                        epilog="RoI schema: [{box: [x0,y0,x1,y1], class: int, score: float}]; "
                               "masks use the sps-rle/1 format (column-major counts, "
                               "background first). All RoIs share one image's budget.")
-    p.add_argument("--mode", choices=("oracle", "weights"),
-                   default=_env("MODE", "oracle", str))
+    p.add_argument("--mode", choices=("oracle", "weights"), default=RunConfig.mode)
     p.add_argument("--rois", required=True,
                    help="JSON list of {box: [x0,y0,x1,y1], class, score}")
     p.add_argument("--ref-masks", default=None,
@@ -79,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="compare sparse vs dense pipelines on synthetic masks")
     p.add_argument("--count", type=int, default=50, help=f"corpus size (at most {io.MAX_ROIS})")
-    p.add_argument("--shape", choices=("disk", "ellipse", "blob"), default="blob")
-    p.add_argument("--canvas", type=int, default=448, help="square canvas side")
+    p.add_argument("--shape", choices=SHAPES, default=SyntheticShapeSpec.shape)
+    p.add_argument("--canvas", type=int, default=SyntheticShapeSpec.canvas_h,
+                   help="square canvas side")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
     p = sub.add_parser("convert", help="convert SPS tensor dumps binary <-> JSON",
@@ -97,16 +89,6 @@ def _run_config(args, mode: str, image_hw=None) -> RunConfig:
     return RunConfig(stages=args.stages, top_n_active=args.top_n, seed=args.seed,
                      mode=mode, f0=args.f0, f_query=args.f_query, f_neck=args.f_neck,
                      threads=args.threads, image_hw=image_hw)
-
-
-def _compare(dense_ledger, result) -> dict:
-    """:func:`compare` of ``result``'s ledger, with each refinement stage's
-    active fraction attached."""
-    report = compare(dense_ledger, result.ledger)
-    for stage in report["stages"]:
-        if stage["stage"] in result.stage_fractions:
-            stage["active_fraction"] = result.stage_fractions[stage["stage"]]
-    return report
 
 
 def cmd_refine(args) -> int:
@@ -129,7 +111,7 @@ def cmd_refine(args) -> int:
     io.dump_json(os.path.join(args.out, "masks.json"),
                  io.masks_to_dict(out_masks, [r.score for r in result.per_roi],
                                   [r.class_id for r in result.per_roi]))
-    report = _compare(analytic_dense_ledger(config, len(rois)), result)
+    report = compare(analytic_dense_ledger(config, len(rois)), result.ledger)
     io.dump_json(os.path.join(args.out, "ledger.json"), report)
     print(f"refined {len(rois)} RoIs -> {args.out}")
     return 0
@@ -159,13 +141,7 @@ def cmd_bench(args) -> int:
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
     if args.count > io.MAX_ROIS:
         raise SchemaError(f"--count {args.count} is over the {io.MAX_ROIS}-RoI cap")
-    side = config.final_side
-    rois = []
-    for i in range(args.count):
-        spec = SyntheticShapeSpec(shape=args.shape, canvas_h=args.canvas,
-                                  canvas_w=args.canvas, seed=args.seed + i)
-        _, box, shape = gen_synthetic(spec)
-        rois.append(RoiInput(box=box, ref_mask=reference_mask(shape, box, side)))
+    rois = roi_corpus(args.count, args.shape, args.canvas, args.seed, config.final_side)
     neck = NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)
 
     t0 = time.perf_counter()
@@ -174,7 +150,7 @@ def cmd_bench(args) -> int:
     sparse = run_refinement(rois, config, neck=neck, sparse=True)
     t2 = time.perf_counter()
 
-    report = _compare(dense.ledger, sparse)
+    report = compare(dense.ledger, sparse.ledger)
     report["corpus"] = {"count": args.count, "shape": args.shape,
                         "canvas": args.canvas, "seed": args.seed,
                         "f0": config.f0, "stages": config.stages,

@@ -77,7 +77,9 @@ class CostLedger:
 def compare(dense: CostLedger, sparse: CostLedger) -> dict:
     """Reduction fraction and per-stage breakdown of sparse vs dense MACs.
 
-    Both ledgers must describe the same stage set and grid sizes.
+    Both ledgers must describe the same stage set and grid sizes. Each
+    refinement stage (s >= 1) also carries the sparse run's
+    ``active_fraction``: its active cells over its total cells.
     """
     dense_stages = dense.stage_macs()
     sparse_stages = sparse.stage_macs()
@@ -95,13 +97,17 @@ def compare(dense: CostLedger, sparse: CostLedger) -> dict:
         raise ContractError("dense ledger has zero MACs")
     stages = []
     for s in sorted(dense_stages):
-        stages.append({
+        active, total = sparse_cells[s]
+        stage = {
             "stage": s,
             "dense_macs": dense_stages[s],
             "sparse_macs": sparse_stages[s],
-            "active_cells": sparse_cells[s][0],
-            "total_cells": sparse_cells[s][1],
-        })
+            "active_cells": active,
+            "total_cells": total,
+        }
+        if s >= 1 and total:
+            stage["active_fraction"] = active / total
+        stages.append(stage)
     return {
         "reduction_fraction": 1.0 - total_sparse / total_dense,
         "total_dense_macs": total_dense,

@@ -253,8 +253,6 @@ def load_rois(path: str) -> list[RoiInput]:
         try:
             box = RoiBox(*_finite(rec["box"], "box coordinates"))
             score = _finite([rec.get("score", 1.0)], "score")[0]
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"score {score} lies outside [0, 1]")
             rois.append(RoiInput(box=box, cls_score=score,
                                  class_id=_class_id(rec.get("class", 0))))
         except (KeyError, TypeError, ValueError) as e:

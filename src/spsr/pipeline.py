@@ -15,6 +15,7 @@ runs plain array operators, and serves as oracle and baseline.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -31,6 +32,7 @@ from .tensor import SpsTensor, reselect, subdivide
 BASE_GRID = 14
 ORACLE_LOGIT = 12.0  # oracle masks are binary; +/- this logit keeps sigmoid saturated
 MAX_NECK_ELEMENTS = 1 << 26  # largest neck accepted: float64 values over all its levels
+MAX_WEIGHT_ELEMENTS = 1 << 26  # largest weight set accepted: values over all its arrays
 NECK_LEVELS = (2, 3, 4, 5)  # pyramid levels of a synthesized neck
 
 
@@ -215,8 +217,6 @@ def paste_mask(roi_probs: np.ndarray, box: RoiBox, image_hw: tuple) -> np.ndarra
 
 def seg_score(cls_score: float, probs: np.ndarray) -> float:
     """Classification score times the mean probability over predicted foreground."""
-    if not 0.0 <= cls_score <= 1.0:
-        raise ContractError("classification score must lie in [0, 1]")
     probs = np.asarray(probs, dtype=np.float64)
     fg = probs >= 0.5
     if not np.any(fg):
@@ -348,6 +348,8 @@ class RoiInput:
     query: np.ndarray | None = None
 
     def __post_init__(self):
+        if not 0.0 <= self.cls_score <= 1.0:
+            raise ContractError(f"classification score {self.cls_score} lies outside [0, 1]")
         if self.ref_mask is not None:
             self.ref_mask = np.asarray(self.ref_mask, dtype=bool)
         if self.query is not None:
@@ -405,43 +407,56 @@ class NeckFeatures:
                              ys / stride - 0.5, xs / stride - 0.5)
 
 
-def _mlp(arrays: Mapping, prefix: str, dims: Sequence[int], seed: int) -> list[ops.LinearTransform]:
-    layers = []
-    for i, (f_in, f_out) in enumerate(zip(dims[:-1], dims[1:])):
-        w = _array(arrays, f"{prefix}.l{i}.weight", (f_out, f_in), seed)
-        b = _array(arrays, f"{prefix}.l{i}.bias", (f_out,), seed)
-        act = "relu" if i < len(dims) - 2 else "none"
-        layers.append(ops.LinearTransform(weights=w, bias=b, activation=act))
-    return layers
+class _WeightArrays:
+    """Named arrays: loaded if the bundle holds them, else a seeded draw.
 
+    Counts the values it hands out, and raises ``SchemaError`` for the array
+    that takes the count over ``MAX_WEIGHT_ELEMENTS``, before it is drawn.
+    """
 
-def _conv(arrays: Mapping, name: str, f: int, dilation: int, seed: int) -> ops.ConvKernel:
-    w = _array(arrays, f"{name}.weight", (f, f, 3, 3), seed)
-    b = _array(arrays, f"{name}.bias", (f,), seed)
-    return ops.ConvKernel(weights=w, bias=b, dilation=dilation)
+    def __init__(self, arrays: Mapping | None, seed: int):
+        self.arrays = dict(arrays or {})
+        self.seed = seed
+        self.elements = 0
 
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        self.elements += math.prod(shape)
+        if self.elements > MAX_WEIGHT_ELEMENTS:
+            raise SchemaError(f"weight array {name} {shape} takes the weights to "
+                              f"{self.elements} values, over the {MAX_WEIGHT_ELEMENTS} cap")
+        if name in self.arrays:
+            arr = np.asarray(self.arrays[name], dtype=np.float64)
+            if arr.shape != tuple(shape):
+                raise ContractError(f"array {name} has shape {arr.shape}, expected {shape}")
+            return arr
+        return seeded_rng(self.seed, "init", name).normal(0.0, 0.01, size=shape)
 
-def _array(arrays: Mapping, name: str, shape: tuple, seed: int) -> np.ndarray:
-    if name in arrays:
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != tuple(shape):
-            raise ContractError(f"array {name} has shape {arr.shape}, expected {shape}")
-        return arr
-    return seeded_rng(seed, "init", name).normal(0.0, 0.01, size=shape)
+    def mlp(self, prefix: str, dims: Sequence[int]) -> list[ops.LinearTransform]:
+        layers = []
+        for i, (f_in, f_out) in enumerate(zip(dims[:-1], dims[1:])):
+            w = self.array(f"{prefix}.l{i}.weight", (f_out, f_in))
+            b = self.array(f"{prefix}.l{i}.bias", (f_out,))
+            act = "relu" if i < len(dims) - 2 else "none"
+            layers.append(ops.LinearTransform(weights=w, bias=b, activation=act))
+        return layers
+
+    def conv(self, name: str, f: int, dilation: int) -> ops.ConvKernel:
+        w = self.array(f"{name}.weight", (f, f, 3, 3))
+        b = self.array(f"{name}.bias", (f,))
+        return ops.ConvKernel(weights=w, bias=b, dilation=dilation)
 
 
 class PipelineWeights:
     """All transforms of the refinement head, loaded or seeded by name."""
 
     def __init__(self, arrays: Mapping | None, config: RunConfig):
-        arrays = dict(arrays or {})
-        seed = config.seed
+        src = _WeightArrays(arrays, config.seed)
         f0, fq, fe = config.f0, config.f_query, config.f_neck
-        self.ingest = _mlp(arrays, "stage0.ingest", [fe, f0], seed)[0]
-        self.stage0_fuse = _mlp(arrays, "stage0.fuse", [f0 + fq, f0, f0], seed)
-        self.stage0_fcn = [_conv(arrays, f"stage0.fcn.c{i}", f0, 1, seed) for i in range(4)]
-        self.seg_head = {0: _mlp(arrays, "stage0.seg", [f0, f0, 1], seed)}
-        self.refine_head = {0: _mlp(arrays, "stage0.refine", [f0, f0, 1], seed)}
+        self.ingest = src.mlp("stage0.ingest", [fe, f0])[0]
+        self.stage0_fuse = src.mlp("stage0.fuse", [f0 + fq, f0, f0])
+        self.stage0_fcn = [src.conv(f"stage0.fcn.c{i}", f0, 1) for i in range(4)]
+        self.seg_head = {0: src.mlp("stage0.seg", [f0, f0, 1])}
+        self.refine_head = {0: src.mlp("stage0.refine", [f0, f0, 1])}
         self.subdiv: dict = {}
         self.fuse: dict = {}
         self.halve: dict = {}
@@ -449,14 +464,13 @@ class PipelineWeights:
         plan = config.stage_configs()
         for prev, cur in zip(plan, plan[1:]):
             s, f_in, f_out = cur.s, prev.f, cur.f
-            self.subdiv[s] = [_mlp(arrays, f"stage{s}.subdiv.m{c}", [f_in, f_in, f_in], seed)
+            self.subdiv[s] = [src.mlp(f"stage{s}.subdiv.m{c}", [f_in, f_in, f_in])
                               for c in range(4)]
-            self.fuse[s] = _mlp(arrays, f"stage{s}.fuse", [f_in + fe, f_in, f_in], seed)
-            self.halve[s] = _mlp(arrays, f"stage{s}.halve", [f_in, f_out], seed)[0]
-            self.sfm[s] = tuple(_conv(arrays, f"stage{s}.sfm.d{d}", f_out, d, seed)
-                                for d in (1, 3, 5))
-            self.seg_head[s] = _mlp(arrays, f"stage{s}.seg", [f_out, f_out, 1], seed)
-            self.refine_head[s] = _mlp(arrays, f"stage{s}.refine", [f_out, f_out, 1], seed)
+            self.fuse[s] = src.mlp(f"stage{s}.fuse", [f_in + fe, f_in, f_in])
+            self.halve[s] = src.mlp(f"stage{s}.halve", [f_in, f_out])[0]
+            self.sfm[s] = tuple(src.conv(f"stage{s}.sfm.d{d}", f_out, d) for d in (1, 3, 5))
+            self.seg_head[s] = src.mlp(f"stage{s}.seg", [f_out, f_out, 1])
+            self.refine_head[s] = src.mlp(f"stage{s}.refine", [f_out, f_out, 1])
 
 
 # --- the refinement engine ---------------------------------------------------
@@ -473,7 +487,6 @@ class RoiResult:
 class RefinementResult:
     per_roi: list
     stage_masks: list  # stage -> list of per-RoI probability grids
-    stage_fractions: dict  # stage (1..S) -> selected cells / parent cells
     ledger: CostLedger
 
 
@@ -546,11 +559,11 @@ class _Engine:
                 sat = _summed_area(r.ref_mask)  # once per RoI, for every stage's grid
                 self.oracle_targets.append([_cell_targets(r.ref_mask, sat, st.hw)
                                             for st in self.plan])
+        self.weights = PipelineWeights(weights, config)  # capped before the neck is drawn
         if neck is None:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
         self.neck = neck
-        self.weights = PipelineWeights(weights, config)
         self.k0 = [assign_level(r.box) for r in self.rois]
         self.queries = [
             r.query if r.query is not None
@@ -606,14 +619,11 @@ class _Engine:
         _stage0_entries(ledger, n * self.plan[0].h * self.plan[0].w, cfg)
 
         stage_masks = [list(masks)]
-        fractions: dict = {}
 
         for prev, cur in zip(self.plan, self.plan[1:]):
             s = cur.s
-            parent_total = sum(g.size for g in refine_grids)
             selected = select_active(refine_grids, top_n)
             n_selected = int(sum(len(c) for c in selected))
-            fractions[s] = n_selected / parent_total
 
             def one(i: int):
                 feat, rows, coords, seg, refine = stage(i, s, feats[i], selected[i])
@@ -631,8 +641,7 @@ class _Engine:
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
                              class_id=self.rois[i].class_id) for i in range(n)]
-        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks,
-                                stage_fractions=fractions, ledger=ledger)
+        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks, ledger=ledger)
 
     # -- sparse route: SPS operators at the selected cells ----------------------
 

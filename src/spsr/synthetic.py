@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .pipeline import RoiBox, seeded_rng
+from .pipeline import RoiBox, RoiInput, seeded_rng
 
 SHAPES = ("disk", "ellipse", "blob")
 BLOB_HARMONICS = 4  # boundary harmonics of a blob, orders 2..5
@@ -134,3 +134,14 @@ def gen_synthetic(spec: SyntheticShapeSpec) -> tuple[np.ndarray, RoiBox, Synthet
 def reference_mask(shape: SyntheticShape, box: RoiBox, side: int) -> np.ndarray:
     """RoI-frame reference rasterization at ``side x side`` pixels."""
     return shape.rasterize(box.x0, box.y0, box.x1, box.y1, (side, side))
+
+
+def roi_corpus(count: int, shape: str, canvas: int, seed: int, side: int) -> list[RoiInput]:
+    """``count`` RoIs of one image, shape ``i`` drawn with seed ``seed + i`` on
+    a square ``canvas``, each boxed tightly with its ``side x side`` reference mask."""
+    rois = []
+    for i in range(count):
+        spec = SyntheticShapeSpec(shape=shape, canvas_h=canvas, canvas_w=canvas, seed=seed + i)
+        _, box, sampled = gen_synthetic(spec)
+        rois.append(RoiInput(box=box, ref_mask=reference_mask(sampled, box, side)))
+    return rois

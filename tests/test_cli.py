@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from spsr import cli, io, metrics, pipeline
+from spsr import cli, io, metrics, pipeline, synthetic
 from spsr.cli import main
 from spsr.metrics import rle_encode
 from spsr.pipeline import make_targets
@@ -90,19 +90,31 @@ class TestRefineCommand:
         assert code == 2
         assert not (out / "masks.json").exists()
 
-    def test_env_precedence(self, tmp_path, monkeypatch):
+    def test_environment_leaves_outputs_unchanged(self, tmp_path, monkeypatch):
+        """Options come from flags and ``RunConfig`` only: ``SPSR_*`` variables
+        in the environment change no output byte."""
         roi_path, mask_path, _ = write_inputs(tmp_path, n=1)
+
+        def refine(out):
+            assert main(["refine", "--mode", "oracle", "--rois", roi_path,
+                         "--ref-masks", mask_path, "--out", str(out)] + REFINE_FAST) == 0
+            return [(out / name).read_bytes() for name in ("masks.json", "ledger.json")]
+
+        plain = refine(tmp_path / "plain")
         monkeypatch.setenv("SPSR_TOP_N", "0")
-        out_env = str(tmp_path / "env")
-        main(["refine", "--mode", "oracle", "--rois", roi_path,
-              "--ref-masks", mask_path, "--out", out_env] + REFINE_FAST)
-        ledger = json.load(open(os.path.join(out_env, "ledger.json")))
-        assert ledger["stages"][1]["active_cells"] == 0  # env value applied
-        out_flag = str(tmp_path / "flag")
-        main(["refine", "--mode", "oracle", "--rois", roi_path,
-              "--ref-masks", mask_path, "--out", out_flag, "--top-n", "50"] + REFINE_FAST)
-        ledger = json.load(open(os.path.join(out_flag, "ledger.json")))
-        assert ledger["stages"][1]["active_cells"] == 200  # flag wins over env
+        monkeypatch.setenv("SPSR_F0", "8")
+        assert refine(tmp_path / "env") == plain
+
+    def test_defaults_are_run_config_fields(self):
+        args = cli.build_parser().parse_args(["bench"])
+        config = pipeline.RunConfig()
+        assert (args.seed, args.stages, args.top_n, args.f0, args.f_neck, args.f_query,
+                args.threads) == (config.seed, config.stages, config.top_n_active, config.f0,
+                                  config.f_neck, config.f_query, config.threads)
+        spec = synthetic.SyntheticShapeSpec()
+        assert (args.shape, args.canvas) == (spec.shape, spec.canvas_h)
+        args = cli.build_parser().parse_args(["refine", "--rois", "r.json", "--out", "o"])
+        assert args.mode == config.mode
 
 
 @pytest.fixture
@@ -143,7 +155,7 @@ class TestNeckBounds:
         def no_corpus(spec):
             raise AssertionError("the canvas must be rejected before the corpus is drawn")
 
-        monkeypatch.setattr(cli, "gen_synthetic", no_corpus)
+        monkeypatch.setattr(synthetic, "gen_synthetic", no_corpus)
         out = tmp_path / "bench.json"
         code = main(["bench", "--count", "2", "--canvas", canvas, "--out", str(out)] + REFINE_FAST)
         assert code == 2
@@ -246,7 +258,7 @@ class TestBadInputValues:
 
     def test_roi_count_over_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pipeline, "select_active", fail_if_called)
-        monkeypatch.setattr(cli, "gen_synthetic", fail_if_called)
+        monkeypatch.setattr(synthetic, "gen_synthetic", fail_if_called)
         text = json.dumps([{"box": [0, 0, 40, 50]}] * (io.MAX_ROIS + 1))
         assert_exit_2_no_output(capsys, *self._refine(tmp_path, text))
         out = tmp_path / "bench.json"
@@ -503,6 +515,60 @@ class TestBenchCommand:
                      "--top-n", str(2 * 112 * 112), "--out", out] + REFINE_FAST)
         assert code == 0
         assert json.load(open(out))["reduction_fraction"] == 0.0
+
+
+class TestActiveFraction:
+    """Each refinement stage's ``active_fraction`` in the refine and bench
+    reports is the selected cells over the parent cells, as counted from
+    ``select_active``."""
+
+    @pytest.mark.parametrize("stages", ["1", "2", "3"])
+    @pytest.mark.parametrize("top_n", ["0", "300", str(10**9)])
+    @pytest.mark.parametrize("command", ["refine", "bench"])
+    def test_selected_over_parent_cells(self, tmp_path, monkeypatch, command, top_n, stages):
+        counted = []  # (selected, parent) cells of each stage of the budgeted route
+        select_active = pipeline.select_active
+
+        def spy(scores, budget):
+            cells = select_active(scores, budget)
+            if budget is not None:  # bench's dense route selects every cell
+                counted.append((sum(map(len, cells)), sum(np.size(g) for g in scores)))
+            return cells
+
+        monkeypatch.setattr(pipeline, "select_active", spy)
+        if command == "refine":
+            roi_path, mask_path, _ = write_inputs(tmp_path)
+            report_path = tmp_path / "out" / "ledger.json"
+            argv = ["refine", "--rois", roi_path, "--ref-masks", mask_path,
+                    "--out", str(report_path.parent)]
+        else:
+            report_path = tmp_path / "bench.json"
+            argv = ["bench", "--count", "2", "--canvas", "160", "--out", str(report_path)]
+        assert main(argv + REFINE_FAST + ["--top-n", top_n, "--stages", stages]) == 0
+        stages_report = json.loads(report_path.read_text())["stages"]
+        assert "active_fraction" not in stages_report[0]
+        got = [st["active_fraction"] for st in stages_report[1:]]
+        assert len(got) == len(counted) == int(stages)
+        assert got == [selected / parent for selected, parent in counted]
+        if top_n == "0":
+            assert set(got) == {0.0}
+        elif top_n == "300":  # 2 RoIs hold 392 stage-0 cells: the budget binds
+            assert all(0.0 < f < 1.0 for f in got)
+        else:
+            assert set(got) == {1.0}
+
+
+class TestWeightBounds:
+    @pytest.mark.parametrize("flag", ["--f0", "--f-query", "--f-neck"])
+    def test_huge_feature_size_exit_2(self, tmp_path, capsys, flag):
+        argv = REFINE_FAST + [flag, str(1 << 30)]
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--count", "1", "--canvas", "64", "--out", str(out)] + argv)
+        assert_exit_2_no_output(capsys, code, out)
+        roi_path, _, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "weights", "--rois", roi_path, "--out", str(out)] + argv)
+        assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
 
 
 class TestConvertCommand:

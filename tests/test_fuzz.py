@@ -206,10 +206,15 @@ def _refine_docs():
 REFINE_ROIS, REFINE_REFS = _refine_docs()
 TINY = ["--f0", "16", "--f-neck", "8", "--f-query", "8"]
 # Option values, valid and not; none asks for more than a few MB or threads.
+# Huge feature sizes ask for weights far over ``MAX_WEIGHT_ELEMENTS``, which are
+# refused before they are drawn.
+HUGE = [[str(1 << 30)], [str(1 << 40)]]
 OPTIONS = {
     "--stages": [["0"], ["1"], ["2"], ["4"]],
     "--top-n": [["-1"], ["0"], ["3"], ["10000"]],
-    "--f0": [["-16"], ["0"], ["12"], ["16"]],
+    "--f0": [["-16"], ["0"], ["12"], ["16"]] + HUGE,
+    "--f-query": [["8"]] + HUGE,
+    "--f-neck": [["8"]] + HUGE,
     "--seed": [["-1"], ["7"], [str(2**64)]],
     "--threads": [["0"], ["2"]],
 }

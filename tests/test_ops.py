@@ -510,8 +510,9 @@ def test_weights_mode_refinement_equals_einsum_reference(monkeypatch):
     config = pipeline.RunConfig(mode="weights", f0=64, f_query=64, f_neck=64, seed=3,
                                 top_n_active=1500, image_hw=(224, 224))
     got = pipeline.run_refinement(rois, config)
-    assert got.stage_fractions[1] == 1.0
-    assert got.stage_fractions[2] < 1.0 and got.stage_fractions[3] < 1.0
+    cells = got.ledger.stage_cells()
+    assert cells[1][0] == cells[1][1]
+    assert cells[2][0] < cells[2][1] and cells[3][0] < cells[3][1]
 
     calls = {"conv2d_sparse": 0, "sfm": 0}
 

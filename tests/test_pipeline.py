@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spsr import pipeline as pl
+from spsr.cost import compare
 from spsr.errors import ContractError, SchemaError
 from spsr.metrics import boundary_iou
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
@@ -12,6 +13,12 @@ def small_config(**kwargs):
                     f0=16, f_query=8, f_neck=8, image_hw=(160, 160))
     defaults.update(kwargs)
     return pl.RunConfig(**defaults)
+
+
+def active_fractions(config, result):
+    """Each refinement stage's active fraction, as the ledger report gives it."""
+    report = compare(pl.analytic_dense_ledger(config, len(result.per_roi)), result.ledger)
+    return {st["stage"]: st["active_fraction"] for st in report["stages"][1:]}
 
 
 def disk_roi(seed=11, canvas=160, side=112):
@@ -315,7 +322,7 @@ class TestRefinementEngine:
         rois = [disk_roi(seed=70 + i) for i in range(3)]
         cfg = small_config(threads=threads)  # the dense route ignores the budget
         res = pl.run_refinement(rois, cfg, sparse=False)
-        assert res.stage_fractions == {s: 1.0 for s in range(1, cfg.stages + 1)}
+        assert active_fractions(cfg, res) == {s: 1.0 for s in range(1, cfg.stages + 1)}
         want = pl.analytic_dense_ledger(cfg, len(rois)).entries
         assert [e.to_dict() for e in res.ledger.entries] == [e.to_dict() for e in want]
 
@@ -413,8 +420,8 @@ class TestRefinementEngine:
 
     def test_budget_binds_and_fractions_decay(self):
         rois = [disk_roi(seed=40 + i) for i in range(4)]
-        res = pl.run_refinement(rois, small_config(top_n_active=500))
-        f = res.stage_fractions
+        cfg = small_config(top_n_active=500)
+        f = active_fractions(cfg, pl.run_refinement(rois, cfg))
         assert f[3] < f[2] < f[1] <= 1.0
 
     def test_sparse_macs_below_dense_when_budget_binds(self):
@@ -492,3 +499,63 @@ class TestNeckBounds:
     def test_feature_sizes_must_be_positive(self, field, value):
         with pytest.raises(ContractError):
             small_config(**{field: value})
+
+
+def weight_values(node) -> int:
+    """Values held by the transforms under one ``PipelineWeights`` attribute."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        return sum(weight_values(n) for n in node)
+    return node.weights.size + node.bias.size
+
+
+class TestWeightBounds:
+    def test_cap_is_on_the_element_count(self, monkeypatch):
+        cfg = small_config()
+        weights = pl.PipelineWeights(None, cfg)
+        total = sum(weight_values(v) for v in vars(weights).values())
+        drawn = []  # names of the arrays drawn, in order
+        seeded_rng = pl.seeded_rng
+
+        class Recorded:
+            def __init__(self, *parts):
+                self.parts = parts
+
+            def normal(self, *args, **kwargs):
+                drawn.append(self.parts[-1])
+                return seeded_rng(*self.parts).normal(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "seeded_rng", Recorded)
+        monkeypatch.setattr(pl, "MAX_WEIGHT_ELEMENTS", total)
+        pl.PipelineWeights(None, cfg)
+        every_array = list(drawn)
+        drawn.clear()
+        monkeypatch.setattr(pl, "MAX_WEIGHT_ELEMENTS", total - 1)
+        with pytest.raises(SchemaError, match=every_array[-1]):
+            pl.PipelineWeights(None, cfg)
+        assert every_array[-1] not in drawn  # the array over the cap is never drawn
+        assert drawn == every_array[:-1]
+
+    @pytest.mark.parametrize("f0,millions", [(256, 4.4), (512, 17.1), (1024, None)])
+    def test_default_widths_and_f0_limit(self, monkeypatch, f0, millions):
+        class ZeroDraws:
+            def normal(self, loc, scale, size):
+                return np.broadcast_to(0.0, size)
+
+        monkeypatch.setattr(pl, "seeded_rng", lambda *parts: ZeroDraws())
+        cfg = pl.RunConfig(f0=f0)
+        if millions is None:
+            with pytest.raises(SchemaError, match="cap"):
+                pl.PipelineWeights(None, cfg)
+            return
+        weights = pl.PipelineWeights(None, cfg)
+        assert round(sum(weight_values(v) for v in vars(weights).values()) / 1e6, 1) == millions
+
+    def test_engine_rejects_before_the_neck_is_drawn(self, monkeypatch):
+        def no_neck(*args):
+            raise AssertionError("the weights must be rejected before the neck is drawn")
+
+        monkeypatch.setattr(pl.NeckFeatures, "synthesize", no_neck)
+        with pytest.raises(SchemaError):
+            pl.run_refinement([disk_roi()], small_config(mode="weights", f0=1 << 30))

@@ -1,5 +1,7 @@
-"""The README's example scripts run end to end at tiny sizes."""
+"""The README's example scripts, and the benchmark's self-test, run end to end
+at tiny sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,3 +20,13 @@ def test_script_exits_0(script, args):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_smoke_ok():
+    """``perfbench/run.py --smoke`` runs every workload through the CLI and
+    checks its outputs and metric names, so a library change that breaks the
+    benchmark fails here."""
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--smoke"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["smoke"] == "ok"
