@@ -8,9 +8,10 @@ Example:
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from spsr.cost import compare
-from spsr.pipeline import NeckFeatures, RunConfig, run_refinement
+from spsr.pipeline import NeckFeatures, PipelineWeights, RunConfig, run_refinement
 from spsr.synthetic import roi_corpus
 
 
@@ -25,19 +26,19 @@ def main():
     args = parser.parse_args()
 
     base = RunConfig(seed=args.seed, f0=args.f0, image_hw=(args.canvas, args.canvas))
+    weights = PipelineWeights(None, base)  # one set for the dense run and every budget
     rois = roi_corpus(args.count, "blob", args.canvas, args.seed, base.final_side)
     neck = NeckFeatures.synthesize(args.seed, (args.canvas, args.canvas), base.f_neck)
 
     t0 = time.perf_counter()
-    dense = run_refinement(rois, base, neck=neck, sparse=False)
+    dense = run_refinement(rois, base, weights, neck, sparse=False)
     dense_time = time.perf_counter() - t0
     print(f"dense route: {dense.ledger.total_macs() / 1e9:.2f} GMAC, {dense_time:.2f}s")
     print(f"{'budget':>8} {'reduction':>10} {'frac s1':>8} {'frac s2':>8} {'frac s3':>8} {'time':>7}")
     for budget in args.budgets:
-        cfg = RunConfig(seed=args.seed, f0=args.f0, top_n_active=budget,
-                        image_hw=(args.canvas, args.canvas))
+        cfg = replace(base, top_n_active=budget)
         t0 = time.perf_counter()
-        sparse = run_refinement(rois, cfg, neck=neck, sparse=True)
+        sparse = run_refinement(rois, cfg, weights, neck)
         elapsed = time.perf_counter() - t0
         rep = compare(dense.ledger, sparse.ledger)
         fractions = "".join(f"{st['active_fraction']:>9.3f}" for st in rep["stages"][1:])

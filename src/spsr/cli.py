@@ -16,11 +16,11 @@ import os
 import sys
 import time
 
-from . import io
+from . import io, pipeline
 from .cost import compare
 from .errors import ContractError, SchemaError
 from .metrics import ap_suite, pq
-from .pipeline import NeckFeatures, RunConfig, analytic_dense_ledger, run_refinement
+from .pipeline import NeckFeatures, RunConfig, run_refinement
 from .synthetic import SHAPES, SyntheticShapeSpec, roi_corpus
 
 
@@ -103,15 +103,14 @@ def cmd_refine(args) -> int:
             raise SchemaError(f"{len(rois)} RoIs but {len(masks)} reference masks")
         for roi, mask in zip(rois, masks):
             roi.ref_mask = mask
-    weights = io.load_weights(args.weights) if args.weights else None
-
-    result = run_refinement(rois, config, weights=weights)
+    bundle = io.load_weights(args.weights) if args.weights else None
+    result = run_refinement(rois, config, pipeline.PipelineWeights(bundle, config))
 
     out_masks = [r.probs >= 0.5 for r in result.per_roi]
     io.dump_json(os.path.join(args.out, "masks.json"),
                  io.masks_to_dict(out_masks, [r.score for r in result.per_roi],
                                   [r.class_id for r in result.per_roi]))
-    report = compare(analytic_dense_ledger(config, len(rois)), result.ledger)
+    report = compare(result.dense_ledger, result.ledger)
     io.dump_json(os.path.join(args.out, "ledger.json"), report)
     print(f"refined {len(rois)} RoIs -> {args.out}")
     return 0
@@ -141,13 +140,14 @@ def cmd_bench(args) -> int:
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
     if args.count > io.MAX_ROIS:
         raise SchemaError(f"--count {args.count} is over the {io.MAX_ROIS}-RoI cap")
+    weights = pipeline.PipelineWeights(None, config)  # capped before the corpus is drawn
     rois = roi_corpus(args.count, args.shape, args.canvas, args.seed, config.final_side)
     neck = NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)
 
     t0 = time.perf_counter()
-    dense = run_refinement(rois, config, neck=neck, sparse=False)
+    dense = run_refinement(rois, config, weights=weights, neck=neck, sparse=False)
     t1 = time.perf_counter()
-    sparse = run_refinement(rois, config, neck=neck, sparse=True)
+    sparse = run_refinement(rois, config, weights=weights, neck=neck, sparse=True)
     t2 = time.perf_counter()
 
     report = compare(dense.ledger, sparse.ledger)

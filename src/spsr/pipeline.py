@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -338,22 +339,18 @@ class RunConfig:
     def final_side(self) -> int:
         return self.stage_configs()[-1].h
 
-
 @dataclass
 class RoiInput:
     box: RoiBox
     cls_score: float = 1.0
     class_id: int = 0
     ref_mask: np.ndarray | None = None
-    query: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.cls_score <= 1.0:
             raise ContractError(f"classification score {self.cls_score} lies outside [0, 1]")
         if self.ref_mask is not None:
             self.ref_mask = np.asarray(self.ref_mask, dtype=bool)
-        if self.query is not None:
-            self.query = np.asarray(self.query, dtype=np.float64)
 
 
 def neck_grids(image_hw: tuple, f_neck: int) -> dict:
@@ -488,6 +485,7 @@ class RefinementResult:
     per_roi: list
     stage_masks: list  # stage -> list of per-RoI probability grids
     ledger: CostLedger
+    dense_ledger: CostLedger  # the same run's ops with every cell active
 
 
 def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -497,51 +495,40 @@ def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.n
     return ys, xs
 
 
-def _stage0_entries(ledger: CostLedger, cells: int, cfg: RunConfig):
+def _macs(rows: int, *layers) -> int:
+    """MACs of ``rows`` rows through each of ``layers``; a linear layer is a 1 x 1 conv."""
+    return sum(macs_conv(rows, layer.k if isinstance(layer, ops.ConvKernel) else 1,
+                         layer.f_in, layer.f_out) for layer in layers)
+
+
+def _stage0_entries(ledger: CostLedger, cells: int, w: PipelineWeights, f_neck: int):
     """Stage 0 runs densely on both routes: all ``cells`` are active."""
-    f0, fq, fe = cfg.f0, cfg.f_query, cfg.f_neck
-    ledger.add("neck_sample", 0, macs_bilinear(cells, fe), cells, cells)
-    ledger.add("ingest", 0, macs_conv(cells, 1, fe, f0), cells, cells)
-    ledger.add("query_fuse", 0,
-               macs_conv(cells, 1, f0 + fq, f0) + macs_conv(cells, 1, f0, f0), cells, cells)
-    ledger.add("fcn", 0, 4 * macs_conv(cells, 3, f0, f0), cells, cells)
-    ledger.add("seg_head", 0,
-               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
-    ledger.add("refine_head", 0,
-               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
+    for op, macs in (("neck_sample", macs_bilinear(cells, f_neck)),
+                     ("ingest", _macs(cells, w.ingest)),
+                     ("query_fuse", _macs(cells, *w.stage0_fuse)),
+                     ("fcn", _macs(cells, *w.stage0_fcn)),
+                     ("seg_head", _macs(cells, *w.seg_head[0])),
+                     ("refine_head", _macs(cells, *w.refine_head[0]))):
+        ledger.add(op, 0, macs, cells, cells)
 
 
-def _stage_entries(ledger: CostLedger, prev: StageConfig, cur: StageConfig, parents: int,
-                   halve_rows: int, total: int, cfg: RunConfig):
-    s, f_in, f_out, fe = cur.s, prev.f, cur.f, cfg.f_neck
+def _stage_entries(ledger: CostLedger, s: int, parents: int, halve_rows: int, total: int,
+                   w: PipelineWeights, f_neck: int):
+    """Stage s: ``parents`` subdivide, every row is halved, children run the rest."""
     children = 4 * parents
-    ledger.add("subdivide", s, 8 * macs_conv(parents, 1, f_in, f_in), children, total)
-    ledger.add("neck_sample", s, macs_bilinear(children, fe), children, total)
-    ledger.add("neck_fuse", s,
-               macs_conv(children, 1, f_in + fe, f_in) + macs_conv(children, 1, f_in, f_in),
-               children, total)
-    ledger.add("halve", s, macs_conv(halve_rows, 1, f_in, f_out), children, total)
-    ledger.add("sfm", s, 3 * macs_conv(children, 3, f_out, f_out), children, total)
-    for head in ("seg_head", "refine_head"):
-        ledger.add(head, s,
-                   macs_conv(children, 1, f_out, f_out) + macs_conv(children, 1, f_out, 1),
-                   children, total)
-
-
-def analytic_dense_ledger(config: RunConfig, n_rois: int) -> CostLedger:
-    """Ledger of a dense run (every cell active) with these shapes."""
-    ledger = CostLedger()
-    plan = config.stage_configs()
-    cells = [n_rois * st.h * st.w for st in plan]
-    _stage0_entries(ledger, cells[0], config)
-    for prev, cur in zip(plan, plan[1:]):
-        _stage_entries(ledger, prev, cur, cells[prev.s], cells[cur.s], cells[cur.s], config)
-    return ledger
+    for op, macs in (("subdivide", sum(_macs(parents, *m) for m in w.subdiv[s])),
+                     ("neck_sample", macs_bilinear(children, f_neck)),
+                     ("neck_fuse", _macs(children, *w.fuse[s])),
+                     ("halve", _macs(halve_rows, w.halve[s])),
+                     ("sfm", _macs(children, *w.sfm[s])),
+                     ("seg_head", _macs(children, *w.seg_head[s])),
+                     ("refine_head", _macs(children, *w.refine_head[s]))):
+        ledger.add(op, s, macs, children, total)
 
 
 class _Engine:
     def __init__(self, rois: Sequence[RoiInput], config: RunConfig,
-                 weights: Mapping | None, neck: NeckFeatures | None):
+                 weights: PipelineWeights | None, neck: NeckFeatures | None):
         if not rois:
             raise ContractError("need at least one RoI")
         self.rois = list(rois)
@@ -559,17 +546,16 @@ class _Engine:
                 sat = _summed_area(r.ref_mask)  # once per RoI, for every stage's grid
                 self.oracle_targets.append([_cell_targets(r.ref_mask, sat, st.hw)
                                             for st in self.plan])
-        self.weights = PipelineWeights(weights, config)  # capped before the neck is drawn
+        self.weights = weights or PipelineWeights(None, config)  # capped before any draw
         if neck is None:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
         self.neck = neck
         self.k0 = [assign_level(r.box) for r in self.rois]
-        self.queries = [
-            r.query if r.query is not None
-            else seeded_rng(config.seed, "query", i).standard_normal(config.f_query)
-            for i, r in enumerate(self.rois)
-        ]
+        self.queries = [seeded_rng(config.seed, "query", i).standard_normal(config.f_query)
+                        for i in range(len(self.rois))]
+        # --threads, but never more workers than there are RoIs or CPUs
+        self.workers = min(config.threads, len(self.rois), os.cpu_count() or 1)
 
     def _default_image_hw(self) -> tuple:
         h = max(int(np.ceil(r.box.y1)) for r in self.rois)
@@ -577,11 +563,11 @@ class _Engine:
         return max(h, 1), max(w, 1)
 
     def _map(self, fn) -> list:
-        """``fn(i)`` for every RoI index, in order, on ``threads`` workers."""
+        """``fn(i)`` for every RoI index, in order, on ``workers`` threads."""
         items = range(len(self.rois))
-        if self.config.threads == 1:
+        if self.workers == 1:
             return [fn(i) for i in items]
-        with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(fn, items))
 
     def _oracle_values(self, roi: int, s: int):
@@ -605,9 +591,10 @@ class _Engine:
         ``cells`` and returns ``(feats, feature rows, child coords, seg,
         refine)``, with one seg and refine value per child coord.
         """
-        cfg = self.config
-        ledger = CostLedger()
+        cfg, w = self.config, self.weights
+        ledger, dense_ledger = CostLedger(), CostLedger()
         n = len(self.rois)
+        cells = [n * st.h * st.w for st in self.plan]
 
         def first(i: int):
             feats, seg, refine = stage0(i)
@@ -616,12 +603,12 @@ class _Engine:
             return feats, sigmoid(seg), np.asarray(refine, dtype=np.float64)
 
         feats, masks, refine_grids = zip(*self._map(first))
-        _stage0_entries(ledger, n * self.plan[0].h * self.plan[0].w, cfg)
+        for counted in (ledger, dense_ledger):
+            _stage0_entries(counted, cells[0], w, cfg.f_neck)
 
         stage_masks = [list(masks)]
 
-        for prev, cur in zip(self.plan, self.plan[1:]):
-            s = cur.s
+        for s in range(1, len(self.plan)):
             selected = select_active(refine_grids, top_n)
             n_selected = int(sum(len(c) for c in selected))
 
@@ -636,12 +623,14 @@ class _Engine:
                 return feat, rows, mask, rgrid
 
             feats, rows, masks, refine_grids = zip(*self._map(one))
-            _stage_entries(ledger, prev, cur, n_selected, sum(rows), n * cur.h * cur.w, cfg)
+            _stage_entries(ledger, s, n_selected, sum(rows), cells[s], w, cfg.f_neck)
+            _stage_entries(dense_ledger, s, cells[s - 1], cells[s], cells[s], w, cfg.f_neck)
             stage_masks.append(list(masks))
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
                              class_id=self.rois[i].class_id) for i in range(n)]
-        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks, ledger=ledger)
+        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks, ledger=ledger,
+                                dense_ledger=dense_ledger)
 
     # -- sparse route: SPS operators at the selected cells ----------------------
 
@@ -698,10 +687,12 @@ class _Engine:
 
 
 def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
-                   weights: Mapping | None = None, neck: NeckFeatures | None = None,
+                   weights: PipelineWeights | None = None, neck: NeckFeatures | None = None,
                    sparse: bool = True) -> RefinementResult:
     """Run the staged refinement over one image's RoIs.
 
+    ``weights`` must be built for ``config``'s stages and feature sizes; it
+    and ``neck`` default to the seeded sets of ``config``.
     ``sparse=False`` runs the dense baseline route (every cell active, plain
     array operators) with identical weights and shapes.
     """

@@ -516,6 +516,38 @@ class TestBenchCommand:
         assert code == 0
         assert json.load(open(out))["reduction_fraction"] == 0.0
 
+    @pytest.mark.parametrize("command", ["refine", "bench"])
+    def test_one_weight_set_per_call(self, tmp_path, monkeypatch, command):
+        """Both routes of a bench run share one seeded set. The CLI looks
+        ``PipelineWeights`` up on ``pipeline`` at call time, as the engine does,
+        so a wrapper set there (this spy, or a tracing span) sees every draw."""
+        built = []
+        weights = pipeline.PipelineWeights
+
+        def spy(*args):
+            built.append(weights(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "PipelineWeights", spy)
+        if command == "refine":
+            roi_path, mask_path, _ = write_inputs(tmp_path)
+            argv = ["refine", "--rois", roi_path, "--ref-masks", mask_path,
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["bench", "--count", "2", "--canvas", "160", "--out", str(tmp_path / "b.json")]
+        assert main(argv + REFINE_FAST) == 0
+        assert len(built) == 1
+
+    def test_weights_refused_before_the_corpus(self, tmp_path, capsys, monkeypatch):
+        def no_corpus(*args):
+            raise AssertionError("the weights must be refused before the corpus is drawn")
+
+        monkeypatch.setattr(synthetic, "roi_corpus", no_corpus)
+        monkeypatch.setattr(cli, "roi_corpus", no_corpus)  # the name the CLI calls
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--count", "4096", "--f0", str(1 << 30), "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+
 
 class TestActiveFraction:
     """Each refinement stage's ``active_fraction`` in the refine and bench

@@ -205,7 +205,8 @@ def _refine_docs():
 
 REFINE_ROIS, REFINE_REFS = _refine_docs()
 TINY = ["--f0", "16", "--f-neck", "8", "--f-query", "8"]
-# Option values, valid and not; none asks for more than a few MB or threads.
+# Option values, valid and not; none asks for more than a few MB. ``--threads``
+# starts no more workers than there are RoIs or CPUs, so 2^20 starts at most 2.
 # Huge feature sizes ask for weights far over ``MAX_WEIGHT_ELEMENTS``, which are
 # refused before they are drawn.
 HUGE = [[str(1 << 30)], [str(1 << 40)]]
@@ -216,7 +217,7 @@ OPTIONS = {
     "--f-query": [["8"]] + HUGE,
     "--f-neck": [["8"]] + HUGE,
     "--seed": [["-1"], ["7"], [str(2**64)]],
-    "--threads": [["0"], ["2"]],
+    "--threads": [["0"], ["2"], ["64"], [str(1 << 20)]],
 }
 REFINE_OPTIONS = {**OPTIONS, "--image-size": [["0", "64"], ["-3", "-3"], ["64", "48"],
                                               [str(1 << 20), str(1 << 20)]]}

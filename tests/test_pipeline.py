@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spsr import ops
 from spsr import pipeline as pl
-from spsr.cost import compare
+from spsr.cost import CostLedger, compare, macs_bilinear, macs_conv
 from spsr.errors import ContractError, SchemaError
 from spsr.metrics import boundary_iou
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
@@ -15,9 +16,9 @@ def small_config(**kwargs):
     return pl.RunConfig(**defaults)
 
 
-def active_fractions(config, result):
+def active_fractions(result):
     """Each refinement stage's active fraction, as the ledger report gives it."""
-    report = compare(pl.analytic_dense_ledger(config, len(result.per_roi)), result.ledger)
+    report = compare(result.dense_ledger, result.ledger)
     return {st["stage"]: st["active_fraction"] for st in report["stages"][1:]}
 
 
@@ -322,8 +323,8 @@ class TestRefinementEngine:
         rois = [disk_roi(seed=70 + i) for i in range(3)]
         cfg = small_config(threads=threads)  # the dense route ignores the budget
         res = pl.run_refinement(rois, cfg, sparse=False)
-        assert active_fractions(cfg, res) == {s: 1.0 for s in range(1, cfg.stages + 1)}
-        want = pl.analytic_dense_ledger(cfg, len(rois)).entries
+        assert active_fractions(res) == {s: 1.0 for s in range(1, cfg.stages + 1)}
+        want = res.dense_ledger.entries
         assert [e.to_dict() for e in res.ledger.entries] == [e.to_dict() for e in want]
 
     @pytest.mark.parametrize("stages", [1, 2, 3])
@@ -344,7 +345,7 @@ class TestRefinementEngine:
                 # seeded weights keep every probability within ~1e-7 of 0.5, under
                 # the tolerance above, so a misplaced cell shows only in the deviations
                 np.testing.assert_allclose(a - 0.5, b - 0.5, rtol=1e-6, atol=1e-15)
-        want = pl.analytic_dense_ledger(cfg, len(rois)).entries
+        want = dense.dense_ledger.entries
         assert [e.to_dict() for e in dense.ledger.entries] == [e.to_dict() for e in want]
         assert {e.stage: e.total_cells for e in want} == {st.s: 2 * st.h * st.w for st in plan}
         halve = pl.PipelineWeights(None, cfg).halve
@@ -355,7 +356,7 @@ class TestRefinementEngine:
     def test_full_active_ledger_matches_analytic(self):
         cfg = small_config(mode="weights", top_n_active=None)
         res = pl.run_refinement([disk_roi()], cfg, sparse=True)
-        analytic = pl.analytic_dense_ledger(cfg, 1)
+        analytic = res.dense_ledger
         assert res.ledger.stage_macs() == analytic.stage_macs()
 
     def test_constant_block_mask_final_equals_upsample(self):
@@ -421,14 +422,14 @@ class TestRefinementEngine:
     def test_budget_binds_and_fractions_decay(self):
         rois = [disk_roi(seed=40 + i) for i in range(4)]
         cfg = small_config(top_n_active=500)
-        f = active_fractions(cfg, pl.run_refinement(rois, cfg))
+        f = active_fractions(pl.run_refinement(rois, cfg))
         assert f[3] < f[2] < f[1] <= 1.0
 
     def test_sparse_macs_below_dense_when_budget_binds(self):
         rois = [disk_roi(seed=50 + i) for i in range(3)]
         cfg = small_config(top_n_active=300)
         res = pl.run_refinement(rois, cfg)
-        dense = pl.analytic_dense_ledger(cfg, len(rois))
+        dense = res.dense_ledger
         dense_stage = dense.stage_macs()
         for s, macs in res.ledger.stage_macs().items():
             if s >= 2:  # budget binds from stage 2 here
@@ -449,6 +450,131 @@ class TestRefinementEngine:
         res = pl.run_refinement([roi], small_config(mode="weights", top_n_active=200))
         assert res.per_roi[0].probs.shape == (112, 112)
         assert res.ledger.total_macs() > 0
+
+
+# The ledger as formulas over the config's widths: a reference that states each
+# width apart from ``PipelineWeights``, whose layers the pipeline's ledger counts.
+def formula_stage0_entries(ledger: CostLedger, cells: int, cfg: pl.RunConfig):
+    f0, fq, fe = cfg.f0, cfg.f_query, cfg.f_neck
+    ledger.add("neck_sample", 0, macs_bilinear(cells, fe), cells, cells)
+    ledger.add("ingest", 0, macs_conv(cells, 1, fe, f0), cells, cells)
+    ledger.add("query_fuse", 0,
+               macs_conv(cells, 1, f0 + fq, f0) + macs_conv(cells, 1, f0, f0), cells, cells)
+    ledger.add("fcn", 0, 4 * macs_conv(cells, 3, f0, f0), cells, cells)
+    ledger.add("seg_head", 0,
+               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
+    ledger.add("refine_head", 0,
+               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
+
+
+def formula_stage_entries(ledger: CostLedger, prev: pl.StageConfig, cur: pl.StageConfig,
+                          parents: int, halve_rows: int, total: int, cfg: pl.RunConfig):
+    s, f_in, f_out, fe = cur.s, prev.f, cur.f, cfg.f_neck
+    children = 4 * parents
+    ledger.add("subdivide", s, 8 * macs_conv(parents, 1, f_in, f_in), children, total)
+    ledger.add("neck_sample", s, macs_bilinear(children, fe), children, total)
+    ledger.add("neck_fuse", s,
+               macs_conv(children, 1, f_in + fe, f_in) + macs_conv(children, 1, f_in, f_in),
+               children, total)
+    ledger.add("halve", s, macs_conv(halve_rows, 1, f_in, f_out), children, total)
+    ledger.add("sfm", s, 3 * macs_conv(children, 3, f_out, f_out), children, total)
+    for head in ("seg_head", "refine_head"):
+        ledger.add(head, s,
+                   macs_conv(children, 1, f_out, f_out) + macs_conv(children, 1, f_out, 1),
+                   children, total)
+
+
+def formula_dense_ledger(config: pl.RunConfig, n_rois: int) -> CostLedger:
+    ledger = CostLedger()
+    plan = config.stage_configs()
+    cells = [n_rois * st.h * st.w for st in plan]
+    formula_stage0_entries(ledger, cells[0], config)
+    for prev, cur in zip(plan, plan[1:]):
+        formula_stage_entries(ledger, prev, cur, cells[prev.s], cells[cur.s], cells[cur.s], config)
+    return ledger
+
+
+def entries(ledger: CostLedger) -> list:
+    return [e.to_dict() for e in ledger.entries]
+
+
+class TestLedgerCountsLayers:
+    """The ledger counts the MACs of the layers each op runs; the widths it
+    reads are those of the run's weights, and they must agree with the
+    formulas over the run's config."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("f0,f_query,f_neck", [(16, 8, 8), (32, 64, 16), (64, 256, 256)])
+    def test_equals_the_formulas(self, monkeypatch, stages, f0, f_query, f_neck):
+        rois = [disk_roi(seed=90 + i) for i in range(2)]
+        cfg = small_config(stages=stages, f0=f0, f_query=f_query, f_neck=f_neck,
+                           top_n_active=300)
+        halved = []  # rows each sparse halving holds, per RoI and stage in run order
+        halve_features = ops.halve_features
+        monkeypatch.setattr(ops, "halve_features", lambda t, transform: halved.append(
+            t.n_active + t.n_passive) or halve_features(t, transform))
+        sparse = pl.run_refinement(rois, cfg)
+        dense = pl.run_refinement(rois, cfg, sparse=False)
+        want = entries(formula_dense_ledger(cfg, len(rois)))
+        for ledger in (sparse.dense_ledger, dense.dense_ledger, dense.ledger):
+            assert entries(ledger) == want
+
+        # the budgeted ledger: parents are the selected cells, halving runs on every row
+        plan = cfg.stage_configs()
+        ref = CostLedger()
+        formula_stage0_entries(ref, len(rois) * plan[0].h * plan[0].w, cfg)
+        for prev, cur in zip(plan, plan[1:]):
+            children = next(e.active_cells for e in sparse.ledger.entries
+                            if e.stage == cur.s and e.op == "subdivide")
+            rows = sum(halved[(cur.s - 1) * len(rois):cur.s * len(rois)])
+            formula_stage_entries(ref, prev, cur, children // 4, rows,
+                                  len(rois) * cur.h * cur.w, cfg)
+        assert entries(sparse.ledger) == entries(ref)
+        assert sparse.ledger.total_macs() < dense.ledger.total_macs()
+
+    def test_counts_the_weights_it_is_given(self):
+        rois = [disk_roi(seed=95)]
+        cfg = small_config(mode="weights")
+        weights = pl.PipelineWeights(None, cfg)
+        del weights.fuse[2][-1]  # a run with one fusion layer fewer at stage 2
+        got = {(e.op, e.stage): e.macs
+               for e in pl.run_refinement(rois, cfg, weights=weights).dense_ledger.entries}
+        want = {(e.op, e.stage): e.macs for e in formula_dense_ledger(cfg, len(rois)).entries}
+        plan = cfg.stage_configs()
+        dropped = {("neck_fuse", 2): plan[2].h * plan[2].w * plan[1].f * plan[1].f}
+        assert got == {k: v - dropped.get(k, 0) for k, v in want.items()}
+
+
+class TestWorkers:
+    """``--threads`` never starts more workers than there are RoIs or CPUs."""
+
+    @pytest.mark.parametrize("threads,cpus,pools", [
+        (1, 8, []), (2, 8, [2]), (1 << 20, 8, [3]), (1 << 20, 2, [2]), (1 << 20, None, [])])
+    def test_bounded_by_rois_and_cpus(self, monkeypatch, threads, cpus, pools):
+        rois = [disk_roi(seed=s) for s in (31, 32, 33)]
+        want = pl.run_refinement(rois, small_config(top_n_active=500))
+        started = []
+
+        class Recorder:  # runs the map serially: no thread is started
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pl, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(pl.os, "cpu_count", lambda: cpus)
+        got = pl.run_refinement(rois, small_config(threads=threads, top_n_active=500))
+        assert started == pools * (1 + small_config().stages)  # one pool per stage pass
+        for a, b in zip(want.per_roi, got.per_roi):
+            np.testing.assert_array_equal(a.probs, b.probs)
+        assert got.ledger.to_dict() == want.ledger.to_dict()
 
 
 class TestNeckFeatures:
