@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ContractError
-from .geometry import box_area, iou as box_iou
+from .geometry import box_area, iou as box_iou, iou_matrix
 
 AP_IOU_THRESHOLDS = tuple(float(t) for t in np.round(np.arange(0.5, 1.0, 0.05), 2))
 SMALL_AREA = 32**2
@@ -142,16 +142,24 @@ def _pair_ious(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
                kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
     """Evaluate every same-image (pred, gt) pair once; returns a table lookup.
 
-    Each image gets a fresh ``geometry_iou_fn`` callable, so its decoded masks
-    and bands are dropped once that image's pairs are filled.
+    Boxes take one ``iou_matrix`` per image, the elementwise formula of
+    ``geometry.iou``. Masks and boundaries take a fresh ``geometry_iou_fn``
+    callable per image, so its decoded masks and bands are dropped once that
+    image's pairs are filled.
     """
     preds_by_image = _by_image(preds)
     table = {}
     for image_id, image_gts in _by_image(gts).items():
-        iou_fn = geometry_iou_fn(kind)
-        for p in preds_by_image.get(image_id, []):
-            for g in image_gts:
-                table[id(p), id(g)] = iou_fn(p, g)
+        image_preds = preds_by_image.get(image_id, [])
+        if kind == "box":
+            ious = (iou_matrix([p.box for p in image_preds], [g.box for g in image_gts]).tolist()
+                    if image_preds else [])
+        else:
+            iou_fn = geometry_iou_fn(kind)
+            ious = [[iou_fn(p, g) for g in image_gts] for p in image_preds]
+        for p, row in zip(image_preds, ious):
+            for g, value in zip(image_gts, row):
+                table[id(p), id(g)] = value
     return lambda p, g: table[id(p), id(g)]
 
 

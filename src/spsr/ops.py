@@ -10,8 +10,9 @@ oracle and as the dense pipeline route. Integer taps resolve through the one
 tap index of ``tensor.gather_taps`` (out-of-grid taps read a zero row) and
 real-valued samples through one bilinear kernel (:func:`_bilinear`), which the
 dense twins reach through an identity index map.
-The bilinear kernel is one sparse-matrix product: a CSR matrix of corner
-weights, at most four per sample, times the feature rows.
+The bilinear kernel is a sparse-matrix product: a CSR matrix of corner
+weights, at most four per sample, times the feature rows, taken a chunk of
+samples at a time and written into the caller's output block.
 
 A sparse convolution is one GEMM (:func:`_contract`). Its input is
 feature-major columns ``[F_in * T, n]``, row ``i * T + t`` holding feature ``i``
@@ -27,7 +28,7 @@ the results are bit-identical to the einsum it replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +37,9 @@ from .errors import ContractError
 from .tensor import SpsTensor, _tap_index, _with_rows
 
 ACTIVATIONS = ("none", "relu")
+# Values a chunked fill holds beside its output: bilinear samples of F features
+# go CHUNK_VALUES // F at a time, and the neck is drawn this many at a time.
+CHUNK_VALUES = 1 << 18
 
 
 @dataclass
@@ -86,11 +90,16 @@ def apply_chain(transform: TransformChain, rows: np.ndarray) -> np.ndarray:
 
 
 def _chain_ends(transform: TransformChain) -> tuple[int, int]:
+    """Input and output width of a chain whose every layer reads the width the
+    layer before it writes."""
     if isinstance(transform, LinearTransform):
         return transform.f_in, transform.f_out
     ts = list(transform)
     if not ts:
         raise ContractError("empty transform chain")
+    for a, b in zip(ts, ts[1:]):
+        if a.f_out != b.f_in:
+            raise ContractError(f"chain layer writes {a.f_out} features, the next reads {b.f_in}")
     return ts[0].f_in, ts[-1].f_out
 
 
@@ -232,40 +241,58 @@ def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTens
     return _with_rows(s, _contract(cols, k))
 
 
-def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
+def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Sample the field that ``index_map`` resolves into ``rows`` at real
     positions; output ``py.shape + (F,)``, zero outside the grid.
 
-    The samples are one product ``W @ rows`` with a sparse weight matrix ``W``
-    (one CSR row per sample). Each row holds its corners in the order (y0, x0),
-    (y0, x1), (y1, x0), (y1, x1), with column ``index_map[cy, cx]``; a corner
-    outside the grid or with zero weight gets no entry, so an all-outside
-    sample is a ``+0.0`` row. Two corners may share a column (cells that
-    reference one passive row). The matrix is never canonicalised (no
-    ``sum_duplicates``, ``sort_indices`` or ``eliminate_zeros``): the product
-    then adds each row's terms in corner order from ``+0.0``, exactly as a
-    four-corner loop of ``out += weight * row`` does, so results are
-    bit-identical to it.
+    The samples are written into ``out``, a ``[py.size, F]`` float64 block of
+    any strides (such as a column block of a wider array), or into a new
+    array when ``out`` is None. A block of another shape raises
+    ``ContractError``.
+
+    Each chunk of ``CHUNK_VALUES // F`` samples is one product ``W @ rows`` with
+    a sparse weight matrix ``W`` (one CSR row per sample), so only one chunk's
+    product is held beside ``out``. Each row holds its corners in the order
+    (y0, x0), (y0, x1), (y1, x0), (y1, x1), with column ``index_map[cy, cx]``;
+    a corner outside the grid or with zero weight gets no entry, so an
+    all-outside sample is a ``+0.0`` row. Two corners may share a column
+    (cells that reference one passive row). The matrix is never
+    canonicalised (no ``sum_duplicates``, ``sort_indices`` or
+    ``eliminate_zeros``): the product then adds each row's terms in corner
+    order from ``+0.0``, exactly as a four-corner loop of
+    ``out += weight * row`` does, so results are bit-identical to it, however
+    the samples are chunked.
     """
     from scipy.sparse import csr_array  # loaded only where samples are taken
 
     h, w = index_map.shape
     shape = np.shape(py)
     py, px = np.ravel(py), np.ravel(px)
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
-    wy = py - y0
-    wx = px - x0
-    ay, ax = 1.0 - wy, 1.0 - wx
-    cy = np.stack([y0, y0, y0 + 1, y0 + 1], axis=1)
-    cx = np.stack([x0, x0 + 1, x0, x0 + 1], axis=1)
-    weight = np.stack([ay * ax, ay * wx, wy * ax, wy * wx], axis=1)
-    keep = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w) & (weight != 0.0)
-    indptr = np.zeros(len(y0) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    matrix = csr_array((weight[keep], index_map[cy[keep], cx[keep]], indptr),
-                       shape=(len(y0), rows.shape[0]))
-    return (matrix @ rows).reshape(shape + (rows.shape[1],))
+    n, f = len(py), rows.shape[1]
+    if out is None:
+        out = np.empty((n, f))
+    elif out.shape != (n, f) or out.dtype != np.float64:
+        raise ContractError(f"output block {out.shape} of {out.dtype} cannot hold {n} "
+                            f"float64 samples of {f} features")
+    step = max(1, CHUNK_VALUES // max(f, 1))
+    for lo in range(0, n, step):
+        y, x = py[lo:lo + step], px[lo:lo + step]
+        y0 = np.floor(y).astype(np.int64)
+        x0 = np.floor(x).astype(np.int64)
+        wy = y - y0
+        wx = x - x0
+        ay, ax = 1.0 - wy, 1.0 - wx
+        cy = np.stack([y0, y0, y0 + 1, y0 + 1], axis=1)
+        cx = np.stack([x0, x0 + 1, x0, x0 + 1], axis=1)
+        weight = np.stack([ay * ax, ay * wx, wy * ax, wy * wx], axis=1)
+        keep = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w) & (weight != 0.0)
+        indptr = np.zeros(len(y0) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        matrix = csr_array((weight[keep], index_map[cy[keep], cx[keep]], indptr),
+                           shape=(len(y0), rows.shape[0]))
+        out[lo:lo + step] = matrix @ rows
+    return out.reshape(shape + (f,))
 
 
 def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTensor:
@@ -287,18 +314,24 @@ def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTens
     return _with_rows(s, acc)
 
 
-def fuse_external(s: SpsTensor, ext: np.ndarray, transform: TransformChain) -> SpsTensor:
-    """Residual fusion: concat each active row with its external vector, map, add."""
-    ext = np.asarray(ext, dtype=np.float64)
-    if ext.ndim != 2 or ext.shape[0] != s.n_active:
-        raise ContractError(f"external rows {ext.shape} do not match N_active={s.n_active}")
+def fuse_external(s: SpsTensor, ext: Callable[[np.ndarray], object],
+                  transform: TransformChain) -> SpsTensor:
+    """Residual fusion: each active row beside its external vector, mapped, added.
+
+    The fusion input ``[N_A, F + F_e]`` is allocated once, with ``F + F_e`` the
+    transform's input width. The active rows fill its left block, and
+    ``ext(block)`` writes the external rows into the ``[N_A, F_e]`` right
+    block, a strided view. ``ext`` is not called when no row is active.
+    """
     f_in, f_out = _chain_ends(transform)
-    if f_in != s.f + ext.shape[1] or f_out != s.f:
-        raise ContractError(f"fusion transform must map {s.f}+{ext.shape[1]} -> {s.f}")
+    if f_in <= s.f or f_out != s.f:
+        raise ContractError(f"fusion transform maps {f_in} -> {f_out}, not {s.f}+F_e -> {s.f}")
     if s.n_active == 0:
         return s
-    update = apply_chain(transform, np.concatenate([s.active, ext], axis=1))
-    return _with_rows(s, s.active + update)
+    fused = np.empty((s.n_active, f_in))
+    fused[:, :s.f] = s.active
+    ext(fused[:, s.f:])
+    return _with_rows(s, s.active + apply_chain(transform, fused))
 
 
 def relu_active(s: SpsTensor) -> SpsTensor:

@@ -371,6 +371,30 @@ def neck_grids(image_hw: tuple, f_neck: int) -> dict:
     return grids
 
 
+def _draw_channel_last(rng: np.random.Generator, gh: int, gw: int, f: int) -> np.ndarray:
+    """The values of ``rng.standard_normal((f, gh, gw))`` as a C-contiguous
+    ``[gh, gw, f]`` array.
+
+    The stream is drawn in order into one reused chunk buffer of at most
+    ``ops.CHUNK_VALUES`` values (whole channels, or part of one channel that
+    is larger) and copied into place, so the draw is never held whole beside
+    the level. Splitting the stream leaves its values unchanged.
+    """
+    level = np.empty((gh, gw, f))
+    planes = level.reshape(-1, f).T  # [f, gh * gw]: its C order is the stream order
+    cells = gh * gw
+    span = min(cells, ops.CHUNK_VALUES)  # cells per chunk
+    step = max(1, ops.CHUNK_VALUES // cells)  # channels per chunk
+    buffer = np.empty(min(step, f) * span)
+    for c in range(0, f, step):
+        for p in range(0, cells, span):
+            block = planes[c:c + step, p:p + span]
+            chunk = buffer[:block.size].reshape(block.shape)
+            rng.standard_normal(out=chunk)
+            block[...] = chunk
+    return level
+
+
 @dataclass
 class NeckFeatures:
     """Image-level feature grids per pyramid level (stride ``2**level``).
@@ -384,24 +408,26 @@ class NeckFeatures:
 
     @classmethod
     def synthesize(cls, seed: int, image_hw: tuple, f_neck: int) -> "NeckFeatures":
-        """Seeded standard-normal levels; each is drawn ``[F, gh, gw]`` and
-        stored transposed, one level at a time."""
-        levels = {}
-        for level, (gh, gw) in neck_grids(image_hw, f_neck).items():
-            draw = seeded_rng(seed, "neck", level).standard_normal((f_neck, gh, gw))
-            levels[level] = np.ascontiguousarray(draw.transpose(1, 2, 0))
-            del draw
+        """Seeded standard-normal levels: each holds a ``[F, gh, gw]`` draw
+        channel-last, drawn in place (:func:`_draw_channel_last`), so the
+        neck cap bounds the draw too."""
+        levels = {level: _draw_channel_last(seeded_rng(seed, "neck", level), gh, gw, f_neck)
+                  for level, (gh, gw) in neck_grids(image_hw, f_neck).items()}
         return cls(levels=levels, image_hw=image_hw)
 
-    def sample(self, level: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Bilinear sample at image coordinates; ``(n, F)``, zero outside."""
+    def sample(self, level: int, ys: np.ndarray, xs: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear sample at image coordinates; ``(n, F)``, zero outside.
+
+        ``out``, if given, is the ``[n, F]`` block the samples are written
+        into (see ``ops._bilinear``)."""
         if level not in self.levels:
             raise ContractError(f"no neck features for level {level}")
         grid = self.levels[level]
         gh, gw, f = grid.shape
         stride = float(2**level)
         return ops._bilinear(grid.reshape(-1, f), np.arange(gh * gw).reshape(gh, gw),
-                             ys / stride - 0.5, xs / stride - 0.5)
+                             ys / stride - 0.5, xs / stride - 0.5, out)
 
 
 class _WeightArrays:
@@ -468,6 +494,47 @@ class PipelineWeights:
             self.sfm[s] = tuple(src.conv(f"stage{s}.sfm.d{d}", f_out, d) for d in (1, 3, 5))
             self.seg_head[s] = src.mlp(f"stage{s}.seg", [f_out, f_out, 1])
             self.refine_head[s] = src.mlp(f"stage{s}.refine", [f_out, f_out, 1])
+
+
+def _check_weights(w: PipelineWeights, config: RunConfig):
+    """Raise ``ContractError`` unless ``w`` fits ``config``: layers for each of
+    its stages, and every chain and kernel mapping the widths of its plan."""
+    plan = config.stage_configs()
+    refined, every = list(range(1, len(plan))), list(range(len(plan)))
+    if ([sorted(d) for d in (w.subdiv, w.fuse, w.halve, w.sfm)] != [refined] * 4
+            or [sorted(d) for d in (w.seg_head, w.refine_head)] != [every] * 2):
+        raise ContractError(f"weights hold refinement stages {sorted(w.fuse)}, "
+                            f"the run has {refined}")
+    f0, fq, fe = plan[0].f, config.f_query, config.f_neck
+    layers = [("stage0.ingest", w.ingest, fe, f0), ("stage0.fuse", w.stage0_fuse, f0 + fq, f0)]
+    layers += [("stage0.fcn", k, f0, f0) for k in w.stage0_fcn]
+    for prev, cur in zip(plan, plan[1:]):
+        s = cur.s
+        layers += [(f"stage{s}.subdiv", m, prev.f, prev.f) for m in w.subdiv[s]]
+        layers += [(f"stage{s}.fuse", w.fuse[s], prev.f + fe, prev.f),
+                   (f"stage{s}.halve", w.halve[s], prev.f, cur.f)]
+        layers += [(f"stage{s}.sfm", k, cur.f, cur.f) for k in w.sfm[s]]
+    for st in plan:
+        layers += [(f"stage{st.s}.seg", w.seg_head[st.s], st.f, 1),
+                   (f"stage{st.s}.refine", w.refine_head[st.s], st.f, 1)]
+    for name, layer, f_in, f_out in layers:
+        ends = ((layer.f_in, layer.f_out) if isinstance(layer, ops.ConvKernel)
+                else ops._chain_ends(layer))
+        if ends != (f_in, f_out):
+            raise ContractError(f"weights {name} map {ends[0]} -> {ends[1]} features, "
+                                f"the run needs {f_in} -> {f_out}")
+
+
+def _check_neck(neck: NeckFeatures, f_neck: int):
+    """Raise ``ContractError`` unless ``neck`` holds every pyramid level as a
+    ``[gh, gw, f_neck]`` grid."""
+    missing = sorted(set(NECK_LEVELS) - set(neck.levels))
+    if missing:
+        raise ContractError(f"neck lacks levels {missing}")
+    for level in NECK_LEVELS:
+        shape = np.shape(neck.levels[level])
+        if len(shape) != 3 or shape[2] != f_neck:
+            raise ContractError(f"neck level {level} is {shape}, the run needs [gh, gw, {f_neck}]")
 
 
 # --- the refinement engine ---------------------------------------------------
@@ -547,9 +614,11 @@ class _Engine:
                 self.oracle_targets.append([_cell_targets(r.ref_mask, sat, st.hw)
                                             for st in self.plan])
         self.weights = weights or PipelineWeights(None, config)  # capped before any draw
+        _check_weights(self.weights, config)
         if neck is None:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
+        _check_neck(neck, config.f_neck)
         self.neck = neck
         self.k0 = [assign_level(r.box) for r in self.rois]
         self.queries = [seeded_rng(config.seed, "query", i).standard_normal(config.f_query)
@@ -575,10 +644,12 @@ class _Engine:
         logits = np.where(seg, ORACLE_LOGIT, -ORACLE_LOGIT)
         return logits, refine.astype(np.float64)
 
-    def _neck_rows(self, i: int, s: int, coords: np.ndarray) -> np.ndarray:
-        """Neck features of RoI i's level at stage s, at the centers of ``coords``."""
+    def _neck_rows(self, i: int, s: int, coords: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Neck features of RoI i's level at stage s, at the centers of
+        ``coords``; written into ``out`` if given."""
         ys, xs = _cell_centers(self.rois[i].box, coords, self.plan[s].hw)
-        return self.neck.sample(stage_level(self.k0[i], s), ys, xs)
+        return self.neck.sample(stage_level(self.k0[i], s), ys, xs, out=out)
 
     def _child_maps(self, s: int) -> list:
         return [lambda rows, m=m: ops.apply_chain(m, rows) for m in self.weights.subdiv[s]]
@@ -639,8 +710,8 @@ class _Engine:
         x = self.weights.ingest.apply(self._neck_rows(i, 0, _all_cells(grid0)))
         index = np.arange(grid0[0] * grid0[1]).reshape(grid0)
         t = SpsTensor(active=x, passive=np.zeros((0, cfg.f0)), index_map=index)
-        ext = np.broadcast_to(self.queries[i], (t.n_active, cfg.f_query))
-        t = ops.fuse_external(t, ext, self.weights.stage0_fuse)
+        t = ops.fuse_external(t, lambda block: np.copyto(block, self.queries[i]),
+                              self.weights.stage0_fuse)
         for kernel in self.weights.stage0_fcn:
             t = ops.relu_active(ops.conv2d_sparse(t, kernel))
         seg = ops.apply_chain(self.weights.seg_head[0], t.active).reshape(grid0)
@@ -650,8 +721,8 @@ class _Engine:
     def sparse_stage(self, i: int, s: int, t: SpsTensor, cells: np.ndarray):
         t = subdivide(reselect(t, cells), self._child_maps(s))
         coords = t.active_coords()
-        if t.n_active:
-            t = ops.fuse_external(t, self._neck_rows(i, s, coords), self.weights.fuse[s])
+        t = ops.fuse_external(t, lambda block: self._neck_rows(i, s, coords, block),
+                              self.weights.fuse[s])
         t = ops.halve_features(t, self.weights.halve[s])
         t = ops.sfm(t, *self.weights.sfm[s])
         seg = ops.apply_chain(self.weights.seg_head[s], t.active).ravel()
@@ -691,8 +762,9 @@ def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
                    sparse: bool = True) -> RefinementResult:
     """Run the staged refinement over one image's RoIs.
 
-    ``weights`` must be built for ``config``'s stages and feature sizes; it
-    and ``neck`` default to the seeded sets of ``config``.
+    ``weights`` must be built for ``config``'s stages and feature sizes, and
+    ``neck`` must hold every level at ``config.f_neck`` features; a mismatch
+    raises ``ContractError``. They default to the seeded sets of ``config``.
     ``sparse=False`` runs the dense baseline route (every cell active, plain
     array operators) with identical weights and shapes.
     """

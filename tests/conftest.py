@@ -34,3 +34,15 @@ def random_linear(rng, f_in, f_out, activation="none"):
 def random_kernel(rng, f, k=3, dilation=1):
     return ops.ConvKernel(weights=rng.standard_normal((f, f, k, k)),
                           bias=rng.standard_normal(f), dilation=dilation)
+
+
+def writes(rows):
+    """An ``ext`` writer for ``ops.fuse_external`` that copies fixed rows into
+    the block it is given, which must have their shape."""
+    rows = np.asarray(rows, dtype=np.float64)
+
+    def write(block):
+        assert block.shape == rows.shape
+        block[...] = rows
+
+    return write

@@ -331,8 +331,8 @@ class TestApSuiteTables:
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_pair_evaluated_once(self, rng, kind, monkeypatch):
         preds, gts = table_instance(rng, kind)
-        evaluated, decoded = [], Counter()
-        real_iou_fn, real_decode = me.geometry_iou_fn, me.rle_decode
+        evaluated, decoded, matrices = [], Counter(), []
+        real_iou_fn, real_decode, real_matrix = me.geometry_iou_fn, me.rle_decode, me.iou_matrix
 
         def counting_iou_fn(k):
             fn = real_iou_fn(k)
@@ -347,17 +347,40 @@ class TestApSuiteTables:
             decoded[id(rle)] += 1
             return real_decode(rle)
 
+        def counting_matrix(a, b):
+            matrices.append((len(a), len(b)))
+            return real_matrix(a, b)
+
         monkeypatch.setattr(me, "geometry_iou_fn", counting_iou_fn)
         monkeypatch.setattr(me, "rle_decode", counting_decode)
+        monkeypatch.setattr(me, "iou_matrix", counting_matrix)
         me.ap_suite(preds, gts, kind)
         pairs = {(id(p), id(g)) for p in preds for g in gts
                  if (p.image_id, p.class_id) == (g.image_id, g.class_id)}
-        assert len(evaluated) == len(pairs) and set(evaluated) == pairs
         if kind == "box":
-            assert not decoded
+            # one [preds, gts] matrix per (image, class) group, and no pair by pair call
+            group_preds = Counter((p.image_id, p.class_id) for p in preds)
+            group_gts = Counter((g.image_id, g.class_id) for g in gts)
+            assert sorted(matrices) == sorted((n, group_gts[key]) for key, n in group_preds.items()
+                                              if group_gts[key])
+            assert sum(a * b for a, b in matrices) == len(pairs)
+            assert not evaluated and not decoded
         else:
+            assert len(evaluated) == len(pairs) and set(evaluated) == pairs
+            assert not matrices
             assert max(decoded.values()) == 1
             assert len(decoded) == len({i for pair in evaluated for i in pair})
+
+    def test_box_pair_ious_bits_equal_geometry_iou(self, rng):
+        for _ in range(5):
+            preds, gts = table_instance(rng, "box")
+            lookup = me._pair_ious(preds, gts, "box")
+            for p in preds:
+                for g in gts:
+                    if p.image_id == g.image_id:
+                        want = me.box_iou(p.box, g.box)
+                        assert type(lookup(p, g)) is float
+                        assert lookup(p, g).hex() == want.hex()
 
     @pytest.mark.parametrize("kind", ("mask", "boundary"))
     def test_canvas_mismatch_rejected(self, kind):

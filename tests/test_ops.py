@@ -6,7 +6,7 @@ from spsr.cost import macs_conv
 from spsr.errors import ContractError
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic
 
-from conftest import identity_transform, random_kernel, random_linear, random_sps
+from conftest import identity_transform, random_kernel, random_linear, random_sps, writes
 
 
 def active_values(s):
@@ -184,7 +184,7 @@ class TestFuseExternal:
     def test_zero_transform_is_identity(self, rng):
         _, s = random_sps(rng, f=4, h=4, w=4, n_active=8)
         t = ops.LinearTransform(weights=np.zeros((4, 6)), bias=np.zeros(4))
-        out = ops.fuse_external(s, rng.standard_normal((8, 2)), t)
+        out = ops.fuse_external(s, writes(rng.standard_normal((8, 2))), t)
         np.testing.assert_array_equal(out.active, s.active)
 
     def test_ignoring_ext_equals_pointwise_residual(self, rng):
@@ -192,7 +192,7 @@ class TestFuseExternal:
         w_core = rng.standard_normal((3, 3))
         w = np.concatenate([w_core, np.zeros((3, 2))], axis=1)  # block ignores ext
         t = ops.LinearTransform(weights=w, bias=np.zeros(3))
-        out = ops.fuse_external(s, np.zeros((6, 2)), t)
+        out = ops.fuse_external(s, writes(np.zeros((6, 2))), t)
         expected = s.active + s.active @ w_core.T
         np.testing.assert_allclose(out.active, expected, rtol=1e-12)
 
@@ -202,14 +202,54 @@ class TestFuseExternal:
         coords = s.active_coords()
         ext_rows = ext_grid[:, coords[:, 0], coords[:, 1]].T
         chain = [random_linear(rng, 5, 4, activation="relu"), random_linear(rng, 4, 3)]
-        out = ops.fuse_external(s, ext_rows, chain)
+        out = ops.fuse_external(s, writes(ext_rows), chain)
         ref = ops.dense_fuse(d.features, ext_grid, chain)
         assert_sparse_matches_dense(out, ref, s)
 
     def test_row_count_mismatch_rejected(self, rng):
+        # the neck sampler as the writer: 2 samples for a block of 4 active rows
         _, s = random_sps(rng, f=3, h=3, w=3, n_active=4)
+        rows, index_map = rng.standard_normal((9, 2)), np.arange(9).reshape(3, 3)
         with pytest.raises(ContractError):
-            ops.fuse_external(s, np.zeros((2, 2)), random_linear(rng, 5, 3))
+            ops.fuse_external(s, lambda block: ops._bilinear(rows, index_map, np.ones(2),
+                                                             np.ones(2), block),
+                              random_linear(rng, 5, 3))
+
+    def test_width_mismatch_rejected(self, rng):
+        # 2-feature samples for a 3-feature external block, and a transform
+        # that leaves no external block at all
+        _, s = random_sps(rng, f=3, h=3, w=3, n_active=4)
+        rows, index_map = rng.standard_normal((9, 2)), np.arange(9).reshape(3, 3)
+        ys = np.ones(4)
+        with pytest.raises(ContractError):
+            ops.fuse_external(s, lambda block: ops._bilinear(rows, index_map, ys, ys, block),
+                              random_linear(rng, 6, 3))
+        with pytest.raises(ContractError):
+            ops.fuse_external(s, writes(np.zeros((4, 0))), random_linear(rng, 3, 3))
+
+    def test_fusion_input_built_once(self, rng, monkeypatch):
+        # the transform reads one C-contiguous [N_A, F + F_e] array whose right
+        # block is the very block the writer filled
+        _, s = random_sps(rng, f=3, h=5, w=5, n_active=9)
+        ext_rows = rng.standard_normal((9, 4))
+        seen = {}
+
+        def write(block):
+            seen["block"] = block
+            block[...] = ext_rows
+
+        def chain(transform, rows):
+            seen["rows"] = rows
+            return ops.LinearTransform.apply(transform, rows)
+
+        monkeypatch.setattr(ops, "apply_chain", chain)
+        transform = random_linear(rng, 7, 3)
+        out = ops.fuse_external(s, write, transform)
+        rows = seen["rows"]
+        assert rows.shape == (9, 7) and rows.flags.c_contiguous
+        assert np.shares_memory(seen["block"], rows)
+        np.testing.assert_array_equal(rows, np.concatenate([s.active, ext_rows], axis=1))
+        np.testing.assert_array_equal(out.active, s.active + transform.apply(rows))
 
 
 class TestLinearity:
@@ -238,7 +278,7 @@ class TestDegenerate:
         assert ops.conv2d_sparse(s, k).n_active == 0
         assert ops.sfm(s, random_kernel(rng, 4, dilation=1), random_kernel(rng, 4, dilation=3),
                        random_kernel(rng, 4, dilation=5)).n_active == 0
-        assert ops.fuse_external(s, np.zeros((0, 2)), random_linear(rng, 6, 4)).n_active == 0
+        assert ops.fuse_external(s, writes(np.zeros((0, 2))), random_linear(rng, 6, 4)).n_active == 0
         out = ops.halve_features(s, random_linear(rng, 4, 2))
         assert out.n_passive == 16 and out.f == 2
 
@@ -390,6 +430,33 @@ class TestBilinearKernel:
         py = rng.uniform(-1, self.H, 300)
         px = rng.uniform(-1, self.W, 300)
         self._check(rows, index_map, py, px)
+
+    CHUNK = ops.CHUNK_VALUES // F  # samples per CSR product
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 12544])
+    def test_writes_a_strided_column_block(self, rng, n):
+        # the block sits between other columns of a wider array, as in the fusion input
+        rows, index_map = self._neck(rng)
+        py = rng.uniform(-1, self.H, n)
+        px = rng.uniform(-1, self.W, n)
+        wide = np.full((n, 7 + self.F + 5), np.nan)
+        block = wide[:, 7:7 + self.F]
+        got = ops._bilinear(rows, index_map, py, px, block)
+        assert got.shape == (n, self.F) and (n == 0 or np.shares_memory(got, wide))
+        want = four_corner_bilinear(rows, index_map, py, px)
+        assert_bit_identical(block, want)
+        assert_bit_identical(ops._bilinear(rows, index_map, py, px), want)
+        assert np.all(np.isnan(wide[:, :7])) and np.all(np.isnan(wide[:, 7 + self.F:]))
+
+    @pytest.mark.parametrize("shape,dtype", [((9, F), np.float64), ((11, F), np.float64),
+                                             ((10, F - 1), np.float64), ((10, F + 1), np.float64),
+                                             ((10, 1, F), np.float64), ((10, F), np.float32)],
+                             ids=["fewer-rows", "more-rows", "narrower", "wider", "3-d", "float32"])
+    def test_wrong_block_rejected(self, rng, shape, dtype):
+        rows, index_map = self._neck(rng)
+        py = rng.uniform(0, self.H - 1, 10)
+        with pytest.raises(ContractError):
+            ops._bilinear(rows, index_map, py, py, np.zeros(shape, dtype=dtype))
 
     def test_shared_passive_rows_duplicate_columns(self, rng):
         # 2x2 children of a coarse cell share one passive row, so two corners
@@ -735,7 +802,7 @@ def test_map_preserving_ops_skip_the_map_check(rng, monkeypatch):
     outs = [ops.conv2d_sparse(s, k[0]), ops.sfm(s, *k), ops.relu_active(s),
             ops.pointwise(s, random_linear(rng, 4, 4)),
             ops.halve_features(s, random_linear(rng, 4, 2)),
-            ops.fuse_external(s, rng.standard_normal((20, 3)), random_linear(rng, 7, 4)),
+            ops.fuse_external(s, writes(rng.standard_normal((20, 3))), random_linear(rng, 7, 4)),
             ops.deform_conv_sparse(s, k[0], ops.OffsetField(rng.uniform(-1, 1, (20, 9, 2))))]
     assert not checks
     assert all(out.index_map is s.index_map for out in outs)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,17 @@ def active_fractions(result):
     """Each refinement stage's active fraction, as the ledger report gives it."""
     report = compare(result.dense_ledger, result.ledger)
     return {st["stage"]: st["active_fraction"] for st in report["stages"][1:]}
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``, and the peak of the bytes it allocated that tracemalloc saw."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def disk_roi(seed=11, canvas=160, side=112):
@@ -579,14 +593,25 @@ class TestWorkers:
 
 class TestNeckFeatures:
     def test_levels_are_the_seeded_draw_channel_last(self):
-        neck = pl.NeckFeatures.synthesize(5, (150, 97), 12)
-        assert sorted(neck.levels) == [2, 3, 4, 5]
-        for level, grid in neck.levels.items():
-            stride = 2**level
-            gh, gw = -(-150 // stride), -(-97 // stride)
-            draw = pl.seeded_rng(5, "neck", level).standard_normal((12, gh, gw))
-            assert grid.shape == (gh, gw, 12) and grid.flags.c_contiguous
-            np.testing.assert_array_equal(grid, draw.transpose(1, 2, 0))
+        # level 2 of a 448 x 448 image draws 20 channels a chunk, which does not
+        # divide F = 30; level 2 of a 2100 x 2048 image has more cells than a chunk
+        assert 30 % (ops.CHUNK_VALUES // (112 * 112)) != 0
+        assert 525 * 512 > ops.CHUNK_VALUES
+        for seed, (ih, iw), f in ((5, (150, 97), 12), (1, (448, 448), 30), (2, (2100, 2048), 2)):
+            neck = pl.NeckFeatures.synthesize(seed, (ih, iw), f)
+            assert sorted(neck.levels) == [2, 3, 4, 5]
+            for level, grid in neck.levels.items():
+                stride = 2**level
+                gh, gw = -(-ih // stride), -(-iw // stride)
+                draw = pl.seeded_rng(seed, "neck", level).standard_normal((f, gh, gw))
+                assert grid.shape == (gh, gw, f) and grid.flags.c_contiguous
+                np.testing.assert_array_equal(grid, draw.transpose(1, 2, 0))
+
+    def test_draw_holds_the_neck_plus_one_chunk(self):
+        # a level-2 draw held whole beside the level (6.4 MB here) breaks the bound
+        neck, peak = traced_peak(pl.NeckFeatures.synthesize, 3, (448, 448), 64)
+        neck_bytes = sum(grid.nbytes for grid in neck.levels.values())
+        assert peak <= neck_bytes + 8 * ops.CHUNK_VALUES
 
     def test_sample_at_cell_centers_reads_cells(self):
         neck = pl.NeckFeatures.synthesize(2, (64, 48), 5)
@@ -594,6 +619,61 @@ class TestNeckFeatures:
         ys, xs = np.array([4.0, 12.0, 60.0]), np.array([4.0, 44.0, 20.0])
         got = neck.sample(3, ys, xs)
         np.testing.assert_array_equal(got, grid[(ys // 8).astype(int), (xs // 8).astype(int)])
+
+
+class TestFusionMemory:
+    def test_stage3_holds_one_fusion_block(self):
+        # every stage-2 parent selected: 12,544 children, whose neck rows are
+        # sampled into the [n, F + F_neck] fusion input, not held beside it
+        cfg = pl.RunConfig(mode="weights", f0=64, f_query=256, f_neck=256, image_hw=(448, 448))
+        engine = pl._Engine([pl.RoiInput(box=pl.RoiBox(40, 40, 400, 400))], cfg, None, None)
+        t = engine.sparse_stage0(0)[0]
+        for s in (1, 2):
+            t = engine.sparse_stage(0, s, t, pl._all_cells(engine.plan[s - 1].hw))[0]
+        (t, *_), peak = traced_peak(engine.sparse_stage, 0, 3, t,
+                                    pl._all_cells(engine.plan[2].hw))
+        n = t.n_active
+        assert n == 12544
+        block, neck_rows = 8 * n * (engine.plan[2].f + cfg.f_neck), 8 * n * cfg.f_neck
+        assert peak < block + neck_rows // 2
+
+
+class TestGivenWeightsAndNeck:
+    """``run_refinement`` refuses, on both routes, weights or a neck that do not
+    fit the run's config."""
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("run,built", [
+        ({}, {"f0": 32}),
+        ({}, {"stages": 1}),
+        ({"stages": 2}, {"stages": 3}),
+        ({}, {"f_query": 16}),
+        ({}, {"f_neck": 16}),
+    ], ids=["f0", "fewer-stages", "more-stages", "f_query", "f_neck"])
+    def test_weights_built_for_another_config(self, sparse, run, built):
+        cfg = small_config(mode="weights", top_n_active=300, **run)
+        weights = pl.PipelineWeights(None, dataclasses.replace(cfg, **built))
+        with pytest.raises(ContractError):
+            pl.run_refinement([disk_roi(seed=12)], cfg, weights=weights, sparse=sparse)
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_chain_with_a_broken_link(self, sparse):
+        cfg = small_config(mode="weights", top_n_active=300)
+        weights = pl.PipelineWeights(None, cfg)
+        f = cfg.stage_configs()[1].f
+        weights.fuse[2][-1] = ops.LinearTransform(np.zeros((f, f + 1)), np.zeros(f))
+        with pytest.raises(ContractError):
+            pl.run_refinement([disk_roi(seed=12)], cfg, weights=weights, sparse=sparse)
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_neck_of_another_width_or_missing_a_level(self, sparse):
+        cfg = small_config(mode="weights", top_n_active=300)
+        wide = pl.NeckFeatures.synthesize(0, cfg.image_hw, 16)
+        short = pl.NeckFeatures.synthesize(0, cfg.image_hw, cfg.f_neck)
+        del short.levels[5]  # the RoI never samples level 5
+        for neck in (wide, short):
+            with pytest.raises(ContractError):
+                pl.run_refinement([disk_roi(seed=12)], cfg, neck=neck, sparse=sparse)
 
 
 class TestNeckBounds:
