@@ -253,11 +253,12 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
 
     Each chunk of ``CHUNK_VALUES // F`` samples is one product ``W @ rows`` with
     a sparse weight matrix ``W`` (one CSR row per sample), so only one chunk's
-    product is held beside ``out``. Each row holds its corners in the order
-    (y0, x0), (y0, x1), (y1, x0), (y1, x1), with column ``index_map[cy, cx]``;
-    a corner outside the grid or with zero weight gets no entry, so an
-    all-outside sample is a ``+0.0`` row. Two corners may share a column
-    (cells that reference one passive row). The matrix is never
+    product is held beside ``out``; with ``out`` None and every sample in one
+    chunk, that product is returned itself. Each row holds its corners in the
+    order (y0, x0), (y0, x1), (y1, x0), (y1, x1), with column
+    ``index_map[cy, cx]``; a corner outside the grid or with zero weight gets
+    no entry, so an all-outside sample is a ``+0.0`` row. Two corners may
+    share a column (cells that reference one passive row). The matrix is never
     canonicalised (no ``sum_duplicates``, ``sort_indices`` or
     ``eliminate_zeros``): the product then adds each row's terms in corner
     order from ``+0.0``, exactly as a four-corner loop of
@@ -270,12 +271,12 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
     shape = np.shape(py)
     py, px = np.ravel(py), np.ravel(px)
     n, f = len(py), rows.shape[1]
-    if out is None:
-        out = np.empty((n, f))
-    elif out.shape != (n, f) or out.dtype != np.float64:
+    if out is not None and (out.shape != (n, f) or out.dtype != np.float64):
         raise ContractError(f"output block {out.shape} of {out.dtype} cannot hold {n} "
                             f"float64 samples of {f} features")
     step = max(1, CHUNK_VALUES // max(f, 1))
+    if out is None and not 0 < n <= step:  # else the one chunk's product is the output
+        out = np.empty((n, f))
     for lo in range(0, n, step):
         y, x = py[lo:lo + step], px[lo:lo + step]
         y0 = np.floor(y).astype(np.int64)
@@ -291,7 +292,10 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
         np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
         matrix = csr_array((weight[keep], index_map[cy[keep], cx[keep]], indptr),
                            shape=(len(y0), rows.shape[0]))
-        out[lo:lo + step] = matrix @ rows
+        if out is None:
+            out = matrix @ rows
+        else:
+            out[lo:lo + step] = matrix @ rows
     return out.reshape(shape + (f,))
 
 

@@ -623,8 +623,11 @@ class _Engine:
         self.k0 = [assign_level(r.box) for r in self.rois]
         self.queries = [seeded_rng(config.seed, "query", i).standard_normal(config.f_query)
                         for i in range(len(self.rois))]
-        # --threads, but never more workers than there are RoIs or CPUs
-        self.workers = min(config.threads, len(self.rois), os.cpu_count() or 1)
+        # --threads, but never more workers than there are RoIs or CPUs the
+        # process may run on (its affinity mask, where the OS keeps one)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        self.workers = min(config.threads, len(self.rois), cpus)
 
     def _default_image_hw(self) -> tuple:
         h = max(int(np.ceil(r.box.y1)) for r in self.rois)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,14 @@ def writes(rows):
         block[...] = rows
 
     return write
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``, and the peak of the bytes it allocated that tracemalloc saw."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -204,6 +204,53 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_eval_and_convert_load_no_scipy(tmp_path, rng):
+    """Only the bilinear kernel needs SciPy: after ``import spsr.cli``, every
+    ``eval`` task and ``convert`` leave ``sys.modules`` without any ``scipy``
+    module, and a ``refine`` then loads ``scipy.sparse``."""
+    masks = [np.zeros((64, 80), dtype=bool) for _ in range(3)]
+    masks[0][5:40, 10:70] = True
+    masks[1][8:44, 12:66] = True
+    masks[2][50:, :30] = rng.random((14, 30)) < 0.8
+    records = [dict(box_record(0, 1 + i % 2, (0, 0, 80, 64), 0.9),
+                    rle=io.rle_to_dict(rle_encode(m))) for i, m in enumerate(masks)]
+    io.dump_json(str(tmp_path / "inst.json"), records)
+    labels = np.zeros((64, 80), dtype=np.int64)
+    labels[masks[0]], labels[masks[2]] = 1, 2
+    segments = [{"class": c, "is_thing": c == 1, "rle": io.rle_to_dict(rle_encode(labels == c))}
+                for c in (1, 2)]
+    io.dump_json(str(tmp_path / "pan.json"), [{"image_id": 0, "segments": segments}])
+    io.save_sps(str(tmp_path / "t.bin"), SpsTensor(active=rng.standard_normal((3, 4)),
+                                                   passive=rng.standard_normal((2, 4)),
+                                                   index_map=[[0, 1, 3], [2, 4, 4]]))
+    argvs = [["eval", "--task", task, "--preds", str(tmp_path / f), "--gts", str(tmp_path / f),
+              "--out", str(tmp_path / f"{task}.json")]
+             for task, f in (("det", "inst.json"), ("seg", "inst.json"),
+                             ("boundary", "inst.json"), ("panoptic", "pan.json"))]
+    argvs.append(["convert", "--input", str(tmp_path / "t.bin"),
+                  "--output", str(tmp_path / "t.json")])
+    roi_path, mask_path, _ = write_inputs(tmp_path, n=1)
+    refine = ["refine", "--mode", "oracle", "--rois", roi_path, "--ref-masks", mask_path,
+              "--out", str(tmp_path / "out")] + REFINE_FAST
+    code = ("import json, sys\n"
+            "from spsr.cli import main\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert not scipy_modules(), (argv, scipy_modules())\n"
+            "assert main(json.loads(sys.argv[2])) == 0\n"
+            "assert 'scipy.sparse' in sys.modules\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code, json.dumps(argvs), json.dumps(refine)],
+                   env=env, check=True)
+    for task in ("det", "seg", "boundary"):
+        assert json.load(open(tmp_path / f"{task}.json"))["AP"] > 0
+    assert json.load(open(tmp_path / "panoptic.json"))["PQ"] > 0
+
+
 def fail_if_called(*args, **kwargs):
     raise AssertionError("reached work that a rejected input must not start")
 

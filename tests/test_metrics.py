@@ -10,6 +10,8 @@ from scipy import ndimage
 from spsr import metrics as me
 from spsr.errors import ContractError
 
+from conftest import traced_peak
+
 
 def box_entry(image_id, class_id, box, score=1.0):
     return me.EvalEntry(image_id=image_id, class_id=class_id, score=score,
@@ -633,6 +635,70 @@ class TestBoxLocalReference:
     def test_canvas_mismatch_rejected(self):
         with pytest.raises(ContractError, match="canvases differ"):
             me.boundary_iou(np.ones((8, 8), dtype=bool), np.ones((8, 9), dtype=bool))
+
+
+def minimum_filter_band_in_box(mask, box, d):
+    """``me._band_in_box`` as a SciPy minimum filter of the crop, reading zero
+    outside it."""
+    band = np.zeros(mask.shape, dtype=bool)
+    crop = mask[box]
+    if crop.size:
+        eroded = ndimage.minimum_filter(crop.view(np.uint8), size=2 * d + 1,
+                                        mode="constant", cval=0)
+        band[box] = crop & (eroded == 0)
+    return band
+
+
+def assert_band_matches_minimum_filter(mask, d):
+    want = minimum_filter_band_in_box(mask, me._box(mask), d)
+    np.testing.assert_array_equal(me.boundary_band(mask, d), want)
+    np.testing.assert_array_equal(me._band_in_box(mask, me._box(mask), d), want)
+    whole = (slice(0, mask.shape[0]), slice(0, mask.shape[1]))  # any box holding every pixel
+    np.testing.assert_array_equal(me._band_in_box(mask, whole, d), want)
+
+
+class TestErosion:
+    """The shifted-AND erosion of boundary bands against a SciPy minimum filter."""
+
+    def test_one_pixel_wide_crops(self, rng):
+        for h, w in ((1, 1), (1, 9), (9, 1), (1, 40), (40, 1)):
+            for d in (1, 2, 3, 4, 5, 8, 20, 41):  # up to a window wider than the crop
+                for _ in range(4):
+                    mask = np.zeros((h + 6, w + 6), dtype=bool)
+                    mask[3:3 + h, 3:3 + w] = rng.random((h, w)) < 0.8
+                    mask[3, 3] = mask[2 + h, 2 + w] = True  # the box is the h x w crop
+                    assert_band_matches_minimum_filter(mask, d)
+
+    def test_crops_narrower_than_the_window(self, rng):
+        for d in range(1, 13):
+            for _ in range(20):
+                h, w = (int(v) for v in rng.integers(1, 2 * d + 1, 2))
+                if rng.random() < 0.5:  # one side at least as wide as the window
+                    w = int(rng.integers(2 * d + 1, 4 * d + 3))
+                mask = rng.random((h, w)) < rng.random()
+                assert_band_matches_minimum_filter(mask, d)
+
+    def test_random_crops(self, rng):
+        for _ in range(600):
+            h, w = (int(v) for v in rng.integers(1, 40, 2))
+            mask = rng.random((h, w)) < rng.random()
+            assert_band_matches_minimum_filter(mask, int(rng.integers(1, 12)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 34),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_minimum_filter_property(self, h, w, d, density, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        assert_band_matches_minimum_filter(mask, d)
+
+    @pytest.mark.parametrize("d", [7, 58])  # 58: the band width of a 2048 x 2048 canvas
+    def test_large_crop_memory(self, d):
+        mask = np.ones((2048, 2048), dtype=bool)
+        mask[1000:1040, 500:1500] = False
+        box = me._box(mask)
+        band, peak = traced_peak(me._band_in_box, mask, box, d)
+        assert peak <= 2.5 * (2048 + 2 * d) ** 2
+        np.testing.assert_array_equal(band, minimum_filter_band_in_box(mask, box, d))
 
 
 def partition_segments(rng, classes, shape=(12, 12), n=3):

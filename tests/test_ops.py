@@ -6,7 +6,8 @@ from spsr.cost import macs_conv
 from spsr.errors import ContractError
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic
 
-from conftest import identity_transform, random_kernel, random_linear, random_sps, writes
+from conftest import (identity_transform, random_kernel, random_linear, random_sps, traced_peak,
+                      writes)
 
 
 def active_values(s):
@@ -447,6 +448,17 @@ class TestBilinearKernel:
         assert_bit_identical(block, want)
         assert_bit_identical(ops._bilinear(rows, index_map, py, px), want)
         assert np.all(np.isnan(wide[:, :7])) and np.all(np.isnan(wide[:, 7 + self.F:]))
+
+    def test_one_chunk_holds_one_output(self, rng):
+        # with out=None and every sample in one chunk, the CSR product is the output
+        rows, index_map = self._neck(rng)
+        n = self.CHUNK
+        py = rng.uniform(-1, self.H, n)
+        px = rng.uniform(-1, self.W, n)
+        ops._bilinear(rows, index_map, py, px)  # scipy.sparse is imported before tracing
+        got, peak = traced_peak(ops._bilinear, rows, index_map, py, px)
+        assert_bit_identical(got, four_corner_bilinear(rows, index_map, py, px))
+        assert peak < 1.5 * n * self.F * 8
 
     @pytest.mark.parametrize("shape,dtype", [((9, F), np.float64), ((11, F), np.float64),
                                              ((10, F - 1), np.float64), ((10, F + 1), np.float64),

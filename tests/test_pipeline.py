@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from spsr.cost import CostLedger, compare, macs_bilinear, macs_conv
 from spsr.errors import ContractError, SchemaError
 from spsr.metrics import boundary_iou
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
+
+from conftest import traced_peak
 
 
 def small_config(**kwargs):
@@ -23,17 +24,6 @@ def active_fractions(result):
     """Each refinement stage's active fraction, as the ledger report gives it."""
     report = compare(result.dense_ledger, result.ledger)
     return {st["stage"]: st["active_fraction"] for st in report["stages"][1:]}
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)``, and the peak of the bytes it allocated that tracemalloc saw."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 def disk_roi(seed=11, canvas=160, side=112):
@@ -583,7 +573,12 @@ class TestWorkers:
                 return map(fn, items)
 
         monkeypatch.setattr(pl, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(pl.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity mask and an unknown CPU count: one worker
+            monkeypatch.delattr(pl.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(pl.os, "cpu_count", lambda: None)
+        else:  # the CPUs the process may use bound the workers, not the 64 installed
+            monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(pl.os, "cpu_count", lambda: 64)
         got = pl.run_refinement(rois, small_config(threads=threads, top_n_active=500))
         assert started == pools * (1 + small_config().stages)  # one pool per stage pass
         for a, b in zip(want.per_roi, got.per_roi):
