@@ -140,6 +140,9 @@ def cmd_bench(args) -> int:
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
     if args.count > io.MAX_ROIS:
         raise SchemaError(f"--count {args.count} is over the {io.MAX_ROIS}-RoI cap")
+    if args.canvas * args.canvas > io.MAX_MASK_PIXELS:
+        raise SchemaError(f"--canvas {args.canvas} is over the {io.MAX_MASK_PIXELS}-pixel "
+                          f"mask cap")
     weights = pipeline.PipelineWeights(None, config)  # capped before the corpus is drawn
     rois = roi_corpus(args.count, args.shape, args.canvas, args.seed, config.final_side)
     neck = NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)

@@ -72,9 +72,10 @@ class LinearTransform:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape[-1] != self.f_in:
             raise ContractError(f"expected {self.f_in} input features, got {rows.shape[-1]}")
-        out = rows @ self.weights.T + self.bias
+        out = rows @ self.weights.T
+        out += self.bias
         if self.activation == "relu":
-            out = np.maximum(out, 0.0)
+            np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -182,8 +183,10 @@ def _im2col(columns: np.ndarray, tap_index: np.ndarray) -> np.ndarray:
 
 def _contract(cols: np.ndarray, k: ConvKernel) -> np.ndarray:
     """``[n, F_out]`` outputs of feature-major columns ``[F_in * T, n]``: one GEMM
-    with the ``[F_out, F_in * T]`` weight view, then the bias."""
-    return np.matmul(k.weights.reshape(k.f_out, -1), cols).T + k.bias
+    with the ``[F_out, F_in * T]`` weight view, then the bias, added in place."""
+    out = np.matmul(k.weights.reshape(k.f_out, -1), cols).T
+    out += k.bias
+    return out
 
 
 def pointwise(s: SpsTensor, t: LinearTransform) -> SpsTensor:
@@ -335,7 +338,9 @@ def fuse_external(s: SpsTensor, ext: Callable[[np.ndarray], object],
     fused = np.empty((s.n_active, f_in))
     fused[:, :s.f] = s.active
     ext(fused[:, s.f:])
-    return _with_rows(s, s.active + apply_chain(transform, fused))
+    update = apply_chain(transform, fused)
+    update += s.active
+    return _with_rows(s, update)
 
 
 def relu_active(s: SpsTensor) -> SpsTensor:
@@ -360,14 +365,18 @@ def relu_active(s: SpsTensor) -> SpsTensor:
 # independent reference.
 
 
-def _activate(out: np.ndarray, t: LinearTransform) -> np.ndarray:
-    return np.maximum(out, 0.0) if t.activation == "relu" else out
+def _epilogue(out: np.ndarray, t: LinearTransform) -> np.ndarray:
+    """Add ``t``'s bias to the ``[F_out, H*W]`` product ``out``, then its
+    activation, both in place."""
+    out += t.bias[:, None]
+    if t.activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    return out
 
 
 def dense_pointwise(x: np.ndarray, t: LinearTransform) -> np.ndarray:
     f, h, w = x.shape
-    out = t.weights @ x.reshape(f, -1) + t.bias[:, None]
-    return _activate(out, t).reshape(t.f_out, h, w)
+    return _epilogue(t.weights @ x.reshape(f, -1), t).reshape(t.f_out, h, w)
 
 
 def dense_chain(x: np.ndarray, transform: TransformChain) -> np.ndarray:
@@ -391,7 +400,9 @@ def _conv_gemm(shifts: np.ndarray, k: ConvKernel) -> np.ndarray:
     pad, r = shifts.shape[1] // 2, (k.k // 2) * k.dilation
     taps = slice(pad - r, pad + r + 1, k.dilation)
     cols = shifts[:, taps, taps].reshape(-1, shifts.shape[3] * shifts.shape[4])
-    return k.weights.reshape(k.f_out, -1) @ cols + k.bias[:, None]
+    out = k.weights.reshape(k.f_out, -1) @ cols
+    out += k.bias[:, None]
+    return out
 
 
 def dense_conv2d(x: np.ndarray, k: ConvKernel) -> np.ndarray:
@@ -414,7 +425,8 @@ def dense_deform_conv(x: np.ndarray, k: ConvKernel, offsets: np.ndarray) -> np.n
     px = xs[:, :, None] + base[None, None, :, 1] + offsets[:, :, :, 1]
     gathered = dense_bilinear(x, py, px)  # [H, W, T, F]
     cols = gathered.transpose(3, 2, 0, 1).reshape(-1, h * w)  # row i*T + t
-    out = k.weights.reshape(k.f_out, -1) @ cols + k.bias[:, None]
+    out = k.weights.reshape(k.f_out, -1) @ cols
+    out += k.bias[:, None]
     return out.reshape(k.f_out, h, w)
 
 
@@ -422,7 +434,9 @@ def dense_sfm(x: np.ndarray, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> 
     """The three branch convolutions, each one GEMM, read one padded input."""
     f, h, w = x.shape
     shifts = _shifts(x, max((k.k // 2) * k.dilation for k in (k1, k3, k5)))
-    out = _conv_gemm(shifts, k1) + _conv_gemm(shifts, k3) + _conv_gemm(shifts, k5)
+    out = _conv_gemm(shifts, k1)
+    out += _conv_gemm(shifts, k3)
+    out += _conv_gemm(shifts, k5)
     return out.reshape(k1.f_out, h, w)
 
 
@@ -434,12 +448,13 @@ def dense_fuse(x: np.ndarray, ext: np.ndarray, transform: TransformChain) -> np.
     """
     first, *rest = [transform] if isinstance(transform, LinearTransform) else transform
     f, h, w = x.shape
-    out = (first.weights[:, :f] @ x.reshape(f, -1)
-           + first.weights[:, f:] @ ext.reshape(ext.shape[0], -1) + first.bias[:, None])
-    update = _activate(out, first).reshape(first.f_out, h, w)
+    out = first.weights[:, :f] @ x.reshape(f, -1)
+    out += first.weights[:, f:] @ ext.reshape(ext.shape[0], -1)
+    update = _epilogue(out, first).reshape(first.f_out, h, w)
     for t in rest:
         update = dense_pointwise(update, t)
-    return x + update
+    update += x
+    return update
 
 
 def dense_subdivide(x: np.ndarray, child_maps: Sequence) -> np.ndarray:

@@ -150,15 +150,20 @@ class TestNeckBounds:
         assert code == 2
         assert not (out / "masks.json").exists()
 
-    @pytest.mark.parametrize("canvas", ["10000000", "0", "-5"])
-    def test_bench_canvas_exit_2(self, tmp_path, monkeypatch, no_neck_draw, canvas):
+    @pytest.mark.parametrize("canvas", ["10000000", "9000", "0", "-5"])
+    def test_bench_canvas_exit_2(self, tmp_path, capsys, monkeypatch, no_neck_draw, canvas):
         def no_corpus(spec):
             raise AssertionError("the canvas must be rejected before the corpus is drawn")
 
+        def no_weights(*args):
+            raise AssertionError("the canvas must be rejected before the weights are drawn")
+
         monkeypatch.setattr(synthetic, "gen_synthetic", no_corpus)
+        monkeypatch.setattr(pipeline, "PipelineWeights", no_weights)
         out = tmp_path / "bench.json"
         code = main(["bench", "--count", "2", "--canvas", canvas, "--out", str(out)] + REFINE_FAST)
         assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--f-neck", "--f0", "--f-query"])
