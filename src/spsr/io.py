@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ContractError, SchemaError
 from .metrics import EvalEntry, PanopticSegment, Rle, rle_decode, rle_encode
 from .pipeline import RoiBox, RoiInput
 from .tensor import SpsTensor
@@ -24,7 +24,7 @@ SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
-MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic file; pq decodes none
+MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic or reference-mask file
 MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
 IMAGE_ID_RANGE = (-(1 << 63), (1 << 63) - 1)  # image ids are int64
@@ -36,18 +36,21 @@ def dump_json(path: str, obj):
 
 
 def write_atomic(path: str, data: bytes):
-    """Write via a temp file and rename, so failures leave no partial output."""
+    """Write via a temp file and rename, so failures leave no partial output and
+    no temp file; a path that cannot be written raises ``SchemaError``."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e}") from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_json(path: str):
@@ -202,24 +205,21 @@ def sps_from_dict(d: dict) -> SpsTensor:
         active = np.asarray(d["active"], dtype=np.float64).reshape(-1, f)
         passive = np.asarray(d["passive"], dtype=np.float64).reshape(-1, f)
         index = np.asarray(d["index_map"])
-        if index.dtype.kind not in "iu":
-            raise ValueError(f"index map values must be integers, not {index.dtype}")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"malformed tensor record: {e}") from e
     return _finite_sps(active, passive, index, "tensor record")
 
 
 def _finite_sps(active, passive, index, source: str) -> SpsTensor:
-    """Loaded tensor values must be finite: NaN/Inf would pass every operator
-    and reach JSON output as bare tokens that are not valid JSON. Index values
-    must address a row: the tensor's own check counts them in a table as long
-    as the largest value."""
+    """The loaded tensor, or ``SchemaError`` if it breaks the tensor's contract or
+    holds a value that is not finite: NaN/Inf would pass every operator and
+    reach JSON output as bare tokens that are not valid JSON."""
     if not (np.all(np.isfinite(active)) and np.all(np.isfinite(passive))):
         raise SchemaError(f"{source}: tensor values must be finite")
-    rows = len(active) + len(passive)
-    if index.size and not (0 <= index.min() and index.max() < rows):
-        raise SchemaError(f"{source}: index map values must lie in [0, {rows})")
-    return SpsTensor(active=active, passive=passive, index_map=index)
+    try:
+        return SpsTensor(active=active, passive=passive, index_map=index)
+    except ContractError as e:
+        raise SchemaError(f"{source}: {e}") from e
 
 
 # --- JSON record schemas -----------------------------------------------------
@@ -261,14 +261,20 @@ def load_rois(path: str) -> list[RoiInput]:
 
 
 def load_ref_masks(path: str) -> list[np.ndarray]:
-    """Reference masks in RoI frame, aligned with the RoI file by index."""
+    """Reference masks in RoI frame, aligned with the RoI file by index. Every
+    record is parsed and the summed canvases are checked against
+    ``MAX_PANOPTIC_PIXELS`` before any mask is decoded."""
     data = load_json(path)
     if not isinstance(data, dict) or data.get("format") != MASK_FORMAT:
         raise SchemaError(f"{path}: expected a {{format: {MASK_FORMAT!r}, masks: [...]}} object")
     try:
-        return [rle_decode(rle_from_dict(m)) for m in data["masks"]]
+        rles = [rle_from_dict(m) for m in data["masks"]]
     except (KeyError, TypeError) as e:
         raise SchemaError(f"{path}: malformed mask list: {e}") from e
+    pixels = sum(r.height * r.width for r in rles)
+    if pixels > MAX_PANOPTIC_PIXELS:
+        raise SchemaError(f"{path}: masks hold {pixels} pixels, over the {MAX_PANOPTIC_PIXELS} cap")
+    return [rle_decode(r) for r in rles]
 
 
 def masks_to_dict(masks: list[np.ndarray], scores: list[float],

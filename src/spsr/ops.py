@@ -1,5 +1,12 @@
 """2D operators over SPS tensors, with dense reference implementations.
 
+A layer's weights come as a :class:`LinearTransform` (``[F_out, F_in]``, a
+``1 x 1`` convolution with ``k == 1``) or a :class:`ConvKernel`
+(``[F_out, F_in, K, K]``). Both derive from :class:`Layer`, which states
+their shared contract once (float64, the class's rank, an ``[F_out]`` bias,
+finite entries) and owns ``f_in`` and ``f_out``, so width checks and MAC
+counts read any layer alike.
+
 Every sparse operator updates only the active rows; the passive rows and the
 index map pass through untouched (feature halving is the one exception, since
 it changes the feature size of every row). The index map and the row counts
@@ -28,7 +35,7 @@ the results are bit-identical to the einsum it replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,22 +50,23 @@ CHUNK_VALUES = 1 << 18
 
 
 @dataclass
-class LinearTransform:
-    """Affine map ``rows @ W.T + b`` with an optional relu."""
+class Layer:
+    """The contract every layer shares: float64 ``weights`` of rank ``RANK``,
+    ``[F_out, F_in, ...]``, a ``[F_out]`` bias, and finite entries."""
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str = "none"
+
+    RANK: ClassVar[int]
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ContractError("linear transform needs [F_out, F_in] weights and [F_out] bias")
+        if self.weights.ndim != self.RANK or self.bias.shape != (self.f_out,):
+            raise ContractError(f"{type(self).__name__} needs rank-{self.RANK} weights and an "
+                                f"[F_out] bias, not {self.weights.shape} and {self.bias.shape}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ContractError("linear transform entries must be finite")
-        if self.activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {self.activation!r}")
+            raise ContractError(f"{type(self).__name__} entries must be finite")
 
     @property
     def f_in(self) -> int:
@@ -67,6 +75,21 @@ class LinearTransform:
     @property
     def f_out(self) -> int:
         return self.weights.shape[0]
+
+
+@dataclass
+class LinearTransform(Layer):
+    """Affine map ``rows @ W.T + b`` with an optional relu: a ``1 x 1`` convolution."""
+
+    activation: str = "none"
+
+    RANK = 2
+    k = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.activation not in ACTIVATIONS:
+            raise ContractError(f"unknown activation {self.activation!r}")
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -82,20 +105,21 @@ class LinearTransform:
 TransformChain = LinearTransform | Sequence[LinearTransform]
 
 
+def _layers(transform: Layer | Sequence[Layer]) -> list:
+    """A single layer or a chain of them, as a list."""
+    return [transform] if isinstance(transform, Layer) else list(transform)
+
+
 def apply_chain(transform: TransformChain, rows: np.ndarray) -> np.ndarray:
-    if isinstance(transform, LinearTransform):
-        return transform.apply(rows)
-    for t in transform:
+    for t in _layers(transform):
         rows = t.apply(rows)
     return rows
 
 
-def _chain_ends(transform: TransformChain) -> tuple[int, int]:
-    """Input and output width of a chain whose every layer reads the width the
-    layer before it writes."""
-    if isinstance(transform, LinearTransform):
-        return transform.f_in, transform.f_out
-    ts = list(transform)
+def _chain_ends(transform: Layer | Sequence[Layer]) -> tuple[int, int]:
+    """Input and output width of a layer, or of a chain whose every layer reads
+    the width the layer before it writes."""
+    ts = _layers(transform)
     if not ts:
         raise ContractError("empty transform chain")
     for a, b in zip(ts, ts[1:]):
@@ -105,34 +129,20 @@ def _chain_ends(transform: TransformChain) -> tuple[int, int]:
 
 
 @dataclass
-class ConvKernel:
-    """``K x K`` convolution weights with a dilation; K must be odd."""
+class ConvKernel(Layer):
+    """``[F_out, F_in, K, K]`` convolution weights with a dilation; K must be odd."""
 
-    weights: np.ndarray
-    bias: np.ndarray
     dilation: int = 1
 
+    RANK = 4
+
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 4 or self.weights.shape[2] != self.weights.shape[3]:
-            raise ContractError("conv weights must be [F_out, F_in, K, K]")
-        if self.weights.shape[2] % 2 != 1:
-            raise ContractError("kernel size must be odd")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ContractError("conv bias must be [F_out]")
+        super().__post_init__()
+        if self.weights.shape[2] != self.weights.shape[3] or self.k % 2 != 1:
+            raise ContractError(f"conv weights must be [F_out, F_in, K, K] with K odd, "
+                                f"not {self.weights.shape}")
         if self.dilation < 1:
             raise ContractError("dilation must be >= 1")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ContractError("conv kernel entries must be finite")
-
-    @property
-    def f_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def f_out(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def k(self) -> int:
@@ -380,9 +390,7 @@ def dense_pointwise(x: np.ndarray, t: LinearTransform) -> np.ndarray:
 
 
 def dense_chain(x: np.ndarray, transform: TransformChain) -> np.ndarray:
-    if isinstance(transform, LinearTransform):
-        return dense_pointwise(x, transform)
-    for t in transform:
+    for t in _layers(transform):
         x = dense_pointwise(x, t)
     return x
 
@@ -446,7 +454,7 @@ def dense_fuse(x: np.ndarray, ext: np.ndarray, transform: TransformChain) -> np.
     The first layer's weights split into the block that reads ``x`` and the
     block that reads ``ext``; the later layers are plain pointwise layers.
     """
-    first, *rest = [transform] if isinstance(transform, LinearTransform) else transform
+    first, *rest = _layers(transform)
     f, h, w = x.shape
     out = first.weights[:, :f] @ x.reshape(f, -1)
     out += first.weights[:, f:] @ ext.reshape(ext.shape[0], -1)

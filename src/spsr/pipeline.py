@@ -64,8 +64,8 @@ class RoiBox:
     y1: float
 
     def __post_init__(self):
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ContractError(f"RoI box must have positive extent: {self}")
+        if not all(0.0 < v < math.inf for v in (self.w, self.h, self.w * self.h)):
+            raise ContractError(f"RoI box needs a positive, finite width, height and area: {self}")
 
     @property
     def w(self) -> float:
@@ -106,8 +106,6 @@ def assign_level(box: RoiBox) -> int:
 
 def stage_level(k0: int, s: int) -> int:
     """Level sampled at stage s: one finer per stage, floored at level 2."""
-    if not 0 <= s <= 3:
-        raise ContractError("stage index must lie in 0..3")
     return max(k0 - s, 2)
 
 
@@ -518,8 +516,7 @@ def _check_weights(w: PipelineWeights, config: RunConfig):
         layers += [(f"stage{st.s}.seg", w.seg_head[st.s], st.f, 1),
                    (f"stage{st.s}.refine", w.refine_head[st.s], st.f, 1)]
     for name, layer, f_in, f_out in layers:
-        ends = ((layer.f_in, layer.f_out) if isinstance(layer, ops.ConvKernel)
-                else ops._chain_ends(layer))
+        ends = ops._chain_ends(layer)
         if ends != (f_in, f_out):
             raise ContractError(f"weights {name} map {ends[0]} -> {ends[1]} features, "
                                 f"the run needs {f_in} -> {f_out}")
@@ -564,8 +561,7 @@ def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.n
 
 def _macs(rows: int, *layers) -> int:
     """MACs of ``rows`` rows through each of ``layers``; a linear layer is a 1 x 1 conv."""
-    return sum(macs_conv(rows, layer.k if isinstance(layer, ops.ConvKernel) else 1,
-                         layer.f_in, layer.f_out) for layer in layers)
+    return sum(macs_conv(rows, layer.k, layer.f_in, layer.f_out) for layer in layers)
 
 
 def _stage0_entries(ledger: CostLedger, cells: int, w: PipelineWeights, f_neck: int):

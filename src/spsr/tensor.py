@@ -6,6 +6,9 @@ features (one row per active cell), an ``N_P x F`` matrix of passive features
 Indices below ``N_A`` point into the active matrix, the rest into the passive
 matrix, so any 2D neighborhood can still be resolved while only active rows
 are ever recomputed.
+
+``SpsTensor`` checks its contract on construction, for the file loaders too:
+the map is range-checked before any value is converted or counted.
 """
 
 from __future__ import annotations
@@ -23,6 +26,17 @@ INDEX_DTYPE = np.uint32
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_rows(active, passive) -> tuple[np.ndarray, np.ndarray]:
+    """Active and passive rows as read-only float64 matrices of one feature width."""
+    act = np.asarray(active, dtype=np.float64)
+    pas = np.asarray(passive, dtype=np.float64)
+    if act.ndim != 2 or pas.ndim != 2:
+        raise ContractError("active/passive must be 2D matrices")
+    if act.shape[0] > 0 and pas.shape[0] > 0 and act.shape[1] != pas.shape[1]:
+        raise ContractError("active and passive feature sizes differ")
+    return _readonly(act), _readonly(pas)
 
 
 @dataclass
@@ -59,7 +73,7 @@ class SpsTensor:
     """Active matrix, passive matrix and index map over an ``H x W`` grid.
 
     Invariants (checked on construction):
-      * index values lie in ``[0, N_A + N_P)``;
+      * index values are integers in ``[0, N_A + N_P)``;
       * every active index appears exactly once in the map;
       * every passive index appears at least once (duplicates allowed).
     """
@@ -69,25 +83,20 @@ class SpsTensor:
     index_map: np.ndarray
 
     def __post_init__(self):
-        act = np.asarray(self.active, dtype=np.float64)
-        pas = np.asarray(self.passive, dtype=np.float64)
-        idx = np.asarray(self.index_map, dtype=INDEX_DTYPE)
-        if act.ndim != 2 or pas.ndim != 2:
-            raise ContractError("active/passive must be 2D matrices")
-        if act.shape[0] > 0 and pas.shape[0] > 0 and act.shape[1] != pas.shape[1]:
-            raise ContractError("active and passive feature sizes differ")
-        if idx.ndim != 2:
-            raise ContractError("index map must be 2D")
-        self.active = _readonly(act)
-        self.passive = _readonly(pas)
-        self.index_map = _readonly(idx)
+        self.active, self.passive = _checked_rows(self.active, self.passive)
+        self.index_map = np.asarray(self.index_map)
         self._check_index_map()
+        self.index_map = _readonly(self.index_map.astype(INDEX_DTYPE, copy=False))
 
     def _check_index_map(self):
-        n_a, n_p = self.n_active, self.n_passive
-        counts = np.bincount(self.index_map.ravel().astype(np.int64), minlength=n_a + n_p)
-        if counts.size > n_a + n_p:
-            raise ContractError("index map references out-of-range feature index")
+        """The invariants above; the range before any value is converted or counted."""
+        idx, n_a, n_p = self.index_map, self.n_active, self.n_passive
+        if idx.ndim != 2 or idx.dtype.kind not in "iu":
+            raise ContractError(f"index map must be a 2D integer array, not a {idx.ndim}D "
+                                f"{idx.dtype} one")
+        if idx.size and not (0 <= idx.min() and idx.max() < n_a + n_p):
+            raise ContractError(f"index map values must lie in [0, {n_a + n_p})")
+        counts = np.bincount(idx.ravel().astype(np.intp, copy=False), minlength=n_a + n_p)
         if n_a and not np.all(counts[:n_a] == 1):
             raise ContractError("each active index must appear exactly once in the index map")
         if n_p and not np.all(counts[n_a:] >= 1):
@@ -147,17 +156,12 @@ def _with_rows(s: SpsTensor, active: np.ndarray, passive: np.ndarray | None = No
     map's own check in ``SpsTensor.__post_init__`` is not run again.
     ``passive`` defaults to ``s``'s passive rows.
     """
-    act = np.asarray(active, dtype=np.float64)
-    pas = s.passive if passive is None else np.asarray(passive, dtype=np.float64)
-    if act.ndim != 2 or pas.ndim != 2:
-        raise ContractError("active/passive must be 2D matrices")
+    act, pas = _checked_rows(active, s.passive if passive is None else passive)
     if (act.shape[0], pas.shape[0]) != (s.n_active, s.n_passive):
         raise ContractError(f"derived rows {act.shape[0]}+{pas.shape[0]} differ from the "
                             f"index map's {s.n_active}+{s.n_passive}")
-    if act.shape[0] > 0 and pas.shape[0] > 0 and act.shape[1] != pas.shape[1]:
-        raise ContractError("active and passive feature sizes differ")
     out = object.__new__(SpsTensor)
-    out.active, out.passive, out.index_map = _readonly(act), _readonly(pas), s.index_map
+    out.active, out.passive, out.index_map = act, pas, s.index_map
     return out
 
 

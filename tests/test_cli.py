@@ -285,6 +285,19 @@ class TestBadInputValues:
         text = '[{"box": [%s], "class": 1}]' % ", ".join(str(v) for v in box)
         assert_exit_2_no_output(capsys, *self._refine(tmp_path, text))
 
+    @pytest.mark.parametrize("box", [[0, 0, 1e200, 1e200], [0, 0, 1e-170, 1e-170],
+                                     [-1e308, 0, 1e308, 50]])
+    def test_box_area_not_finite_and_positive_exit_2_before_any_stage(self, tmp_path, capsys,
+                                                                     monkeypatch, box):
+        """A box whose width, height or area overflows to infinity or underflows
+        to zero has no pyramid level."""
+        monkeypatch.setattr(pipeline, "select_active", fail_if_called)
+        path, out = tmp_path / "rois.json", tmp_path / "out"
+        path.write_text(json.dumps([{"box": box, "class": 1}]))
+        code = main(["refine", "--mode", "weights", "--rois", str(path), "--image-size", "448",
+                     "448", "--out", str(out)] + REFINE_FAST)
+        assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
+
     @pytest.mark.parametrize("cls", ["1e30", "2147483648", "-2147483649", "1.5", "Infinity",
                                      "NaN", '"one"'])
     def test_bad_class_exit_2(self, tmp_path, capsys, cls):
@@ -385,6 +398,22 @@ class TestBadInputValues:
                      "--out", str(out)] + REFINE_FAST)
         assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
 
+
+    @pytest.mark.parametrize("side,count,cap", [(112, 2, 2 * 112**2 - 1), (1 << 13, 40, None)])
+    def test_ref_masks_over_pixel_cap_exit_2_before_decoding(self, tmp_path, capsys,
+                                                            monkeypatch, side, count, cap):
+        """The summed canvases of a reference-mask file are capped before any mask
+        is decoded: 40 masks of 8192^2 pixels would decode 2.5 GiB."""
+        monkeypatch.setattr(io, "rle_decode", fail_if_called)
+        if cap is not None:
+            monkeypatch.setattr(io, "MAX_PANOPTIC_PIXELS", cap)
+        rois, masks, _ = write_inputs(tmp_path, n=2)
+        rle = {"height": side, "width": side, "counts": [side * side]}
+        io.dump_json(masks, {"format": io.MASK_FORMAT, "masks": [rle] * count})
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "oracle", "--rois", rois, "--ref-masks", masks,
+                     "--out", str(out)] + REFINE_FAST)
+        assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
 
     @pytest.mark.parametrize("task", ["det", "seg"])
     def test_eval_record_without_its_geometry_exit_2(self, tmp_path, capsys, task):
@@ -690,6 +719,25 @@ class TestConvertCommand:
         assert main(["convert", "--input", str(src), "--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("index_map", [[[0, 0]], [[1, 1]], [[0, 1, 0]]])
+    @pytest.mark.parametrize("suffix", [".bin", ".json"])
+    def test_tensor_invariant_broken_exit_2(self, tmp_path, capsys, index_map, suffix):
+        """A dump that breaks the tensor's invariants is malformed input, like any
+        other bad dump, not a contract violation of the caller."""
+        f, (h, w) = 2, np.shape(index_map)
+        header = io.SPS_MAGIC + np.array([f, h, w, 1, 1], dtype="<u4").tobytes()
+        body = np.arange(4, dtype="<f4").tobytes() + np.asarray(index_map, dtype="<u4").tobytes()
+        record = {"format": io.TENSOR_FORMAT, "f": f, "h": h, "w": w, "active": [[0.0, 1.0]],
+                  "passive": [[2.0, 3.0]], "index_map": index_map}
+        src, out = tmp_path / f"t{suffix}", tmp_path / "out.bin"
+        if suffix == ".bin":
+            src.write_bytes(header + body)
+        else:
+            src.write_text(json.dumps(record))
+        assert main(["convert", "--input", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exactly once" in err and not out.exists()
+
     def test_bad_magic_exit_2(self, tmp_path):
         bad = tmp_path / "x.bin"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -718,3 +766,40 @@ class TestConvertCommand:
         src.write_bytes(bytes(data))
         assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
                                               "--output", str(out)]), out)
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written (a directory, or a path under an
+    existing file) is malformed input: exit 2 with a message, no traceback, and
+    neither the output nor a temporary file is left behind."""
+
+    def leftovers(self, tmp_path):
+        return sorted(p.name for p in tmp_path.rglob(".tmp-*"))
+
+    def test_bench_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "report.json"
+        code = main(["bench", "--count", "1", "--canvas", "64", "--f0", "8", "--f-neck", "2",
+                     "--f-query", "2", "--out", str(out)])
+        assert_exit_2_no_output(capsys, code, out)
+        assert (tmp_path / "afile").read_text() == "" and not self.leftovers(tmp_path)
+
+    def test_refine_out_is_a_file(self, tmp_path, capsys):
+        rois, masks, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        out.write_text("")
+        code = main(["refine", "--mode", "oracle", "--rois", rois, "--ref-masks", masks,
+                     "--out", str(out)] + REFINE_FAST)
+        assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
+        assert out.read_text() == "" and not self.leftovers(tmp_path)
+
+    def test_eval_out_is_a_directory(self, tmp_path, capsys):
+        io.dump_json(str(tmp_path / "g.json"), [box_record(0, 1, [0, 0, 10, 10], 0.9)])
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(["eval", "--task", "det", "--preds", str(tmp_path / "g.json"),
+                     "--gts", str(tmp_path / "g.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert not any(out.iterdir()) and not self.leftovers(tmp_path)

@@ -818,3 +818,59 @@ def test_map_preserving_ops_skip_the_map_check(rng, monkeypatch):
             ops.deform_conv_sparse(s, k[0], ops.OffsetField(rng.uniform(-1, 1, (20, 9, 2))))]
     assert not checks
     assert all(out.index_map is s.index_map for out in outs)
+
+
+LAYERS = {"linear": (ops.LinearTransform, (3, 2)), "conv": (ops.ConvKernel, (3, 2, 3, 3))}
+
+
+class TestLayerContract:
+    """Both layer classes state one contract: float64 weights of the class's
+    rank, an ``[F_out]`` bias and finite entries."""
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_valid_layer(self, layer):
+        cls, shape = LAYERS[layer]
+        t = cls(np.ones(shape, dtype=np.float32), [1, 2, 3])
+        assert t.weights.dtype == t.bias.dtype == np.float64
+        assert (t.f_in, t.f_out) == (2, 3) and ops._chain_ends(t) == (2, 3)
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    @pytest.mark.parametrize("weights_shape", [lambda s: s[:-1], lambda s: s + (1,), lambda s: ()])
+    def test_wrong_rank_rejected(self, layer, weights_shape):
+        cls, shape = LAYERS[layer]
+        with pytest.raises(ContractError, match="rank"):
+            cls(np.zeros(weights_shape(shape)), np.zeros(3))
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    @pytest.mark.parametrize("bias_shape", [(2,), (4,), (3, 1), ()])
+    def test_wrong_bias_shape_rejected(self, layer, bias_shape):
+        cls, shape = LAYERS[layer]
+        with pytest.raises(ContractError, match="bias"):
+            cls(np.zeros(shape), np.zeros(bias_shape))
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_rejected(self, layer, value, where):
+        cls, shape = LAYERS[layer]
+        arrays = {"weights": np.zeros(shape), "bias": np.zeros(3)}
+        arrays[where].flat[-1] = value
+        with pytest.raises(ContractError, match="finite"):
+            cls(**arrays)
+
+    @pytest.mark.parametrize("k_shape", [(2, 2), (3, 5), (5, 3)])
+    def test_conv_needs_square_odd_kernel(self, k_shape):
+        with pytest.raises(ContractError, match="K odd"):
+            ops.ConvKernel(np.zeros((3, 2) + k_shape), np.zeros(3))
+
+    def test_linear_is_a_1x1_conv(self, rng):
+        t = random_linear(rng, 5, 4)
+        k = ops.ConvKernel(t.weights[:, :, None, None], t.bias)
+        assert t.k == k.k == 1
+        assert ops._chain_ends(k) == ops._chain_ends(t) == ops._chain_ends([t]) == (5, 4)
+        assert pipeline._macs(7, t) == pipeline._macs(7, k) == 7 * 5 * 4
+
+    def test_chain_ends_accepts_a_conv(self, rng):
+        assert ops._chain_ends(random_kernel(rng, 6, k=5)) == (6, 6)
+        with pytest.raises(ContractError, match="next reads"):
+            ops._chain_ends([random_linear(rng, 6, 4), random_kernel(rng, 6)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spsr import tensor
 from spsr.errors import ContractError
 
-from conftest import random_sps
+from conftest import random_sps, traced_peak
 
 
 def full_grid(h, w):
@@ -341,3 +341,30 @@ class TestWithRows:
         tensor.subdivide(s, [lambda rows: rows] * 4)
         tensor.SpsTensor(active=s.active, passive=s.passive, index_map=s.index_map)
         assert len(checks) == 3
+
+
+def _bad_map(index_map):
+    with pytest.raises(ContractError, match="index map"):
+        tensor.SpsTensor(active=np.zeros((1, 2)), passive=np.zeros((0, 2)), index_map=index_map)
+
+
+class TestIndexMapContract:
+    """The tensor range-checks its own index map before it counts it, so a value
+    that addresses no row raises at once instead of sizing a count table."""
+
+    @pytest.mark.parametrize("index_map", [
+        [[4000000000]], [[-1]], [[1]], [[2**70]],
+        np.array([[0xFFFFFFFF]], dtype=np.uint32), np.array([[-1]], dtype=np.int8),
+        [[0.0]], np.array([[0.5]]), [[True]], [["0"]],
+    ], ids=["4e9", "-1", "one-past", "2^70", "u32-max", "i8-neg", "float-zero", "float",
+            "bool", "str"])
+    def test_bad_map_raises_without_a_table(self, index_map):
+        _, peak = traced_peak(_bad_map, index_map)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+    def test_integer_maps_are_stored_as_uint32(self, dtype):
+        s = tensor.SpsTensor(active=[[1.0], [2.0]], passive=[[3.0]],
+                             index_map=np.array([[1, 2], [0, 2]], dtype=dtype))
+        assert s.index_map.dtype == tensor.INDEX_DTYPE and not s.index_map.flags.writeable
+        np.testing.assert_array_equal(s.index_map, [[1, 2], [0, 2]])
