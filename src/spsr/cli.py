@@ -92,6 +92,9 @@ def _run_config(args, mode: str, image_hw=None) -> RunConfig:
 
 
 def cmd_refine(args) -> int:
+    masks_path, ledger_path = (os.path.join(args.out, n) for n in ("masks.json", "ledger.json"))
+    for path in (masks_path, ledger_path):
+        io.check_writable(path)
     image_hw = (args.image_size[1], args.image_size[0]) if args.image_size else None
     config = _run_config(args, args.mode, image_hw)
     rois = io.load_rois(args.rois)
@@ -107,16 +110,17 @@ def cmd_refine(args) -> int:
     result = run_refinement(rois, config, pipeline.PipelineWeights(bundle, config))
 
     out_masks = [r.probs >= 0.5 for r in result.per_roi]
-    io.dump_json(os.path.join(args.out, "masks.json"),
-                 io.masks_to_dict(out_masks, [r.score for r in result.per_roi],
-                                  [r.class_id for r in result.per_roi]))
+    io.dump_json(masks_path, io.masks_to_dict(out_masks, [r.score for r in result.per_roi],
+                                              [r.class_id for r in result.per_roi]))
     report = compare(result.dense_ledger, result.ledger)
-    io.dump_json(os.path.join(args.out, "ledger.json"), report)
+    io.dump_json(ledger_path, report)
     print(f"refined {len(rois)} RoIs -> {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        io.check_writable(args.out)
     if args.task == "panoptic":
         preds, things_p, stuffs_p = io.load_panoptic(args.preds)
         gts, things_g, stuffs_g = io.load_panoptic(args.gts)
@@ -137,6 +141,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.out:
+        io.check_writable(args.out)
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
     if args.count > io.MAX_ROIS:
         raise SchemaError(f"--count {args.count} is over the {io.MAX_ROIS}-RoI cap")

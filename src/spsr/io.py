@@ -53,6 +53,19 @@ def write_atomic(path: str, data: bytes):
             os.unlink(tmp)
 
 
+def check_writable(path: str):
+    """Raise ``SchemaError`` unless :func:`write_atomic` could write ``path``,
+    creating nothing: ``path`` is no directory, and its nearest existing
+    ancestor is a directory this process may write into."""
+    ancestor = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if os.path.isdir(path):
+        raise SchemaError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(ancestor) or not os.access(ancestor, os.W_OK | os.X_OK):
+        raise SchemaError(f"cannot write {path}: {ancestor} is not a writable directory")
+
+
 def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:

@@ -428,17 +428,56 @@ class NeckFeatures:
                              ys / stride - 0.5, xs / stride - 0.5, out)
 
 
+def _layout(config: RunConfig) -> list[dict]:
+    """The refinement head of ``config``, stated once: per stage of its plan,
+    the ledger ops in run order, each mapped to the ``(name, widths,
+    dilation)`` of the layer chains it runs (``neck_sample`` runs none).
+    Weights are drawn, checked and counted in this order."""
+    plan = config.stage_configs()
+    fq, fe, f0 = config.f_query, config.f_neck, plan[0].f
+    stages = [{"neck_sample": [],
+               "ingest": [("stage0.ingest", [fe, f0], None)],
+               "query_fuse": [("stage0.fuse", [f0 + fq, f0, f0], None)],
+               "fcn": [(f"stage0.fcn.c{i}", [f0, f0], 1) for i in range(4)]}]
+    for prev, cur in zip(plan, plan[1:]):
+        s, f, g = cur.s, prev.f, cur.f
+        stages.append({"subdivide": [(f"stage{s}.subdiv.m{c}", [f, f, f], None) for c in range(4)],
+                       "neck_sample": [],
+                       "neck_fuse": [(f"stage{s}.fuse", [f + fe, f, f], None)],
+                       "halve": [(f"stage{s}.halve", [f, g], None)],
+                       "sfm": [(f"stage{s}.sfm.d{d}", [g, g], d) for d in (1, 3, 5)]})
+    for stage, st in zip(stages, plan):  # every stage ends in its two heads
+        for op, name in (("seg_head", "seg"), ("refine_head", "refine")):
+            stage[op] = [(f"stage{st.s}.{name}", [st.f, st.f, 1], None)]
+    return stages
+
+
+def _chain_arrays(name: str, widths: Sequence[int], dilation: int | None) -> list[tuple]:
+    """``(array name, shape)`` of the weight and bias of each layer of a
+    :func:`_layout` chain: linear layers ``{name}.l{i}`` through ``widths``,
+    or, given a dilation, the one 3x3 convolution ``{name}``."""
+    if dilation is not None:  # widths [f_in, f_out]
+        return [(f"{name}.weight", (widths[1], widths[0], 3, 3)), (f"{name}.bias", (widths[1],))]
+    return [array for i, (f_in, f_out) in enumerate(zip(widths[:-1], widths[1:]))
+            for array in ((f"{name}.l{i}.weight", (f_out, f_in)), (f"{name}.l{i}.bias", (f_out,)))]
+
+
 class _WeightArrays:
     """Named arrays: loaded if the bundle holds them, else a seeded draw.
 
-    Counts the values it hands out, and raises ``SchemaError`` for the array
-    that takes the count over ``MAX_WEIGHT_ELEMENTS``, before it is drawn.
-    """
+    Raises ``SchemaError`` for a bundle array that no layer of a three-stage
+    head reads, and, before it is drawn, for the array that takes the values
+    handed out over ``MAX_WEIGHT_ELEMENTS``."""
 
     def __init__(self, arrays: Mapping | None, seed: int):
         self.arrays = dict(arrays or {})
         self.seed = seed
         self.elements = 0
+        known = {array for stage in _layout(RunConfig(stages=3)) for specs in stage.values()
+                 for spec in specs for array, _ in _chain_arrays(*spec)}
+        stray = next((name for name in self.arrays if name not in known), None)
+        if stray is not None:
+            raise SchemaError(f"weight array {stray} is read by no layer of the refinement head")
 
     def array(self, name: str, shape: tuple) -> np.ndarray:
         self.elements += math.prod(shape)
@@ -452,74 +491,42 @@ class _WeightArrays:
             return arr
         return seeded_rng(self.seed, "init", name).normal(0.0, 0.01, size=shape)
 
-    def mlp(self, prefix: str, dims: Sequence[int]) -> list[ops.LinearTransform]:
-        layers = []
-        for i, (f_in, f_out) in enumerate(zip(dims[:-1], dims[1:])):
-            w = self.array(f"{prefix}.l{i}.weight", (f_out, f_in))
-            b = self.array(f"{prefix}.l{i}.bias", (f_out,))
-            act = "relu" if i < len(dims) - 2 else "none"
-            layers.append(ops.LinearTransform(weights=w, bias=b, activation=act))
-        return layers
-
-    def conv(self, name: str, f: int, dilation: int) -> ops.ConvKernel:
-        w = self.array(f"{name}.weight", (f, f, 3, 3))
-        b = self.array(f"{name}.bias", (f,))
-        return ops.ConvKernel(weights=w, bias=b, dilation=dilation)
+    def chain(self, name: str, widths: Sequence[int], dilation: int | None) -> list[ops.Layer]:
+        """The layers of one :func:`_layout` chain; linear ones relu all but the last."""
+        values = [self.array(*array) for array in _chain_arrays(name, widths, dilation)]
+        pairs = list(zip(values[::2], values[1::2]))  # (weight, bias) of each layer
+        if dilation is not None:
+            return [ops.ConvKernel(weights=w, bias=b, dilation=dilation) for w, b in pairs]
+        acts = ["relu"] * (len(pairs) - 1) + ["none"]
+        return [ops.LinearTransform(weights=w, bias=b, activation=act)
+                for (w, b), act in zip(pairs, acts)]
 
 
 class PipelineWeights:
-    """All transforms of the refinement head, loaded or seeded by name."""
+    """The layers of the refinement head, loaded or seeded by name:
+    ``stages[s][op]`` lists the layer chains that ledger op ``op`` runs at
+    stage ``s``, as :func:`_layout` gives them."""
 
     def __init__(self, arrays: Mapping | None, config: RunConfig):
         src = _WeightArrays(arrays, config.seed)
-        f0, fq, fe = config.f0, config.f_query, config.f_neck
-        self.ingest = src.mlp("stage0.ingest", [fe, f0])[0]
-        self.stage0_fuse = src.mlp("stage0.fuse", [f0 + fq, f0, f0])
-        self.stage0_fcn = [src.conv(f"stage0.fcn.c{i}", f0, 1) for i in range(4)]
-        self.seg_head = {0: src.mlp("stage0.seg", [f0, f0, 1])}
-        self.refine_head = {0: src.mlp("stage0.refine", [f0, f0, 1])}
-        self.subdiv: dict = {}
-        self.fuse: dict = {}
-        self.halve: dict = {}
-        self.sfm: dict = {}
-        plan = config.stage_configs()
-        for prev, cur in zip(plan, plan[1:]):
-            s, f_in, f_out = cur.s, prev.f, cur.f
-            self.subdiv[s] = [src.mlp(f"stage{s}.subdiv.m{c}", [f_in, f_in, f_in])
-                              for c in range(4)]
-            self.fuse[s] = src.mlp(f"stage{s}.fuse", [f_in + fe, f_in, f_in])
-            self.halve[s] = src.mlp(f"stage{s}.halve", [f_in, f_out])[0]
-            self.sfm[s] = tuple(src.conv(f"stage{s}.sfm.d{d}", f_out, d) for d in (1, 3, 5))
-            self.seg_head[s] = src.mlp(f"stage{s}.seg", [f_out, f_out, 1])
-            self.refine_head[s] = src.mlp(f"stage{s}.refine", [f_out, f_out, 1])
+        self.stages = [{op: [src.chain(*spec) for spec in specs] for op, specs in stage.items()}
+                       for stage in _layout(config)]
 
 
 def _check_weights(w: PipelineWeights, config: RunConfig):
-    """Raise ``ContractError`` unless ``w`` fits ``config``: layers for each of
-    its stages, and every chain and kernel mapping the widths of its plan."""
-    plan = config.stage_configs()
-    refined, every = list(range(1, len(plan))), list(range(len(plan)))
-    if ([sorted(d) for d in (w.subdiv, w.fuse, w.halve, w.sfm)] != [refined] * 4
-            or [sorted(d) for d in (w.seg_head, w.refine_head)] != [every] * 2):
-        raise ContractError(f"weights hold refinement stages {sorted(w.fuse)}, "
-                            f"the run has {refined}")
-    f0, fq, fe = plan[0].f, config.f_query, config.f_neck
-    layers = [("stage0.ingest", w.ingest, fe, f0), ("stage0.fuse", w.stage0_fuse, f0 + fq, f0)]
-    layers += [("stage0.fcn", k, f0, f0) for k in w.stage0_fcn]
-    for prev, cur in zip(plan, plan[1:]):
-        s = cur.s
-        layers += [(f"stage{s}.subdiv", m, prev.f, prev.f) for m in w.subdiv[s]]
-        layers += [(f"stage{s}.fuse", w.fuse[s], prev.f + fe, prev.f),
-                   (f"stage{s}.halve", w.halve[s], prev.f, cur.f)]
-        layers += [(f"stage{s}.sfm", k, cur.f, cur.f) for k in w.sfm[s]]
-    for st in plan:
-        layers += [(f"stage{st.s}.seg", w.seg_head[st.s], st.f, 1),
-                   (f"stage{st.s}.refine", w.refine_head[st.s], st.f, 1)]
-    for name, layer, f_in, f_out in layers:
-        ends = ops._chain_ends(layer)
-        if ends != (f_in, f_out):
-            raise ContractError(f"weights {name} map {ends[0]} -> {ends[1]} features, "
-                                f"the run needs {f_in} -> {f_out}")
+    """Raise ``ContractError`` unless ``w`` holds the chains and widths of ``config``'s layout."""
+    layout = _layout(config)
+    held = [{op: len(chains) for op, chains in stage.items()} for stage in w.stages]
+    want = [{op: len(specs) for op, specs in stage.items()} for stage in layout]
+    if held != want:
+        raise ContractError(f"weights hold the chains {held}, the run needs {want}")
+    for stage, specs_of in zip(w.stages, layout):
+        for op, specs in specs_of.items():
+            for chain, (name, widths, _) in zip(stage[op], specs):
+                ends = ops._chain_ends(chain)
+                if ends != (widths[0], widths[-1]):
+                    raise ContractError(f"weights {name} map {ends[0]} -> {ends[1]} features, "
+                                        f"the run needs {widths[0]} -> {widths[-1]}")
 
 
 def _check_neck(neck: NeckFeatures, f_neck: int):
@@ -559,34 +566,21 @@ def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.n
     return ys, xs
 
 
-def _macs(rows: int, *layers) -> int:
-    """MACs of ``rows`` rows through each of ``layers``; a linear layer is a 1 x 1 conv."""
-    return sum(macs_conv(rows, layer.k, layer.f_in, layer.f_out) for layer in layers)
+def _macs(rows: int, *chains) -> int:
+    """MACs of ``rows`` rows through every layer of ``chains``; a linear layer is a 1 x 1 conv."""
+    return sum(macs_conv(rows, layer.k, layer.f_in, layer.f_out)
+               for chain in chains for layer in ops._layers(chain))
 
 
-def _stage0_entries(ledger: CostLedger, cells: int, w: PipelineWeights, f_neck: int):
-    """Stage 0 runs densely on both routes: all ``cells`` are active."""
-    for op, macs in (("neck_sample", macs_bilinear(cells, f_neck)),
-                     ("ingest", _macs(cells, w.ingest)),
-                     ("query_fuse", _macs(cells, *w.stage0_fuse)),
-                     ("fcn", _macs(cells, *w.stage0_fcn)),
-                     ("seg_head", _macs(cells, *w.seg_head[0])),
-                     ("refine_head", _macs(cells, *w.refine_head[0]))):
-        ledger.add(op, 0, macs, cells, cells)
-
-
-def _stage_entries(ledger: CostLedger, s: int, parents: int, halve_rows: int, total: int,
-                   w: PipelineWeights, f_neck: int):
-    """Stage s: ``parents`` subdivide, every row is halved, children run the rest."""
-    children = 4 * parents
-    for op, macs in (("subdivide", sum(_macs(parents, *m) for m in w.subdiv[s])),
-                     ("neck_sample", macs_bilinear(children, f_neck)),
-                     ("neck_fuse", _macs(children, *w.fuse[s])),
-                     ("halve", _macs(halve_rows, w.halve[s])),
-                     ("sfm", _macs(children, *w.sfm[s])),
-                     ("seg_head", _macs(children, *w.seg_head[s])),
-                     ("refine_head", _macs(children, *w.refine_head[s]))):
-        ledger.add(op, s, macs, children, total)
+def _stage_entries(ledger: CostLedger, w: PipelineWeights, s: int, active: int, total: int,
+                   f_neck: int, rows: Mapping):
+    """Stage s: each op runs its chains on the ``active`` rows, or on
+    ``rows[op]`` where given (``subdivide`` on the parents, ``halve`` on every
+    held row); ``neck_sample`` samples ``f_neck`` features per row."""
+    for op, chains in w.stages[s].items():
+        n = rows.get(op, active)
+        macs = macs_bilinear(n, f_neck) if op == "neck_sample" else _macs(n, *chains)
+        ledger.add(op, s, macs, active, total)
 
 
 class _Engine:
@@ -651,7 +645,8 @@ class _Engine:
         return self.neck.sample(stage_level(self.k0[i], s), ys, xs, out=out)
 
     def _child_maps(self, s: int) -> list:
-        return [lambda rows, m=m: ops.apply_chain(m, rows) for m in self.weights.subdiv[s]]
+        return [lambda rows, m=m: ops.apply_chain(m, rows)
+                for m in self.weights.stages[s]["subdivide"]]
 
     def run(self, stage0, stage, top_n: int | None) -> RefinementResult:
         """The stage loop of both routes.
@@ -673,8 +668,8 @@ class _Engine:
             return feats, sigmoid(seg), np.asarray(refine, dtype=np.float64)
 
         feats, masks, refine_grids = zip(*self._map(first))
-        for counted in (ledger, dense_ledger):
-            _stage0_entries(counted, cells[0], w, cfg.f_neck)
+        for counted in (ledger, dense_ledger):  # stage 0 runs every cell on both routes
+            _stage_entries(counted, w, 0, cells[0], cells[0], cfg.f_neck, {})
 
         stage_masks = [list(masks)]
 
@@ -693,8 +688,10 @@ class _Engine:
                 return feat, rows, mask, rgrid
 
             feats, rows, masks, refine_grids = zip(*self._map(one))
-            _stage_entries(ledger, s, n_selected, sum(rows), cells[s], w, cfg.f_neck)
-            _stage_entries(dense_ledger, s, cells[s - 1], cells[s], cells[s], w, cfg.f_neck)
+            _stage_entries(ledger, w, s, 4 * n_selected, cells[s], cfg.f_neck,
+                           {"subdivide": n_selected, "halve": sum(rows)})
+            _stage_entries(dense_ledger, w, s, cells[s], cells[s], cfg.f_neck,
+                           {"subdivide": cells[s - 1], "halve": cells[s]})
             stage_masks.append(list(masks))
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
@@ -705,27 +702,28 @@ class _Engine:
     # -- sparse route: SPS operators at the selected cells ----------------------
 
     def sparse_stage0(self, i: int):
-        cfg, grid0 = self.config, self.plan[0].hw
-        x = self.weights.ingest.apply(self._neck_rows(i, 0, _all_cells(grid0)))
+        cfg, grid0, w = self.config, self.plan[0].hw, self.weights.stages[0]
+        x = w["ingest"][0][0].apply(self._neck_rows(i, 0, _all_cells(grid0)))
         index = np.arange(grid0[0] * grid0[1]).reshape(grid0)
         t = SpsTensor(active=x, passive=np.zeros((0, cfg.f0)), index_map=index)
         t = ops.fuse_external(t, lambda block: np.copyto(block, self.queries[i]),
-                              self.weights.stage0_fuse)
-        for kernel in self.weights.stage0_fcn:
+                              w["query_fuse"][0])
+        for (kernel,) in w["fcn"]:
             t = ops.relu_active(ops.conv2d_sparse(t, kernel))
-        seg = ops.apply_chain(self.weights.seg_head[0], t.active).reshape(grid0)
-        refine = ops.apply_chain(self.weights.refine_head[0], t.active).reshape(grid0)
+        seg = ops.apply_chain(w["seg_head"][0], t.active).reshape(grid0)
+        refine = ops.apply_chain(w["refine_head"][0], t.active).reshape(grid0)
         return t, seg, refine
 
     def sparse_stage(self, i: int, s: int, t: SpsTensor, cells: np.ndarray):
+        w = self.weights.stages[s]
         t = subdivide(reselect(t, cells), self._child_maps(s))
         coords = t.active_coords()
         t = ops.fuse_external(t, lambda block: self._neck_rows(i, s, coords, block),
-                              self.weights.fuse[s])
-        t = ops.halve_features(t, self.weights.halve[s])
-        t = ops.sfm(t, *self.weights.sfm[s])
-        seg = ops.apply_chain(self.weights.seg_head[s], t.active).ravel()
-        refine = ops.apply_chain(self.weights.refine_head[s], t.active).ravel()
+                              w["neck_fuse"][0])
+        t = ops.halve_features(t, w["halve"][0][0])
+        t = ops.sfm(t, *(kernel for (kernel,) in w["sfm"]))
+        seg = ops.apply_chain(w["seg_head"][0], t.active).ravel()
+        refine = ops.apply_chain(w["refine_head"][0], t.active).ravel()
         return t, t.n_active + t.n_passive, coords, seg, refine
 
     # -- dense route: plain [F, H, W] operators at every cell -------------------
@@ -736,23 +734,24 @@ class _Engine:
         return rows.reshape(grid_hw + (self.config.f_neck,)).transpose(2, 0, 1)
 
     def dense_stage0(self, i: int):
-        cfg, grid0 = self.config, self.plan[0].hw
-        x = ops.dense_pointwise(self._neck_grid(i, 0), self.weights.ingest)
+        cfg, grid0, w = self.config, self.plan[0].hw, self.weights.stages[0]
+        x = ops.dense_pointwise(self._neck_grid(i, 0), w["ingest"][0][0])
         ext = np.broadcast_to(self.queries[i][:, None, None], (cfg.f_query,) + grid0)
-        x = ops.dense_fuse(x, ext, self.weights.stage0_fuse)
-        for kernel in self.weights.stage0_fcn:
+        x = ops.dense_fuse(x, ext, w["query_fuse"][0])
+        for (kernel,) in w["fcn"]:
             x = np.maximum(ops.dense_conv2d(x, kernel), 0.0)
-        seg = ops.dense_chain(x, self.weights.seg_head[0])[0]
-        refine = ops.dense_chain(x, self.weights.refine_head[0])[0]
+        seg = ops.dense_chain(x, w["seg_head"][0])[0]
+        refine = ops.dense_chain(x, w["refine_head"][0])[0]
         return x, seg, refine
 
     def dense_stage(self, i: int, s: int, x: np.ndarray, cells: np.ndarray):
+        w = self.weights.stages[s]
         x = ops.dense_subdivide(x, self._child_maps(s))
-        x = ops.dense_fuse(x, self._neck_grid(i, s), self.weights.fuse[s])
-        x = ops.dense_pointwise(x, self.weights.halve[s])
-        x = ops.dense_sfm(x, *self.weights.sfm[s])
-        seg = ops.dense_chain(x, self.weights.seg_head[s])[0].ravel()
-        refine = ops.dense_chain(x, self.weights.refine_head[s])[0].ravel()
+        x = ops.dense_fuse(x, self._neck_grid(i, s), w["neck_fuse"][0])
+        x = ops.dense_pointwise(x, w["halve"][0][0])
+        x = ops.dense_sfm(x, *(kernel for (kernel,) in w["sfm"]))
+        seg = ops.dense_chain(x, w["seg_head"][0])[0].ravel()
+        refine = ops.dense_chain(x, w["refine_head"][0])[0].ravel()
         return x, x.shape[1] * x.shape[2], _all_cells(self.plan[s].hw), seg, refine
 
 

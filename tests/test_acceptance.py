@@ -333,6 +333,7 @@ def test_criterion_9_structural_constants():
     res = pl.run_refinement([roi], pl.RunConfig(image_hw=(320, 320)))
     assert [m[0].shape for m in res.stage_masks] == [(14, 14), (28, 28), (56, 56), (112, 112)]
     weights = pl.PipelineWeights(None, pl.RunConfig())
-    halve_dims = [(weights.halve[s].f_in, weights.halve[s].f_out) for s in (1, 2, 3)]
+    halve = {s: weights.stages[s]["halve"][0][0] for s in (1, 2, 3)}
+    halve_dims = [(halve[s].f_in, halve[s].f_out) for s in (1, 2, 3)]
     assert halve_dims == [(256, 128), (128, 64), (64, 32)]
     report(9, "grids 14->28->56->112 and features 256->128->64->32 by default")

@@ -771,27 +771,53 @@ class TestConvertCommand:
 class TestUnwritableOutput:
     """An output path that cannot be written (a directory, or a path under an
     existing file) is malformed input: exit 2 with a message, no traceback, and
-    neither the output nor a temporary file is left behind."""
+    neither the output nor a temporary file is left behind. Each command checks
+    its outputs before any work, so no weights, corpus, run or report is made."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unwritable output must be refused before any work")
+
+        monkeypatch.setattr(pipeline, "PipelineWeights", refuse)
+        for name in ("roi_corpus", "run_refinement", "ap_suite", "pq"):
+            monkeypatch.setattr(cli, name, refuse)  # the names the CLI calls
 
     def leftovers(self, tmp_path):
         return sorted(p.name for p in tmp_path.rglob(".tmp-*"))
 
     def test_bench_out_under_a_file(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
-        out = tmp_path / "afile" / "report.json"
-        code = main(["bench", "--count", "1", "--canvas", "64", "--f0", "8", "--f-neck", "2",
-                     "--f-query", "2", "--out", str(out)])
-        assert_exit_2_no_output(capsys, code, out)
+        for out in (tmp_path / "afile" / "report.json", tmp_path / "afile" / "sub" / "report.json"):
+            code = main(["bench", "--count", "1", "--canvas", "64", "--f0", "8", "--f-neck", "2",
+                         "--f-query", "2", "--out", str(out)])
+            assert_exit_2_no_output(capsys, code, out)
         assert (tmp_path / "afile").read_text() == "" and not self.leftovers(tmp_path)
+
+    def test_bench_out_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(["bench", "--count", "1", "--canvas", "64", "--out", str(out)] + REFINE_FAST)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not any(out.iterdir()) and not self.leftovers(tmp_path)
 
     def test_refine_out_is_a_file(self, tmp_path, capsys):
         rois, masks, _ = write_inputs(tmp_path, n=1)
-        out = tmp_path / "out"
-        out.write_text("")
+        (tmp_path / "out").write_text("")
+        for out in (tmp_path / "out", tmp_path / "out" / "deeper"):
+            code = main(["refine", "--mode", "oracle", "--rois", rois, "--ref-masks", masks,
+                         "--out", str(out)] + REFINE_FAST)
+            assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
+        assert (tmp_path / "out").read_text() == "" and not self.leftovers(tmp_path)
+
+    def test_refine_output_file_is_a_directory(self, tmp_path, capsys):
+        rois, masks, _ = write_inputs(tmp_path, n=1)
+        (tmp_path / "out" / "ledger.json").mkdir(parents=True)
         code = main(["refine", "--mode", "oracle", "--rois", rois, "--ref-masks", masks,
-                     "--out", str(out)] + REFINE_FAST)
-        assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
-        assert out.read_text() == "" and not self.leftovers(tmp_path)
+                     "--out", str(tmp_path / "out")] + REFINE_FAST)
+        assert_exit_2_no_output(capsys, code, tmp_path / "out" / "masks.json")
+        assert not self.leftovers(tmp_path)
 
     def test_eval_out_is_a_directory(self, tmp_path, capsys):
         io.dump_json(str(tmp_path / "g.json"), [box_record(0, 1, [0, 0, 10, 10], 0.9)])

@@ -352,7 +352,8 @@ class TestRefinementEngine:
         want = dense.dense_ledger.entries
         assert [e.to_dict() for e in dense.ledger.entries] == [e.to_dict() for e in want]
         assert {e.stage: e.total_cells for e in want} == {st.s: 2 * st.h * st.w for st in plan}
-        halve = pl.PipelineWeights(None, cfg).halve
+        stages = pl.PipelineWeights(None, cfg).stages
+        halve = {s: stage["halve"][0][0] for s, stage in enumerate(stages) if "halve" in stage}
         assert sorted(halve) == [st.s for st in plan[1:]]
         for prev, cur in zip(plan, plan[1:]):
             assert halve[cur.s].weights.shape == (cur.f, prev.f)
@@ -540,7 +541,7 @@ class TestLedgerCountsLayers:
         rois = [disk_roi(seed=95)]
         cfg = small_config(mode="weights")
         weights = pl.PipelineWeights(None, cfg)
-        del weights.fuse[2][-1]  # a run with one fusion layer fewer at stage 2
+        del weights.stages[2]["neck_fuse"][0][-1]  # a run with one fusion layer fewer at stage 2
         got = {(e.op, e.stage): e.macs
                for e in pl.run_refinement(rois, cfg, weights=weights).dense_ledger.entries}
         want = {(e.op, e.stage): e.macs for e in formula_dense_ledger(cfg, len(rois)).entries}
@@ -656,7 +657,8 @@ class TestGivenWeightsAndNeck:
         cfg = small_config(mode="weights", top_n_active=300)
         weights = pl.PipelineWeights(None, cfg)
         f = cfg.stage_configs()[1].f
-        weights.fuse[2][-1] = ops.LinearTransform(np.zeros((f, f + 1)), np.zeros(f))
+        weights.stages[2]["neck_fuse"][0][-1] = ops.LinearTransform(np.zeros((f, f + 1)),
+                                                                   np.zeros(f))
         with pytest.raises(ContractError):
             pl.run_refinement([disk_roi(seed=12)], cfg, weights=weights, sparse=sparse)
 
