@@ -1,7 +1,7 @@
 """Axis-aligned boxes, anchors, IoU variants, matching and suppression.
 
-All tie-breaking (equal IoUs, equal scores) is by ascending index, making
-every operation here deterministic. Boxes are ``(x0, y0, x1, y1)`` arrays.
+Every score order comes from :func:`rank`, and equal IoUs go to the lower
+index, so every operation is deterministic. Boxes are ``(x0, y0, x1, y1)``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,12 @@ def _as_boxes(b) -> np.ndarray:
     if arr.shape[-1] != 4:
         raise ContractError(f"boxes must have 4 coordinates, got shape {arr.shape}")
     return arr
+
+
+def rank(scores) -> np.ndarray:
+    """Indices of ``scores`` from highest to lowest, equal scores in ascending
+    index order and NaN last: the one ranking rule of the package."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
 def box_area(b) -> np.ndarray:
@@ -208,7 +214,7 @@ def topk_match(anchors, gts, k: int) -> MatchResult:
         candidates = np.nonzero(col > 0.0)[0]
         if len(candidates) == 0:
             continue
-        order = candidates[np.lexsort((candidates, -col[candidates]))][:k]
+        order = candidates[rank(col[candidates])][:k]
         for a in order:
             # higher IoU wins; ties go to the lower gt index (strict > keeps it)
             if col[a] > best_iou[a]:
@@ -224,8 +230,7 @@ def nms(boxes, scores, thresh: float) -> list[int]:
     if not 0.0 <= thresh <= 1.0:
         raise ContractError("nms threshold must lie in [0, 1]")
     boxes = _as_boxes(boxes).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    order = rank(scores)
     ious = iou_matrix(boxes, boxes)
     keep: list[int] = []
     for i in order:
@@ -242,8 +247,7 @@ def mask_nms(masks: Sequence[np.ndarray], scores, thresh: float) -> list[int]:
     if masks and any(m.shape != masks[0].shape for m in masks):
         raise ContractError("mask canvases differ")
     areas = [int(m.sum()) for m in masks]
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    order = rank(scores)
     keep: list[int] = []
     for i in order:
         suppressed = False
@@ -274,7 +278,7 @@ def multiclass_inference(boxes, class_scores, top: int = 100,
             out_classes.append(c)
             out_scores.append(class_scores[i, c])
     out_scores = np.asarray(out_scores)
-    order = np.lexsort((np.arange(len(out_scores)), -out_scores))[:top]
+    order = rank(out_scores)[:top]
     return (
         np.asarray(out_boxes).reshape(-1, 4)[order],
         np.asarray(out_classes, dtype=np.int64)[order],
@@ -292,8 +296,7 @@ def upbnd_removal(boxes, scores, gts, overlap_thresh: float) -> list[int]:
     """
     boxes = _as_boxes(boxes).reshape(-1, 4)
     gts = _as_boxes(gts).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    order = rank(scores)
     det_gt = iou_matrix(boxes, gts)
     det_det = iou_matrix(boxes, boxes)
     unmatched = set(range(len(gts)))

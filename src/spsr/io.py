@@ -137,6 +137,7 @@ def save_weights(path: str, arrays: Mapping[str, np.ndarray]):
 
 
 def load_weights(path: str) -> dict:
+    """Arrays by name, as read-only float32 views of the file's bytes."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -159,7 +160,7 @@ def load_weights(path: str) -> dict:
             pos += 4 * count
         except (struct.error, ValueError) as e:
             raise SchemaError(f"truncated weight bundle {path}: {e}") from e
-        arrays[name] = arr.astype(np.float64)
+        arrays[name] = arr
     return arrays
 
 
@@ -193,8 +194,11 @@ def load_sps(path: str) -> SpsTensor:
         passive = np.frombuffer(data, dtype="<f4", count=n_p * f, offset=pos).reshape(n_p, f)
         pos += 4 * n_p * f
         index = np.frombuffer(data, dtype="<u4", count=h * w, offset=pos).reshape(h, w)
+        pos += 4 * h * w
     except (struct.error, ValueError) as e:
         raise SchemaError(f"truncated SPS dump {path}: {e}") from e
+    if pos != len(data):
+        raise SchemaError(f"SPS dump {path} has {len(data) - pos} bytes after its index map")
     return _finite_sps(active, passive, index, path)
 
 

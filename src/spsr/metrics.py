@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .geometry import box_area, iou as box_iou, iou_matrix
+from .geometry import box_area, iou as box_iou, iou_matrix, rank
 
 AP_IOU_THRESHOLDS = tuple(float(t) for t in np.round(np.arange(0.5, 1.0, 0.05), 2))
 SMALL_AREA = 32**2
@@ -175,7 +175,7 @@ def match_predictions(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
     (``ig``) when they overlap an ignore-listed gt above the threshold, or
     when ``ignore_pred`` says so (area-bucket exclusion).
     """
-    order = np.lexsort((np.arange(len(preds)), -np.asarray([p.score for p in preds])))
+    order = rank([p.score for p in preds])
     by_image: dict = {}
     for gi, g in enumerate(gts):
         by_image.setdefault(g.image_id, []).append(gi)

@@ -26,7 +26,7 @@ import numpy as np
 from . import ops
 from .cost import CostLedger, macs_bilinear, macs_conv
 from .errors import ContractError, SchemaError
-from .geometry import mask_nms
+from .geometry import mask_nms, rank
 from .metrics import PanopticSegment, mask_iou
 from .tensor import SpsTensor, reselect, subdivide
 
@@ -110,27 +110,18 @@ def stage_level(k0: int, s: int) -> int:
 
 
 def select_active(scores: Sequence[np.ndarray], top_n: int | None) -> list[np.ndarray]:
-    """Image-wide top-n cells over all RoI score grids.
-
-    Ties break by (RoI index, row-major cell) ascending. ``top_n=None`` keeps
-    every cell. Returns one ``(n_i, 2)`` array of (y, x) per RoI, row-major.
-    """
+    """Image-wide top-n cells: the first ``top_n`` in :func:`geometry.rank` order
+    of all RoI score grids, RoI by RoI, each row-major; ``top_n=None`` keeps
+    every cell. Returns one ``(n_i, 2)`` array of (y, x) per RoI, row-major."""
     grids = [np.asarray(s, dtype=np.float64) for s in scores]
-    sizes = [g.size for g in grids]
-    total = int(sum(sizes))
-    if top_n is None or top_n >= total:
+    if top_n is None:
         return [_all_cells(g.shape) for g in grids]
-    if top_n <= 0:
-        return [np.zeros((0, 2), dtype=np.int64) for _ in grids]
-    flat = np.concatenate([g.ravel() for g in grids])
-    roi_ids = np.repeat(np.arange(len(grids)), sizes)
-    cell_ids = np.concatenate([np.arange(n) for n in sizes])
-    chosen = np.lexsort((cell_ids, roi_ids, -flat))[:top_n]
-    out = []
-    for i, g in enumerate(grids):
-        cells = np.sort(cell_ids[chosen[roi_ids[chosen] == i]])
-        out.append(np.stack(np.unravel_index(cells, g.shape), axis=1))
-    return out
+    flat = np.concatenate([g.ravel() for g in grids] or [np.zeros(0)])
+    chosen = np.zeros(flat.size, dtype=bool)
+    chosen[rank(flat)[:max(top_n, 0)]] = True
+    per_roi = np.split(chosen, np.cumsum([g.size for g in grids[:-1]], dtype=np.int64))
+    return [np.stack(np.unravel_index(np.flatnonzero(c), g.shape), axis=1)
+            for g, c in zip(grids, per_roi)]
 
 
 def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +255,7 @@ def panoptic_postprocess(dets: Sequence[PanopticDet],
     dets = [dets[i] for i in sorted(kept)]
 
     combined = np.asarray([d.cls_score * d.mask_score for d in dets])
-    order = np.lexsort((np.arange(len(dets)), -combined))
+    order = rank(combined)
     shape = dets[0].mask.shape
     taken = np.zeros(shape, dtype=bool)
     regions: list[np.ndarray] = [None] * len(dets)
@@ -485,9 +476,9 @@ class _WeightArrays:
             raise SchemaError(f"weight array {name} {shape} takes the weights to "
                               f"{self.elements} values, over the {MAX_WEIGHT_ELEMENTS} cap")
         if name in self.arrays:
-            arr = np.asarray(self.arrays[name], dtype=np.float64)
-            if arr.shape != tuple(shape):
-                raise ContractError(f"array {name} has shape {arr.shape}, expected {shape}")
+            arr = self.arrays[name]
+            if np.shape(arr) != tuple(shape):
+                raise ContractError(f"array {name} has shape {np.shape(arr)}, expected {shape}")
             return arr
         return seeded_rng(self.seed, "init", name).normal(0.0, 0.01, size=shape)
 

@@ -754,6 +754,18 @@ class TestConvertCommand:
         assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
                                               "--output", str(out)]), out)
 
+    @pytest.mark.parametrize("extra", [b"\x00", bytes(16)])
+    def test_trailing_bytes_exit_2(self, tmp_path, capsys, extra):
+        """Bytes after the index map are no part of the dump: it is refused, as a
+        weight bundle refuses a partial trailing record."""
+        src, out = tmp_path / "t.bin", tmp_path / "t.json"
+        io.save_sps(str(src), SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]]))
+        src.write_bytes(src.read_bytes() + extra)
+        code = main(["convert", "--input", str(src), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error:") and f"has {len(extra)} bytes after its index map" in err
+
     @pytest.mark.parametrize("offset,value", [(24 + 8, 5), (24 + 8, 0xF0000000), (0, None)])
     def test_bad_binary_index_or_header_exit_2(self, tmp_path, capsys, offset, value):
         src, out = tmp_path / "t.bin", tmp_path / "t.json"

@@ -108,8 +108,12 @@ def mutated_json(draw, doc):
 
 @st.composite
 def mutated_bytes(draw, data):
+    """``data`` truncated, with one byte changed, or with bytes appended."""
+    how = draw(st.sampled_from(["truncate", "byte", "append"]))
+    if how == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
     at = draw(st.integers(0, len(data) - 1))
-    if draw(st.booleans()):
+    if how == "truncate":
         return data[:at]
     return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
 

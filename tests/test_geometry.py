@@ -137,6 +137,46 @@ class TestBoxCodec:
             geo.encode_box([0, 0, 2, 2], [1, 1, 1, 3])
 
 
+def reference_rank(x):
+    """The lexsort form of ``geo.rank``, kept as its reference: the negated
+    score as the primary key, the index as the tie key."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.lexsort((np.arange(len(x)), -x))
+
+
+# Values that sort unusually or tie: NaN of either sign, the infinities, both
+# zeros, and subnormal and extreme finite values.
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+           np.finfo(np.float64).max, -np.finfo(np.float64).max]
+tied_scores = st.lists(st.sampled_from(SPECIAL) | st.sampled_from([0.25, 0.5]), max_size=60)
+any_scores = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60)
+
+
+class TestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores | any_scores)
+    def test_equals_lexsort_reference(self, scores):
+        got = geo.rank(scores)
+        np.testing.assert_array_equal(got, reference_rank(scores))
+        assert got.dtype == np.intp
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores | any_scores, st.data())
+    def test_candidate_subset_as_topk_match_ranks(self, scores, data):
+        """``topk_match`` ranks a subset of indices and keeps the subset's own
+        indices as the tie key."""
+        col = np.asarray(scores, dtype=np.float64)
+        candidates = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(col),
+                                                       max_size=len(col))))
+        want = candidates[np.lexsort((candidates, -col[candidates]))]
+        np.testing.assert_array_equal(candidates[geo.rank(col[candidates])], want)
+
+    def test_examples(self):
+        assert geo.rank([]).tolist() == []
+        assert geo.rank([0.5, np.nan, 0.9, 0.5, -0.0, 0.0]).tolist() == [2, 0, 3, 4, 5, 1]
+        assert geo.rank([-np.inf, np.inf, 1]).tolist() == [1, 2, 0]
+
+
 def ladder_anchors(heights):
     """Anchors [0,0,10,h]: IoU vs gt [0,0,10,10] is exactly h/10 for h <= 10."""
     return np.array([[0.0, 0.0, 10.0, h] for h in heights])

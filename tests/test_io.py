@@ -12,6 +12,8 @@ from spsr.metrics import rle_encode
 from spsr.pipeline import PipelineWeights, RunConfig
 from spsr.tensor import SpsTensor
 
+from conftest import traced_peak
+
 # The weight bundle of ``RunConfig(f0=16, f_query=8, f_neck=8)``: (name, shape)
 # of the arrays of stage 0 and of each refinement stage, in the order the run
 # draws the ones a bundle leaves out. A run of k stages reads stages 0..k.
@@ -282,6 +284,17 @@ class TestRefineWithWeights:
         err = capsys.readouterr().err
         assert err.startswith("error: weight array stage2.halve.l0.wieght ")
         assert not out.exists()
+
+    def test_stray_array_refused_within_the_file_size(self, tmp_path, rng):
+        """The bundle is held as the file's bytes until a layer takes an array:
+        a large stray one is refused without a float64 copy of it."""
+        bundle = small_bundle(rng)
+        bundle["stray"] = np.ones((2048, 1024), dtype=np.float32)
+        bundle_path = tmp_path / "w.bin"
+        io.save_weights(str(bundle_path), bundle)
+        code, peak = traced_peak(self.refine, tmp_path, tmp_path / "out", str(bundle_path))
+        assert code == 2 and not (tmp_path / "out").exists()
+        assert peak <= bundle_path.stat().st_size + (1 << 20)
 
 
 class TestPanopticFile:

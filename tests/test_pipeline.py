@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spsr import ops
 from spsr import pipeline as pl
@@ -79,6 +81,64 @@ class TestSelectActive:
     def test_none_selects_all(self):
         cells = pl.select_active([np.zeros((2, 3))], top_n=None)
         assert len(cells[0]) == 6
+
+
+def reference_select_active(scores, top_n):
+    """The lexsort form of ``select_active``, kept as its reference: one lexsort
+    on (score, RoI index, cell index), then a sort of each RoI's chosen cells."""
+    grids = [np.asarray(s, dtype=np.float64) for s in scores]
+    sizes = [g.size for g in grids]
+    total = int(sum(sizes))
+    if top_n is None or top_n >= total:
+        return [pl._all_cells(g.shape) for g in grids]
+    if top_n <= 0:
+        return [np.zeros((0, 2), dtype=np.int64) for _ in grids]
+    flat = np.concatenate([g.ravel() for g in grids])
+    roi_ids = np.repeat(np.arange(len(grids)), sizes)
+    cell_ids = np.concatenate([np.arange(n) for n in sizes])
+    chosen = np.lexsort((cell_ids, roi_ids, -flat))[:top_n]
+    out = []
+    for i, g in enumerate(grids):
+        cells = np.sort(cell_ids[chosen[roi_ids[chosen] == i]])
+        out.append(np.stack(np.unravel_index(cells, g.shape), axis=1))
+    return out
+
+
+# Small value sets, so most scores tie with others, within and across RoIs.
+PALETTES = st.sampled_from([[0.0], [0.0, 1.0], [0.25, 0.5, 0.75], [-0.0, 0.0, 0.5],
+                            [np.nan, 0.5, np.inf, -np.inf]])
+
+
+@st.composite
+def score_grids(draw):
+    """1-8 RoI grids with sides 1-28, filled from a small palette or uniformly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.none() | PALETTES)
+    grids = []
+    for _ in range(draw(st.integers(1, 8))):
+        shape = (draw(st.integers(1, 28)), draw(st.integers(1, 28)))
+        grids.append(rng.uniform(size=shape) if palette is None else rng.choice(palette, shape))
+    return grids
+
+
+class TestSelectActiveReference:
+    @settings(max_examples=200, deadline=None)
+    @given(score_grids(), st.sampled_from(["none", -1, 0, 1, "half", "total-1", "total",
+                                           "total+5"]))
+    def test_equals_lexsort_reference(self, grids, budget):
+        total = sum(g.size for g in grids)
+        top_n = {"none": None, "half": total // 2, "total-1": total - 1, "total": total,
+                 "total+5": total + 5}.get(budget, budget)
+        got = pl.select_active(grids, top_n)
+        want = reference_select_active(grids, top_n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_no_grids(self):
+        for top_n in (None, 0, 3):
+            assert pl.select_active([], top_n) == []
 
 
 class TestMakeTargets:
