@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
+import stat
 import struct
 import tempfile
 from typing import Mapping
@@ -137,10 +139,18 @@ def save_weights(path: str, arrays: Mapping[str, np.ndarray]):
 
 
 def load_weights(path: str) -> dict:
-    """Arrays by name, as read-only float32 views of the file's bytes."""
+    """Arrays by name, as read-only float32 views of the file's bytes.
+
+    The file is mapped read-only, so an array the head refuses is never read;
+    it must not change while the views are in use. A name given twice is
+    refused, as is a partial trailing record.
+    """
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise SchemaError(f"weights {path} must be a regular file, to be mapped")
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if st.st_size else b""
     except OSError as e:
         raise SchemaError(f"cannot read weights from {path}: {e}") from e
     arrays = {}
@@ -160,6 +170,8 @@ def load_weights(path: str) -> dict:
             pos += 4 * count
         except (struct.error, ValueError) as e:
             raise SchemaError(f"truncated weight bundle {path}: {e}") from e
+        if name in arrays:
+            raise SchemaError(f"weight bundle {path} holds array {name} twice")
         arrays[name] = arr
     return arrays
 

@@ -131,6 +131,12 @@ def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.nd
     return _cell_targets(gt, _summed_area(gt), grid_hw)
 
 
+def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of ``n`` equal cells spanning ``[lo, hi)``: the one cell-center
+    formula of neck sampling, oracle targets and synthetic rasterization."""
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
 def _summed_area(gt: np.ndarray) -> np.ndarray:
     """Summed-area table of a bool mask, framed by a zero row and column."""
     sat = np.zeros((gt.shape[0] + 1, gt.shape[1] + 1), dtype=np.int64)
@@ -144,8 +150,8 @@ def _cell_targets(gt: np.ndarray, sat: np.ndarray, grid_hw: tuple) -> tuple[np.n
     h, w = grid_hw
     if rows < h or cols < w:
         raise ContractError(f"mask {gt.shape} coarser than grid {grid_hw}")
-    cy = np.floor((np.arange(h) + 0.5) * rows / h).astype(np.int64)
-    cx = np.floor((np.arange(w) + 0.5) * cols / w).astype(np.int64)
+    cy = np.floor(cell_centers(0, rows, h)).astype(np.int64)
+    cx = np.floor(cell_centers(0, cols, w)).astype(np.int64)
     seg = gt[cy[:, None], cx[None, :]]
 
     by = np.floor(np.arange(h + 1) * rows / h).astype(np.int64)
@@ -550,13 +556,6 @@ class RefinementResult:
     dense_ledger: CostLedger  # the same run's ops with every cell active
 
 
-def _cell_centers(box: RoiBox, coords: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Image-space centers of the given (y, x) grid cells; returns (ys, xs)."""
-    ys = box.y0 + (coords[:, 0] + 0.5) * box.h / grid_hw[0]
-    xs = box.x0 + (coords[:, 1] + 0.5) * box.w / grid_hw[1]
-    return ys, xs
-
-
 def _macs(rows: int, *chains) -> int:
     """MACs of ``rows`` rows through every layer of ``chains``; a linear layer is a 1 x 1 conv."""
     return sum(macs_conv(rows, layer.k, layer.f_in, layer.f_out)
@@ -632,7 +631,9 @@ class _Engine:
                    out: np.ndarray | None = None) -> np.ndarray:
         """Neck features of RoI i's level at stage s, at the centers of
         ``coords``; written into ``out`` if given."""
-        ys, xs = _cell_centers(self.rois[i].box, coords, self.plan[s].hw)
+        box, (h, w) = self.rois[i].box, self.plan[s].hw
+        ys = cell_centers(box.y0, box.y1, h)[coords[:, 0]]
+        xs = cell_centers(box.x0, box.x1, w)[coords[:, 1]]
         return self.neck.sample(stage_level(self.k0[i], s), ys, xs, out=out)
 
     def _child_maps(self, s: int) -> list:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContractError
 from .io import MAX_MASK_PIXELS
 from .ops import CHUNK_VALUES
-from .pipeline import RoiBox, RoiInput, seeded_rng
+from .pipeline import RoiBox, RoiInput, cell_centers, seeded_rng
 
 SHAPES = ("disk", "ellipse", "blob")
 BLOB_HARMONICS = 4  # boundary harmonics of a blob, orders 2..5
@@ -136,13 +136,8 @@ class SyntheticShape:
         """Sample the shape at the pixel centers of a frame over [x0,x1)x[y0,y1)."""
         h, w = out_hw
         out = np.empty((h, w), dtype=bool)
-        _fill(out, self, _centers(x0, x1, w), _centers(y0, y1, h))
+        _fill(out, self, cell_centers(x0, x1, w), cell_centers(y0, y1, h))
         return out
-
-
-def _centers(lo: float, hi: float, n: int) -> np.ndarray:
-    """Pixel-center coordinates of ``n`` pixels spanning ``[lo, hi)``."""
-    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
 def _fill(out: np.ndarray, shape: SyntheticShape, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -194,7 +189,8 @@ def gen_synthetic(spec: SyntheticShapeSpec) -> tuple[np.ndarray, RoiBox, Synthet
     cols = slice(max(0, int(np.floor(shape.cx - r))), min(w, int(np.ceil(shape.cx + r))))
     mask = np.zeros((h, w), dtype=bool)
     window = mask[rows, cols]
-    _fill(window, shape, _centers(0.0, float(w), w)[cols], _centers(0.0, float(h), h)[rows])
+    _fill(window, shape, cell_centers(0.0, float(w), w)[cols],
+          cell_centers(0.0, float(h), h)[rows])
     ys = np.flatnonzero(window.any(axis=1))
     xs = np.flatnonzero(window.any(axis=0))
     if len(ys) == 0:

@@ -1,11 +1,11 @@
-"""Dense and structure-preserving sparse (SPS) feature tensors.
+"""One tensor type, SPS, plus converters to and from dense ``[F, H, W]`` arrays.
 
-An SPS tensor splits a 2D feature grid into an ``N_A x F`` matrix of active
-features (one row per active cell), an ``N_P x F`` matrix of passive features
-(rows may be referenced by several cells), and a dense ``[H, W]`` index map.
-Indices below ``N_A`` point into the active matrix, the rest into the passive
-matrix, so any 2D neighborhood can still be resolved while only active rows
-are ever recomputed.
+A structure-preserving sparse (SPS) tensor splits a 2D feature grid into an
+``N_A x F`` matrix of active features (one row per active cell), an
+``N_P x F`` matrix of passive features (rows may be referenced by several
+cells), and a dense ``[H, W]`` index map. Indices below ``N_A`` point into the
+active matrix, the rest into the passive matrix, so any 2D neighborhood can
+still be resolved while only active rows are ever recomputed.
 
 ``SpsTensor`` checks its contract on construction, for the file loaders too:
 the map is range-checked before any value is converted or counted.
@@ -37,35 +37,6 @@ def _checked_rows(active, passive) -> tuple[np.ndarray, np.ndarray]:
     if act.shape[0] > 0 and pas.shape[0] > 0 and act.shape[1] != pas.shape[1]:
         raise ContractError("active and passive feature sizes differ")
     return _readonly(act), _readonly(pas)
-
-
-@dataclass
-class DenseTensor:
-    """Plain ``[F, H, W]`` feature map; the dense reference representation."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 3:
-            raise ContractError(f"dense features must be [F, H, W], got shape {f.shape}")
-        if min(f.shape) < 1:
-            raise ContractError(f"dense dims must be >= 1, got {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ContractError("dense features must be finite")
-        self.features = _readonly(f)
-
-    @property
-    def f(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def h(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def w(self) -> int:
-        return self.features.shape[2]
 
 
 @dataclass
@@ -178,23 +149,31 @@ def _normalize_cells(cells: Iterable, h: int, w: int) -> np.ndarray:
     return np.stack(np.divmod(np.unique(arr[:, 0] * w + arr[:, 1]), w), axis=1)
 
 
-def from_dense(d: DenseTensor, active_cells: Iterable) -> SpsTensor:
-    """Split a dense tensor into active rows (given cells) and passive rows.
+def from_dense(x: np.ndarray, active_cells: Iterable) -> SpsTensor:
+    """Split a dense ``[F, H, W]`` array into active rows (given cells) and
+    passive rows; ``ContractError`` unless ``x`` is 3D, non-empty in every
+    dimension and finite.
 
     Active rows follow row-major order of the active cells; every non-active
     cell contributes its own passive row (no deduplication at construction).
-    This is :func:`reselect` of the all-passive view of ``d``.
+    This is :func:`reselect` of the all-passive view of ``x``.
     """
-    view = SpsTensor(active=np.zeros((0, d.f)), passive=d.features.reshape(d.f, -1).T,
-                     index_map=np.arange(d.h * d.w).reshape(d.h, d.w))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ContractError(f"dense features must be [F, H, W], got shape {x.shape}")
+    if min(x.shape) < 1:
+        raise ContractError(f"dense dims must be >= 1, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ContractError("dense features must be finite")
+    f, h, w = x.shape
+    view = SpsTensor(active=np.zeros((0, f)), passive=x.reshape(f, -1).T,
+                     index_map=np.arange(h * w).reshape(h, w))
     return reselect(view, active_cells)
 
 
-def to_dense(s: SpsTensor) -> DenseTensor:
-    """Materialize the full ``[F, H, W]`` map by resolving the index map."""
-    rows = s.rows()
-    dense = rows[s.index_map.astype(np.int64)]  # [H, W, F]
-    return DenseTensor(features=dense.transpose(2, 0, 1))
+def to_dense(s: SpsTensor) -> np.ndarray:
+    """The full ``[F, H, W]`` float64 array, each cell resolved through the index map."""
+    return s.rows()[s.index_map.astype(np.int64)].transpose(2, 0, 1)
 
 
 def _tap_index(index: np.ndarray, coords: np.ndarray, taps: np.ndarray, pad: int) -> np.ndarray:

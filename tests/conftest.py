@@ -16,7 +16,7 @@ def random_sps(rng, h=None, w=None, f=None, n_active=None):
     h = h or int(rng.integers(1, 17))
     w = w or int(rng.integers(1, 17))
     f = f or int(rng.integers(1, 9))
-    dense = tensor.DenseTensor(rng.standard_normal((f, h, w)))
+    dense = rng.standard_normal((f, h, w))
     cells = [(y, x) for y in range(h) for x in range(w)]
     if n_active is None:
         n_active = int(rng.integers(0, h * w + 1))

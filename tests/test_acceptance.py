@@ -36,7 +36,7 @@ def _passive_bytes(s):
 
 def _check_active(s_in, s_out, dense_out, rtol=1e-6):
     coords = s_in.active_coords()
-    got = tensor.to_dense(s_out).features[:, coords[:, 0], coords[:, 1]]
+    got = tensor.to_dense(s_out)[:, coords[:, 0], coords[:, 1]]
     want = dense_out[:, coords[:, 0], coords[:, 1]]
     np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-9)
 
@@ -57,15 +57,15 @@ def test_criterion_1_sparse_dense_equivalence(rng):
                 t = random_linear(case_rng, f, f,
                                   activation="relu" if i % 2 else "none")
                 out = ops.pointwise(s, t)
-                ref = ops.dense_pointwise(d.features, t)
+                ref = ops.dense_pointwise(d, t)
             elif name == "halve_features":
                 t = random_linear(case_rng, f, f // 2)
                 out = ops.halve_features(s, t)
-                ref = ops.dense_pointwise(d.features, t)
+                ref = ops.dense_pointwise(d, t)
             elif name == "conv2d":
                 k = random_kernel(case_rng, f, dilation=(1, 3, 5)[i % 3])
                 out = ops.conv2d_sparse(s, k)
-                ref = ops.dense_conv2d(d.features, k)
+                ref = ops.dense_conv2d(d, k)
             elif name == "deform_conv":
                 k = random_kernel(case_rng, f)
                 off = ops.OffsetField(case_rng.uniform(-2, 2, size=(s.n_active, 9, 2)))
@@ -74,11 +74,11 @@ def test_criterion_1_sparse_dense_equivalence(rng):
                 coords = s.active_coords()
                 if len(coords):
                     dense_off[coords[:, 0], coords[:, 1]] = off.offsets
-                ref = ops.dense_deform_conv(d.features, k, dense_off)
+                ref = ops.dense_deform_conv(d, k, dense_off)
             elif name == "sfm":
                 ks = tuple(random_kernel(case_rng, f, dilation=dd) for dd in (1, 3, 5))
                 out = ops.sfm(s, *ks)
-                ref = ops.dense_sfm(d.features, *ks)
+                ref = ops.dense_sfm(d, *ks)
             else:
                 f_ext = int(case_rng.integers(1, 5))
                 ext_grid = case_rng.standard_normal((f_ext, s.h, s.w))
@@ -87,7 +87,7 @@ def test_criterion_1_sparse_dense_equivalence(rng):
                 chain = [random_linear(case_rng, f + f_ext, f, activation="relu"),
                          random_linear(case_rng, f, f)]
                 out = ops.fuse_external(s, writes(ext), chain)
-                ref = ops.dense_fuse(d.features, ext_grid, chain)
+                ref = ops.dense_fuse(d, ext_grid, chain)
 
             _check_active(s, out, ref)
             if name == "halve_features":
@@ -95,7 +95,7 @@ def test_criterion_1_sparse_dense_equivalence(rng):
                 # rows must match the dense oracle instead of staying frozen
                 coords = np.argwhere(s.index_map >= s.n_active)
                 if len(coords):
-                    got = tensor.to_dense(out).features[:, coords[:, 0], coords[:, 1]]
+                    got = tensor.to_dense(out)[:, coords[:, 0], coords[:, 1]]
                     np.testing.assert_allclose(
                         got, ref[:, coords[:, 0], coords[:, 1]], rtol=1e-6, atol=1e-9)
             else:

@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +141,10 @@ class TestWeightBundle:
         path.write_bytes(struct.pack("<H", 5) + b"ab")
         with pytest.raises(SchemaError):
             io.load_weights(str(path))
+
+    def test_not_a_regular_file_rejected(self):
+        with pytest.raises(SchemaError, match="must be a regular file"):
+            io.load_weights(os.devnull)
 
     def test_pipeline_accepts_bundle_and_validates_shapes(self, rng):
         cfg = RunConfig(f0=16, f_query=8, f_neck=8)
@@ -295,6 +302,51 @@ class TestRefineWithWeights:
         code, peak = traced_peak(self.refine, tmp_path, tmp_path / "out", str(bundle_path))
         assert code == 2 and not (tmp_path / "out").exists()
         assert peak <= bundle_path.stat().st_size + (1 << 20)
+
+    def test_repeated_array_exit_2(self, tmp_path, capsys):
+        """Two records of one name are refused, not resolved to the last one."""
+        parts = []
+        for i, value in enumerate((0.0, 1.0)):
+            io.save_weights(str(tmp_path / f"p{i}.bin"),
+                            {"stage0.ingest.l0.bias": np.full(16, value, dtype=np.float32)})
+            parts.append((tmp_path / f"p{i}.bin").read_bytes())
+        bundle_path = tmp_path / "w.bin"
+        bundle_path.write_bytes(b"".join(parts))
+        out = tmp_path / "out"
+        assert self.refine(tmp_path, out, str(bundle_path)) == 2
+        err = capsys.readouterr().err
+        assert "holds array stage0.ingest.l0.bias twice" in err
+        assert not out.exists()
+
+    def test_sparse_stray_refused_unread(self, tmp_path, rng):
+        """The bundle is mapped, not read: a 1 GiB stray array (a hole in a
+        sparse file, so it takes no disk) is refused with a small footprint."""
+        bundle_path = tmp_path / "w.bin"
+        io.save_weights(str(bundle_path), small_bundle(rng))
+        with open(bundle_path, "ab") as f:
+            f.write(struct.pack("<H", 5) + b"stray" + struct.pack("<B3I", 3, 256, 1024, 1024))
+            f.truncate(f.tell() + (1 << 30))
+        roi_path = tmp_path / "rois.json"
+        io.dump_json(str(roi_path), [{"box": [10.0, 12.0, 90.0, 96.0], "class": 0, "score": 0.8}])
+        # the child's own peak: ru_maxrss would carry over this process's RSS
+        # from the fork, so the child reports VmHWM, which exec resets
+        script = ("import sys\n"
+                  "from spsr.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                  "           if line.startswith('VmHWM:')))\n"
+                  "sys.exit(code)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", script, "refine", "--mode", "weights",
+                               "--rois", str(roi_path), "--weights", str(bundle_path),
+                               "--out", str(out), "--f0", "16", "--f-neck", "8",
+                               "--f-query", "8"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "weight array stray " in proc.stderr and not out.exists()
+        assert int(proc.stdout.split()[-1]) < 200 * 1024  # VmHWM is in kB
 
 
 class TestPanopticFile:

@@ -12,14 +12,14 @@ from conftest import (identity_transform, random_kernel, random_linear, random_s
 
 def active_values(s):
     coords = s.active_coords()
-    dense = tensor.to_dense(s).features
+    dense = tensor.to_dense(s)
     return dense[:, coords[:, 0], coords[:, 1]]
 
 
 def assert_sparse_matches_dense(s_out, dense_out, s_in, rtol=1e-6):
     """Master check: active cells match the dense oracle, passive untouched."""
     coords = s_in.active_coords()
-    got = tensor.to_dense(s_out).features[:, coords[:, 0], coords[:, 1]]
+    got = tensor.to_dense(s_out)[:, coords[:, 0], coords[:, 1]]
     want = dense_out[:, coords[:, 0], coords[:, 1]]
     np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-9)
     np.testing.assert_array_equal(s_out.passive, s_in.passive)
@@ -37,7 +37,7 @@ class TestPointwise:
         d, s = random_sps(rng, h=6, w=5, f=4, n_active=30)
         t = random_linear(rng, 4, 4)
         out = ops.pointwise(s, t)
-        assert_sparse_matches_dense(out, ops.dense_pointwise(d.features, t), s)
+        assert_sparse_matches_dense(out, ops.dense_pointwise(d, t), s)
 
     def test_relu_zeroes_negative_features(self):
         s = tensor.SpsTensor(active=[[-1.0, -2.0]], passive=np.zeros((0, 2)),
@@ -74,8 +74,8 @@ class TestHalveFeatures:
         d, s = random_sps(rng, h=4, w=4, f=6, n_active=16)
         t = random_linear(rng, 6, 3)
         out = ops.halve_features(s, t)
-        ref = ops.dense_pointwise(d.features, t)
-        np.testing.assert_allclose(tensor.to_dense(out).features, ref, rtol=1e-6)
+        ref = ops.dense_pointwise(d, t)
+        np.testing.assert_allclose(tensor.to_dense(out), ref, rtol=1e-6)
 
     def test_odd_f_rejected(self, rng):
         _, s = random_sps(rng, f=3)
@@ -97,7 +97,7 @@ class TestConv2dSparse:
         d, s = random_sps(rng, h=7, w=7, f=4, n_active=49)
         k = random_kernel(rng, 4, dilation=dilation)
         out = ops.conv2d_sparse(s, k)
-        assert_sparse_matches_dense(out, ops.dense_conv2d(d.features, k), s)
+        assert_sparse_matches_dense(out, ops.dense_conv2d(d, k), s)
 
     def test_partial_active_matches_dense_at_active_cells(self, rng):
         for _ in range(50):
@@ -106,7 +106,7 @@ class TestConv2dSparse:
                 continue
             k = random_kernel(rng, s.f, dilation=int(rng.integers(1, 4)))
             out = ops.conv2d_sparse(s, k)
-            assert_sparse_matches_dense(out, ops.dense_conv2d(d.features, k), s)
+            assert_sparse_matches_dense(out, ops.dense_conv2d(d, k), s)
 
     def test_mac_hook(self, rng):
         _, s = random_sps(rng, h=8, w=8, f=4, n_active=10)
@@ -140,7 +140,7 @@ class TestDeformConv:
         coords = s.active_coords()
         dense_off = np.zeros((6, 6, 9, 2))
         dense_off[coords[:, 0], coords[:, 1]] = off.offsets
-        ref = ops.dense_deform_conv(d.features, k, dense_off)
+        ref = ops.dense_deform_conv(d, k, dense_off)
         assert_sparse_matches_dense(out, ref, s)
 
     def test_offset_count_mismatch_rejected(self, rng):
@@ -172,7 +172,7 @@ class TestSfm:
         d, s = random_sps(rng, h=8, w=8, f=4, n_active=64)
         ks = self._kernels(rng, 4)
         out = ops.sfm(s, *ks)
-        assert_sparse_matches_dense(out, ops.dense_sfm(d.features, *ks), s)
+        assert_sparse_matches_dense(out, ops.dense_sfm(d, *ks), s)
 
     def test_wrong_dilations_rejected(self, rng):
         _, s = random_sps(rng, f=3)
@@ -204,7 +204,7 @@ class TestFuseExternal:
         ext_rows = ext_grid[:, coords[:, 0], coords[:, 1]].T
         chain = [random_linear(rng, 5, 4, activation="relu"), random_linear(rng, 4, 3)]
         out = ops.fuse_external(s, writes(ext_rows), chain)
-        ref = ops.dense_fuse(d.features, ext_grid, chain)
+        ref = ops.dense_fuse(d, ext_grid, chain)
         assert_sparse_matches_dense(out, ref, s)
 
     def test_row_count_mismatch_rejected(self, rng):
@@ -273,7 +273,7 @@ class TestLinearity:
 
 class TestDegenerate:
     def test_ops_are_noops_on_zero_active(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((4, 4, 4)))
+        d = rng.standard_normal((4, 4, 4))
         s = tensor.from_dense(d, [])
         k = random_kernel(rng, 4)
         assert ops.conv2d_sparse(s, k).n_active == 0
@@ -301,10 +301,10 @@ class TestBilinearReference:
                          for c in features], axis=1)
 
     def test_dense_bilinear_matches_scipy(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((4, 7, 9)))
+        d = rng.standard_normal((4, 7, 9))
         pos = self._positions(rng, 7, 9, 60)
-        got = ops.dense_bilinear(d.features, pos[:, 0], pos[:, 1])
-        np.testing.assert_allclose(got, self._scipy(d.features, pos), rtol=0, atol=1e-12)
+        got = ops.dense_bilinear(d, pos[:, 0], pos[:, 1])
+        np.testing.assert_allclose(got, self._scipy(d, pos), rtol=0, atol=1e-12)
 
     def test_deform_conv_sparse_matches_scipy(self, rng):
         d, s = random_sps(rng, h=7, w=9, f=4, n_active=45)
@@ -313,14 +313,14 @@ class TestBilinearReference:
         k = ops.ConvKernel(np.eye(4)[:, :, None, None], np.zeros(4))
         off = ops.OffsetField((pos - s.active_coords())[:, None, :])
         got = ops.deform_conv_sparse(s, k, off).active
-        np.testing.assert_allclose(got, self._scipy(d.features, pos), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, self._scipy(d, pos), rtol=0, atol=1e-12)
 
 
 def pipeline_shaped_sps(rng, f=32, side=112, n_inside=1500):
     """An SPS tensor shaped like refinement stage 3: ``side x side`` cells, F=32,
     passive rows shared by the 2x2 children of a coarse cell, and active cells
     on every border and corner as well as up to ``n_inside`` drawn anywhere."""
-    coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((f, side // 2, side // 2))), [])
+    coarse = tensor.from_dense(rng.standard_normal((f, side // 2, side // 2)), [])
     fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
     last, edge = side - 1, range(0, side, 3)
     cells = {(0, 0), (0, last), (last, 0), (last, last)}
@@ -329,7 +329,7 @@ def pipeline_shaped_sps(rng, f=32, side=112, n_inside=1500):
     cells |= {(int(y), int(x)) for y, x in rng.integers(0, side, size=(n_inside, 2))}
     s = tensor.reselect(fine, sorted(cells))
     assert s.n_passive < side * side - s.n_active  # passive rows are shared
-    return tensor.to_dense(s).features, s
+    return tensor.to_dense(s), s
 
 
 class TestPipelineShapes:
@@ -473,7 +473,7 @@ class TestBilinearKernel:
     def test_shared_passive_rows_duplicate_columns(self, rng):
         # 2x2 children of a coarse cell share one passive row, so two corners
         # of one sample can resolve to the same row (duplicate CSR columns)
-        coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((self.F, 8, 8))), [])
+        coarse = tensor.from_dense(rng.standard_normal((self.F, 8, 8)), [])
         fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
         s = tensor.reselect(fine, [(int(y), int(x)) for y, x in rng.integers(0, 16, (30, 2))])
         py = rng.uniform(-1, 16, 400)
@@ -525,13 +525,13 @@ def einsum_deform_conv_sparse(s, k, off):
 
 def corner_sps(rng, f, side=9):
     """One active cell, in a corner, among passive rows shared by 2x2 children."""
-    coarse = tensor.from_dense(tensor.DenseTensor(rng.standard_normal((f, side, side))), [])
+    coarse = tensor.from_dense(rng.standard_normal((f, side, side)), [])
     fine = tensor.subdivide(coarse, [lambda rows: rows] * 4)
     return tensor.reselect(fine, [(2 * side - 1, 0)])
 
 
 def fully_active_sps(rng, f, side):
-    d = tensor.DenseTensor(rng.standard_normal((f, side, side)))
+    d = rng.standard_normal((f, side, side))
     return tensor.from_dense(d, [(y, x) for y in range(side) for x in range(side)])
 
 

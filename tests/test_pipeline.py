@@ -182,6 +182,24 @@ class TestMakeTargets:
             assert refine[i, 0] == (block.any() and not block.all())
 
 
+class TestCellCenters:
+    """``cell_centers`` is bit-equal to the per-cell forms it replaced: neck
+    sampling's ``y0 + (y + 0.5) * h / n`` and the oracle's centre pixel
+    ``floor((i + 0.5) * rows / n)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e4, 1e4), st.floats(1e-3, 1e3), st.integers(1, 112),
+           st.integers(1, 2000), st.randoms(use_true_random=False))
+    def test_bit_equal_to_the_per_cell_forms(self, lo, span, n, rows, py_rng):
+        box = pl.RoiBox(x0=0.0, y0=lo, x1=1.0, y1=lo + span)
+        ys = np.array([py_rng.randrange(n) for _ in range(20)])
+        want = box.y0 + (ys + 0.5) * box.h / n
+        assert pl.cell_centers(box.y0, box.y1, n)[ys].tobytes() == want.tobytes()
+        rows = max(rows, n)
+        want = np.floor((np.arange(n) + 0.5) * rows / n)
+        assert np.floor(pl.cell_centers(0, rows, n)).tobytes() == want.tobytes()
+
+
 class TestAssembleMask:
     def test_no_active_cells_pure_upsample(self):
         prev = np.array([[0.25, 0.75]])

@@ -15,56 +15,74 @@ def full_grid(h, w):
 
 class TestFromDense:
     def test_fully_active(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         s = tensor.from_dense(d, full_grid(3, 3))
         assert s.n_active == 9 and s.n_passive == 0
         assert sorted(s.index_map.ravel().tolist()) == list(range(9))
 
     def test_fully_passive(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         s = tensor.from_dense(d, [])
         assert s.n_active == 0 and s.n_passive == 9
 
     def test_mixed_multiplicities(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         s = tensor.from_dense(d, [(0, 0), (0, 2), (1, 1), (2, 2)])
         counts = np.bincount(s.index_map.ravel(), minlength=9)
         assert s.n_active == 4 and s.n_passive == 5
         assert np.all(counts[:4] == 1) and np.all(counts[4:] >= 1)
 
     def test_out_of_range_cell_rejected(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         with pytest.raises(ContractError):
             tensor.from_dense(d, [(3, 0)])
 
     def test_active_rows_row_major(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((3, 4, 4)))
+        d = rng.standard_normal((3, 4, 4))
         s = tensor.from_dense(d, [(2, 1), (0, 3), (1, 0)])
         # canonical order: (0,3), (1,0), (2,1)
-        np.testing.assert_array_equal(s.active[0], d.features[:, 0, 3])
-        np.testing.assert_array_equal(s.active[1], d.features[:, 1, 0])
-        np.testing.assert_array_equal(s.active[2], d.features[:, 2, 1])
+        np.testing.assert_array_equal(s.active[0], d[:, 0, 3])
+        np.testing.assert_array_equal(s.active[1], d[:, 1, 0])
+        np.testing.assert_array_equal(s.active[2], d[:, 2, 1])
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((3, 3)), r"must be \[F, H, W\]"),
+        (np.zeros((1, 2, 3, 3)), r"must be \[F, H, W\]"),
+        (np.zeros((0, 3, 3)), "dims must be >= 1"),
+        (np.zeros((2, 0, 3)), "dims must be >= 1"),
+        (np.zeros((2, 3, 0)), "dims must be >= 1"),
+        (np.where(np.arange(18).reshape(2, 3, 3) == 7, np.nan, 1.0), "finite"),
+        (np.where(np.arange(18).reshape(2, 3, 3) == 0, np.inf, 1.0), "finite"),
+        (np.where(np.arange(18).reshape(2, 3, 3) == 17, -np.inf, 1.0), "finite"),
+    ])
+    def test_bad_dense_rejected_before_building(self, bad, message, monkeypatch):
+        built = []
+        monkeypatch.setattr(tensor.SpsTensor, "__post_init__", lambda self: built.append(1))
+        with pytest.raises(ContractError, match=message):
+            tensor.from_dense(bad, [])
+        assert not built
 
 
 def per_cell_from_dense(d, active_cells):
     """Reference split: a Python bounds check per cell, then an active mask and
     an index map built cell by cell (active cells row-major, then every other
     cell row-major)."""
+    h, w = d.shape[1:]
     pairs = []
     for c in active_cells:
         y, x = int(c[0]), int(c[1])
-        if not (0 <= y < d.h and 0 <= x < d.w):
-            raise ContractError(f"cell ({y}, {x}) outside {d.h}x{d.w} grid")
+        if not (0 <= y < h and 0 <= x < w):
+            raise ContractError(f"cell ({y}, {x}) outside {h}x{w} grid")
         pairs.append((y, x))
     cells = np.unique(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
-    active_mask = np.zeros((d.h, d.w), dtype=bool)
+    active_mask = np.zeros((h, w), dtype=bool)
     active_mask[cells[:, 0], cells[:, 1]] = True
-    index_map = np.empty((d.h, d.w), dtype=np.int64)
+    index_map = np.empty((h, w), dtype=np.int64)
     index_map[cells[:, 0], cells[:, 1]] = np.arange(len(cells))
     pys, pxs = np.nonzero(~active_mask)
     index_map[pys, pxs] = len(cells) + np.arange(len(pys))
-    active = d.features[:, cells[:, 0], cells[:, 1]].T
-    passive = d.features[:, pys, pxs].T
+    active = d[:, cells[:, 0], cells[:, 1]].T
+    passive = d[:, pys, pxs].T
     return active, passive, index_map
 
 
@@ -82,7 +100,7 @@ class TestFromDenseReference:
     def test_random_cells(self, rng, kind):
         for _ in range(200):
             h, w, f = (int(v) for v in rng.integers(1, 13, size=3))
-            d = tensor.DenseTensor(rng.standard_normal((f, h, w)))
+            d = rng.standard_normal((f, h, w))
             # duplicates included: up to 1.5x the grid, drawn with replacement
             cells = rng.integers(0, [h, w], size=(int(rng.integers(0, 3 * h * w // 2 + 1)), 2))
             given = {"ndarray": lambda: cells,
@@ -91,7 +109,7 @@ class TestFromDenseReference:
             self.assert_same_split(tensor.from_dense(d, given()), per_cell_from_dense(d, given()))
 
     def test_duplicate_cells_collapse(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 4)))
+        d = rng.standard_normal((2, 3, 4))
         cells = [(2, 3), (0, 1), (2, 3), (0, 1), (0, 1)]
         s = tensor.from_dense(d, cells)
         assert s.n_active == 2 and s.n_passive == 10
@@ -99,7 +117,7 @@ class TestFromDenseReference:
 
     @pytest.mark.parametrize("bad", [(3, 0), (0, 4), (-1, 2), (1, -1)])
     def test_out_of_grid_ndarray_rejected(self, rng, bad):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 4)))
+        d = rng.standard_normal((2, 3, 4))
         cells = np.array([(0, 0), bad, (1, 1)])
         with pytest.raises(ContractError, match=rf"cell \({bad[0]}, {bad[1]}\) outside 3x4"):
             tensor.from_dense(d, cells)
@@ -111,20 +129,44 @@ class TestToDense:
     def test_roundtrip_exact(self, rng):
         for _ in range(20):
             d, s = random_sps(rng)
-            np.testing.assert_array_equal(tensor.to_dense(s).features, d.features)
+            np.testing.assert_array_equal(tensor.to_dense(s), d)
 
     def test_duplicated_passive_appears_everywhere(self):
         # one active row, one passive row shared by three cells
         s = tensor.SpsTensor(active=[[1.0]], passive=[[5.0]],
                              index_map=[[0, 1], [1, 1]])
-        dense = tensor.to_dense(s).features
+        dense = tensor.to_dense(s)
         assert dense[0, 0, 0] == 1.0
         assert dense[0, 0, 1] == dense[0, 1, 0] == dense[0, 1, 1] == 5.0
 
     def test_empty_active_set(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 4, 5)))
+        d = rng.standard_normal((2, 4, 5))
         s = tensor.from_dense(d, [])
-        np.testing.assert_array_equal(tensor.to_dense(s).features, d.features)
+        np.testing.assert_array_equal(tensor.to_dense(s), d)
+
+    def test_resolves_the_reference_split(self, rng):
+        for _ in range(50):
+            f, h, w = (int(v) for v in rng.integers(1, 9, size=3))
+            d = rng.standard_normal((f, h, w))
+            cells = rng.integers(0, [h, w], size=(int(rng.integers(0, h * w + 1)), 2))
+            active, passive, index_map = per_cell_from_dense(d, cells)
+            want = np.concatenate([active, passive])[index_map].transpose(2, 0, 1)
+            got = tensor.to_dense(tensor.from_dense(d, cells))
+            assert type(got) is np.ndarray and got.shape == (f, h, w)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    def test_from_dense_of_to_dense_roundtrips(self, rng):
+        for _ in range(20):
+            _, s = random_sps(rng)
+            back = tensor.from_dense(tensor.to_dense(s), s.active_coords())
+            for name in ("active", "passive", "index_map"):
+                assert np.array_equal(getattr(back, name), getattr(s, name))
+            # shared passive rows come back one per cell, with the same values
+            shared = tensor.subdivide(s, [lambda r: r] * 4)
+            back = tensor.from_dense(tensor.to_dense(shared), shared.active_coords())
+            assert np.array_equal(back.index_map < back.n_active,
+                                  shared.index_map < shared.n_active)
+            assert np.array_equal(tensor.to_dense(back), tensor.to_dense(shared))
 
 
 class TestInvariants:
@@ -148,43 +190,43 @@ class TestInvariants:
            st.randoms(use_true_random=False))
     def test_roundtrip_property(self, h, w, f, py_rng):
         rng = np.random.default_rng(py_rng.getrandbits(32))
-        dense = tensor.DenseTensor(rng.standard_normal((f, h, w)))
+        dense = rng.standard_normal((f, h, w))
         n = int(rng.integers(0, h * w + 1))
         cells = [(y, x) for y in range(h) for x in range(w)]
         chosen = [cells[i] for i in rng.permutation(h * w)[:n]]
         s = tensor.from_dense(dense, chosen)
         assert s.n_active == n
-        np.testing.assert_array_equal(tensor.to_dense(s).features, dense.features)
+        np.testing.assert_array_equal(tensor.to_dense(s), dense)
 
 
 class TestGatherNeighborhood:
     OFFSETS_3X3 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 
     def test_center_full_grid(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         s = tensor.from_dense(d, full_grid(3, 3))
         rows = tensor.gather_neighborhood(s, (1, 1), self.OFFSETS_3X3)
         assert rows.shape == (9, 2)
         for i, (dy, dx) in enumerate(self.OFFSETS_3X3):
-            np.testing.assert_array_equal(rows[i], d.features[:, 1 + dy, 1 + dx])
+            np.testing.assert_array_equal(rows[i], d[:, 1 + dy, 1 + dx])
 
     def test_corner_zero_padding(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         s = tensor.from_dense(d, full_grid(3, 3))
         rows = tensor.gather_neighborhood(s, (0, 0), self.OFFSETS_3X3)
         n_zero = sum(1 for r in rows if np.all(r == 0.0))
         assert n_zero == 5  # enumerated: 5 of 9 offsets leave the grid
 
     def test_dilation_2_matches_dense_oracle(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((3, 5, 5)))
+        d = rng.standard_normal((3, 5, 5))
         s = tensor.from_dense(d, full_grid(5, 5))
         offsets = [(dy, dx) for dy in (-2, 0, 2) for dx in (-2, 0, 2)]
         rows = tensor.gather_neighborhood(s, (2, 2), offsets)
         for i, (dy, dx) in enumerate(offsets):
-            np.testing.assert_array_equal(rows[i], d.features[:, 2 + dy, 2 + dx])
+            np.testing.assert_array_equal(rows[i], d[:, 2 + dy, 2 + dx])
 
     def test_passive_cell_rejected(self, rng):
-        d = tensor.DenseTensor(rng.standard_normal((2, 3, 3)))
+        d = rng.standard_normal((2, 3, 3))
         s = tensor.from_dense(d, [(0, 0)])
         with pytest.raises(ContractError):
             tensor.gather_neighborhood(s, (1, 1), self.OFFSETS_3X3)
@@ -202,7 +244,7 @@ class TestGatherNeighborhood:
             for i, (dy, dx) in enumerate(offsets):
                 ny, nx = y + dy, x + dx
                 if 0 <= ny < s.h and 0 <= nx < s.w:
-                    np.testing.assert_array_equal(rows[i], d.features[:, ny, nx])
+                    np.testing.assert_array_equal(rows[i], d[:, ny, nx])
                 else:
                     assert np.all(rows[i] == 0.0)
 
@@ -236,8 +278,8 @@ class TestSubdivide:
     def test_identity_children_copy_parent(self, rng):
         d, s = random_sps(rng, h=4, w=4, f=3)
         out = tensor.subdivide(s, [lambda r: r] * 4)
-        up = np.repeat(np.repeat(tensor.to_dense(s).features, 2, axis=1), 2, axis=2)
-        np.testing.assert_array_equal(tensor.to_dense(out).features, up)
+        up = np.repeat(np.repeat(tensor.to_dense(s), 2, axis=1), 2, axis=2)
+        np.testing.assert_array_equal(tensor.to_dense(out), up)
 
     def test_hand_enumerated_1x2(self):
         s = tensor.SpsTensor(active=[[1.0]], passive=[[9.0]], index_map=[[0, 1]])
@@ -251,8 +293,8 @@ class TestSubdivide:
         d, s = random_sps(rng, h=2, w=2, f=2, n_active=4)
         mats = [rng.standard_normal((2, 2)) for _ in range(4)]
         out = tensor.subdivide(s, [lambda r, m=m: r @ m.T for m in mats])
-        dense_in = tensor.to_dense(s).features
-        dense_out = tensor.to_dense(out).features
+        dense_in = tensor.to_dense(s)
+        dense_out = tensor.to_dense(out)
         for y in range(2):
             for x in range(2):
                 parent = dense_in[:, y, x]
@@ -283,8 +325,8 @@ class TestReselect:
             chosen = [cells[i] for i in rng.permutation(s.h * s.w)[:n]]
             out = tensor.reselect(s, chosen)
             assert out.n_active == n
-            np.testing.assert_array_equal(tensor.to_dense(out).features,
-                                          tensor.to_dense(s).features)
+            np.testing.assert_array_equal(tensor.to_dense(out),
+                                          tensor.to_dense(s))
 
     def test_duplicated_passive_splits(self):
         s = tensor.SpsTensor(active=[[1.0]], passive=[[5.0]],
@@ -292,8 +334,8 @@ class TestReselect:
         out = tensor.reselect(s, [(0, 1)])
         # the shared passive row: one copy becomes active, two cells keep sharing
         assert out.n_active == 1 and out.n_passive == 2
-        np.testing.assert_array_equal(tensor.to_dense(out).features,
-                                      tensor.to_dense(s).features)
+        np.testing.assert_array_equal(tensor.to_dense(out),
+                                      tensor.to_dense(s))
 
 
 class TestWithRows:
@@ -328,8 +370,8 @@ class TestWithRows:
         out = tensor._with_rows(s, s.active * 2.0, s.passive + 1.0)
         assert not checks and out.index_map is s.index_map
         assert not (out.active.flags.writeable or out.passive.flags.writeable)
-        np.testing.assert_array_equal(tensor.to_dense(out).features[:, s.index_map < 12],
-                                      2.0 * tensor.to_dense(s).features[:, s.index_map < 12])
+        np.testing.assert_array_equal(tensor.to_dense(out)[:, s.index_map < 12],
+                                      2.0 * tensor.to_dense(s)[:, s.index_map < 12])
 
     def test_other_constructions_stay_checked(self, rng, monkeypatch):
         s = self.sps(rng)
