@@ -14,6 +14,7 @@ import os
 import sys
 
 from spsr import io
+from spsr.cost import compare
 from spsr.metrics import EvalEntry, PanopticSegment, ap_suite, pq, rle_encode
 from spsr.pipeline import RoiInput, RunConfig, paste_mask, run_refinement
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
@@ -41,9 +42,10 @@ def main():
                              ref_mask=reference_mask(shape, box, config.final_side)))
 
     result = run_refinement(rois, config)
-    print(f"refined {len(rois)} RoIs; total {result.ledger.total_macs() / 1e9:.2f} GMAC")
-    for s, (active, total) in sorted(result.ledger.stage_cells().items())[1:]:
-        print(f"  stage {s}: active fraction {active / total:.3f}")
+    ledger = compare(result.dense_ledger, result.ledger)  # refine's ledger.json
+    print(f"refined {len(rois)} RoIs; total {ledger['total_sparse_macs'] / 1e9:.2f} GMAC")
+    for stage in ledger["stages"][1:]:
+        print(f"  stage {stage['stage']}: active fraction {stage['active_fraction']:.3f}")
 
     preds, gts, pred_pan, gt_pan = [], [], [], []
     for i, (roi, out) in enumerate(zip(rois, result.per_roi)):
@@ -66,7 +68,7 @@ def main():
         os.makedirs(args.out, exist_ok=True)
         io.dump_json(os.path.join(args.out, "seg_report.json"), seg_report)
         io.dump_json(os.path.join(args.out, "pq_report.json"), pq_report.to_dict())
-        io.dump_json(os.path.join(args.out, "ledger.json"), result.ledger.to_dict())
+        io.dump_json(os.path.join(args.out, "ledger.json"), ledger)
         print(f"artifacts written to {args.out}")
     return 0
 

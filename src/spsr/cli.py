@@ -175,6 +175,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    io.check_writable(args.output)
     to_json = args.output.endswith(".json")
     if args.input.endswith(".json"):
         tensor = io.sps_from_dict(io.load_json(args.input))

@@ -69,10 +69,6 @@ class CostLedger:
             out[e.stage] = (max(a, e.active_cells), max(t, e.total_cells))
         return out
 
-    def to_dict(self) -> dict:
-        return {"entries": [e.to_dict() for e in self.entries],
-                "total_macs": self.total_macs()}
-
 
 def compare(dense: CostLedger, sparse: CostLedger) -> dict:
     """Reduction fraction and per-stage breakdown of sparse vs dense MACs.

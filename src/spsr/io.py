@@ -125,6 +125,18 @@ def _class_id(value) -> int:
 # then the f32 payload.
 
 
+def _map_file(path: str, what: str):
+    """The bytes of the regular file at ``path``, mapped read-only; ``b""`` if empty."""
+    try:
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise SchemaError(f"{what} {path} must be a regular file, to be mapped")
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if st.st_size else b""
+    except OSError as e:
+        raise SchemaError(f"cannot read {what} from {path}: {e}") from e
+
+
 def save_weights(path: str, arrays: Mapping[str, np.ndarray]):
     chunks = []
     for name in sorted(arrays):
@@ -145,14 +157,7 @@ def load_weights(path: str) -> dict:
     it must not change while the views are in use. A name given twice is
     refused, as is a partial trailing record.
     """
-    try:
-        with open(path, "rb") as f:
-            st = os.fstat(f.fileno())
-            if not stat.S_ISREG(st.st_mode):
-                raise SchemaError(f"weights {path} must be a regular file, to be mapped")
-            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if st.st_size else b""
-    except OSError as e:
-        raise SchemaError(f"cannot read weights from {path}: {e}") from e
+    data = _map_file(path, "weights")
     arrays = {}
     pos = 0
     while pos < len(data):
@@ -191,11 +196,8 @@ def save_sps(path: str, t: SpsTensor):
 
 
 def load_sps(path: str) -> SpsTensor:
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as e:
-        raise SchemaError(f"cannot read tensor from {path}: {e}") from e
+    """The dump at ``path``, refused from its header alone; it holds no view of the file."""
+    data = _map_file(path, "tensor")
     if data[:4] != SPS_MAGIC:
         raise SchemaError(f"{path} is not an SPS tensor dump (bad magic)")
     try:
@@ -205,7 +207,7 @@ def load_sps(path: str) -> SpsTensor:
         pos += 4 * n_a * f
         passive = np.frombuffer(data, dtype="<f4", count=n_p * f, offset=pos).reshape(n_p, f)
         pos += 4 * n_p * f
-        index = np.frombuffer(data, dtype="<u4", count=h * w, offset=pos).reshape(h, w)
+        index = np.frombuffer(data, dtype="<u4", count=h * w, offset=pos).reshape(h, w).copy()
         pos += 4 * h * w
     except (struct.error, ValueError) as e:
         raise SchemaError(f"truncated SPS dump {path}: {e}") from e

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -59,3 +62,22 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+# the child's own peak: ru_maxrss would carry over this process's RSS from
+# the fork, so the child reports VmHWM, which exec resets
+_PEAK_SCRIPT = ("import sys\n"
+                "from spsr.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n"
+                "sys.exit(code)\n")
+
+
+def cli_peak(argv):
+    """``spsr argv`` run in a child process, and the child's peak RSS in kB."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.stdout.split(), proc.stderr  # the child ended before reporting its peak
+    return proc, int(proc.stdout.split()[-1])

@@ -2,16 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spsr import cli, io, metrics, pipeline, synthetic
 from spsr.cli import main
+from spsr.cost import compare
 from spsr.metrics import rle_encode
 from spsr.pipeline import make_targets
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
 from spsr.tensor import SpsTensor
+
+from conftest import cli_peak
 
 
 def write_inputs(tmp_path, n=2, canvas=160, side=112, shape="disk"):
@@ -619,6 +623,25 @@ class TestBenchCommand:
         assert main(argv + REFINE_FAST) == 0
         assert len(built) == 1
 
+    def test_budget_sweep_is_one_bench_per_budget(self, tmp_path):
+        """A budget sweep is one ``bench`` call per budget: each report, its
+        corpus block aside, is the comparison of one dense run with the sparse
+        run at that budget, over one weight set, corpus and neck."""
+        base = pipeline.RunConfig(f0=16, f_neck=8, f_query=8, image_hw=(160, 160))
+        weights = pipeline.PipelineWeights(None, base)
+        rois = synthetic.roi_corpus(2, "blob", 160, base.seed, base.final_side)
+        neck = pipeline.NeckFeatures.synthesize(base.seed, (160, 160), base.f_neck)
+        dense = pipeline.run_refinement(rois, base, weights, neck, sparse=False)
+        for budget in (300, 1000):
+            sparse = pipeline.run_refinement(rois, replace(base, top_n_active=budget),
+                                             weights, neck)
+            out = tmp_path / f"bench-{budget}.json"
+            assert main(["bench", "--count", "2", "--canvas", "160", "--top-n", str(budget),
+                         "--out", str(out)] + REFINE_FAST) == 0
+            report = json.load(open(out))
+            del report["corpus"]
+            assert report == compare(dense.ledger, sparse.ledger)
+
     def test_weights_refused_before_the_corpus(self, tmp_path, capsys, monkeypatch):
         def no_corpus(*args):
             raise AssertionError("the weights must be refused before the corpus is drawn")
@@ -766,6 +789,18 @@ class TestConvertCommand:
         assert code == 2 and not out.exists()
         assert err.startswith("error:") and f"has {len(extra)} bytes after its index map" in err
 
+    def test_sparse_hole_refused_from_header(self, tmp_path):
+        """The dump is mapped, not read: a 1 GiB hole after a valid dump (a
+        sparse file, so it takes no disk) is refused with a small footprint."""
+        src, out = tmp_path / "t.bin", tmp_path / "t.json"
+        io.save_sps(str(src), SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]]))
+        with open(src, "ab") as f:
+            f.truncate(f.tell() + (1 << 30))
+        proc, peak_kb = cli_peak(["convert", "--input", str(src), "--output", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert f"has {1 << 30} bytes after its index map" in proc.stderr and not out.exists()
+        assert peak_kb < 100 * 1024
+
     @pytest.mark.parametrize("offset,value", [(24 + 8, 5), (24 + 8, 0xF0000000), (0, None)])
     def test_bad_binary_index_or_header_exit_2(self, tmp_path, capsys, offset, value):
         src, out = tmp_path / "t.bin", tmp_path / "t.json"
@@ -830,6 +865,19 @@ class TestUnwritableOutput:
                      "--out", str(tmp_path / "out")] + REFINE_FAST)
         assert_exit_2_no_output(capsys, code, tmp_path / "out" / "masks.json")
         assert not self.leftovers(tmp_path)
+
+    def test_convert_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(io, "load_sps", fail_if_called)
+        monkeypatch.setattr(io, "load_json", fail_if_called)
+        io.save_sps(str(tmp_path / "t.bin"), SpsTensor(active=[[1.0]], passive=[[2.0]],
+                                                       index_map=[[0, 1]]))
+        out = tmp_path / "out.json"
+        out.mkdir()
+        for src in ("t.bin", "t.json"):  # neither input is opened
+            code = main(["convert", "--input", str(tmp_path / src), "--output", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not any(out.iterdir()) and not self.leftovers(tmp_path)
 
     def test_eval_out_is_a_directory(self, tmp_path, capsys):
         io.dump_json(str(tmp_path / "g.json"), [box_record(0, 1, [0, 0, 10, 10], 0.9)])

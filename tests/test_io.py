@@ -1,8 +1,6 @@
 import os
 import re
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from spsr.metrics import rle_encode
 from spsr.pipeline import PipelineWeights, RunConfig
 from spsr.tensor import SpsTensor
 
-from conftest import traced_peak
+from conftest import cli_peak, traced_peak
 
 # The weight bundle of ``RunConfig(f0=16, f_query=8, f_neck=8)``: (name, shape)
 # of the arrays of stage 0 and of each refinement stage, in the order the run
@@ -145,6 +143,10 @@ class TestWeightBundle:
     def test_not_a_regular_file_rejected(self):
         with pytest.raises(SchemaError, match="must be a regular file"):
             io.load_weights(os.devnull)
+
+    def test_sps_dump_not_a_regular_file_rejected(self):
+        with pytest.raises(SchemaError, match="must be a regular file"):
+            io.load_sps(os.devnull)
 
     def test_pipeline_accepts_bundle_and_validates_shapes(self, rng):
         cfg = RunConfig(f0=16, f_query=8, f_neck=8)
@@ -328,25 +330,13 @@ class TestRefineWithWeights:
             f.truncate(f.tell() + (1 << 30))
         roi_path = tmp_path / "rois.json"
         io.dump_json(str(roi_path), [{"box": [10.0, 12.0, 90.0, 96.0], "class": 0, "score": 0.8}])
-        # the child's own peak: ru_maxrss would carry over this process's RSS
-        # from the fork, so the child reports VmHWM, which exec resets
-        script = ("import sys\n"
-                  "from spsr.cli import main\n"
-                  "code = main(sys.argv[1:])\n"
-                  "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-                  "           if line.startswith('VmHWM:')))\n"
-                  "sys.exit(code)\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-c", script, "refine", "--mode", "weights",
-                               "--rois", str(roi_path), "--weights", str(bundle_path),
-                               "--out", str(out), "--f0", "16", "--f-neck", "8",
-                               "--f-query", "8"],
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              text=True)
+        proc, peak_kb = cli_peak(["refine", "--mode", "weights", "--rois", str(roi_path),
+                                  "--weights", str(bundle_path), "--out", str(out),
+                                  "--f0", "16", "--f-neck", "8", "--f-query", "8"])
         assert proc.returncode == 2, proc.stderr
         assert "weight array stray " in proc.stderr and not out.exists()
-        assert int(proc.stdout.split()[-1]) < 200 * 1024  # VmHWM is in kB
+        assert peak_kb < 200 * 1024
 
 
 class TestPanopticFile:

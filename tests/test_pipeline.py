@@ -481,7 +481,7 @@ class TestRefinementEngine:
         for a, b in zip(res1.per_roi, res4.per_roi):
             np.testing.assert_array_equal(a.probs, b.probs)
             assert a.score == b.score
-        assert res1.ledger.to_dict() == res4.ledger.to_dict()
+        assert res1.ledger == res4.ledger
 
     def test_oracle_targets_use_each_rois_own_mask(self, monkeypatch):
         rois = []
@@ -662,7 +662,7 @@ class TestWorkers:
         assert started == pools * (1 + small_config().stages)  # one pool per stage pass
         for a, b in zip(want.per_roi, got.per_roi):
             np.testing.assert_array_equal(a.probs, b.probs)
-        assert got.ledger.to_dict() == want.ledger.to_dict()
+        assert got.ledger == want.ledger
 
 
 class TestNeckFeatures:
