@@ -42,7 +42,7 @@ def main():
                              ref_mask=reference_mask(shape, box, config.final_side)))
 
     result = run_refinement(rois, config)
-    ledger = compare(result.dense_ledger, result.ledger)  # refine's ledger.json
+    ledger = compare(result.ledger)  # refine's ledger.json
     print(f"refined {len(rois)} RoIs; total {ledger['total_sparse_macs'] / 1e9:.2f} GMAC")
     for stage in ledger["stages"][1:]:
         print(f"  stage {stage['stage']}: active fraction {stage['active_fraction']:.3f}")

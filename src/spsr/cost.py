@@ -1,4 +1,5 @@
-"""Multiply-accumulate accounting for dense and sparse pipeline runs.
+"""Multiply-accumulate accounting of pipeline runs: each op as run, and with
+every cell active.
 
 A fused multiply-add counts as one operation; bias adds, comparisons and
 index arithmetic are not counted. A bilinear sample costs 4 MACs per channel.
@@ -28,82 +29,55 @@ def macs_bilinear(samples: int, channels: int) -> int:
 
 @dataclass
 class LedgerEntry:
+    """One op at one stage of a run: ``macs`` on its ``active_cells`` of
+    ``total_cells``, and ``dense_macs`` for the same op with every cell active."""
     op: str
     stage: int
     macs: int
+    dense_macs: int
     active_cells: int
     total_cells: int
 
     def __post_init__(self):
-        if self.macs < 0 or self.active_cells < 0:
+        if min(self.macs, self.dense_macs, self.active_cells) < 0:
             raise ContractError("ledger entries must be non-negative")
         if self.active_cells > self.total_cells:
             raise ContractError("active cells cannot exceed total cells")
-
-    def to_dict(self) -> dict:
-        return {"op": self.op, "stage": self.stage, "macs": self.macs,
-                "active_cells": self.active_cells, "total_cells": self.total_cells}
 
 
 @dataclass
 class CostLedger:
     entries: list = field(default_factory=list)
 
-    def add(self, op: str, stage: int, macs: int, active_cells: int, total_cells: int):
-        self.entries.append(LedgerEntry(op, stage, macs, active_cells, total_cells))
+    def add(self, op: str, stage: int, macs: int, dense_macs: int, active_cells: int,
+            total_cells: int):
+        self.entries.append(LedgerEntry(op, stage, macs, dense_macs, active_cells, total_cells))
 
     def total_macs(self) -> int:
         return sum(e.macs for e in self.entries)
 
-    def stage_macs(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out[e.stage] = out.get(e.stage, 0) + e.macs
-        return out
 
-    def stage_cells(self) -> dict:
-        """Per stage: (max active cells, max total cells) over entries."""
-        out: dict = {}
-        for e in self.entries:
-            a, t = out.get(e.stage, (0, 0))
-            out[e.stage] = (max(a, e.active_cells), max(t, e.total_cells))
-        return out
+def compare(ledger: CostLedger) -> dict:
+    """Reduction fraction and per-stage breakdown of a run's MACs against the
+    same ops with every cell active.
 
-
-def compare(dense: CostLedger, sparse: CostLedger) -> dict:
-    """Reduction fraction and per-stage breakdown of sparse vs dense MACs.
-
-    Both ledgers must describe the same stage set and grid sizes. Each
-    refinement stage (s >= 1) also carries the sparse run's
-    ``active_fraction``: its active cells over its total cells.
+    Each refinement stage (s >= 1) also carries its ``active_fraction``: its
+    active cells over its total cells.
     """
-    dense_stages = dense.stage_macs()
-    sparse_stages = sparse.stage_macs()
-    if set(dense_stages) != set(sparse_stages):
-        raise ContractError("ledgers cover different stages")
-    dense_cells = dense.stage_cells()
-    sparse_cells = sparse.stage_cells()
-    for s in dense_stages:
-        if dense_cells[s][1] != sparse_cells[s][1]:
-            raise ContractError(f"stage {s} grids differ between ledgers")
-
-    total_dense = dense.total_macs()
-    total_sparse = sparse.total_macs()
-    if total_dense == 0:
-        raise ContractError("dense ledger has zero MACs")
     stages = []
-    for s in sorted(dense_stages):
-        active, total = sparse_cells[s]
-        stage = {
-            "stage": s,
-            "dense_macs": dense_stages[s],
-            "sparse_macs": sparse_stages[s],
-            "active_cells": active,
-            "total_cells": total,
-        }
-        if s >= 1 and total:
-            stage["active_fraction"] = active / total
+    for s in sorted({e.stage for e in ledger.entries}):
+        at = [e for e in ledger.entries if e.stage == s]
+        stage = {"stage": s, "dense_macs": sum(e.dense_macs for e in at),
+                 "sparse_macs": sum(e.macs for e in at),
+                 "active_cells": max(e.active_cells for e in at),
+                 "total_cells": max(e.total_cells for e in at)}
+        if s >= 1 and stage["total_cells"]:
+            stage["active_fraction"] = stage["active_cells"] / stage["total_cells"]
         stages.append(stage)
+    total_dense = sum(stage["dense_macs"] for stage in stages)
+    total_sparse = ledger.total_macs()
+    if total_dense == 0:
+        raise ContractError("ledger has zero dense MACs")
     return {
         "reduction_fraction": 1.0 - total_sparse / total_dense,
         "total_dense_macs": total_dense,

@@ -553,7 +553,6 @@ class RefinementResult:
     per_roi: list
     stage_masks: list  # stage -> list of per-RoI probability grids
     ledger: CostLedger
-    dense_ledger: CostLedger  # the same run's ops with every cell active
 
 
 def _macs(rows: int, *chains) -> int:
@@ -564,13 +563,14 @@ def _macs(rows: int, *chains) -> int:
 
 def _stage_entries(ledger: CostLedger, w: PipelineWeights, s: int, active: int, total: int,
                    f_neck: int, rows: Mapping):
-    """Stage s: each op runs its chains on the ``active`` rows, or on
-    ``rows[op]`` where given (``subdivide`` on the parents, ``halve`` on every
+    """Stage s: each op runs its chains on the ``active`` rows, and on the
+    ``total`` rows with every cell active, or on the ``rows[op]`` pair of
+    those counts where given (``subdivide`` on the parents, ``halve`` on every
     held row); ``neck_sample`` samples ``f_neck`` features per row."""
     for op, chains in w.stages[s].items():
-        n = rows.get(op, active)
-        macs = macs_bilinear(n, f_neck) if op == "neck_sample" else _macs(n, *chains)
-        ledger.add(op, s, macs, active, total)
+        macs = [macs_bilinear(n, f_neck) if op == "neck_sample" else _macs(n, *chains)
+                for n in rows.get(op, (active, total))]
+        ledger.add(op, s, *macs, active, total)
 
 
 class _Engine:
@@ -649,7 +649,7 @@ class _Engine:
         refine)``, with one seg and refine value per child coord.
         """
         cfg, w = self.config, self.weights
-        ledger, dense_ledger = CostLedger(), CostLedger()
+        ledger = CostLedger()
         n = len(self.rois)
         cells = [n * st.h * st.w for st in self.plan]
 
@@ -660,8 +660,8 @@ class _Engine:
             return feats, sigmoid(seg), np.asarray(refine, dtype=np.float64)
 
         feats, masks, refine_grids = zip(*self._map(first))
-        for counted in (ledger, dense_ledger):  # stage 0 runs every cell on both routes
-            _stage_entries(counted, w, 0, cells[0], cells[0], cfg.f_neck, {})
+        # stage 0 runs every cell on both routes
+        _stage_entries(ledger, w, 0, cells[0], cells[0], cfg.f_neck, {})
 
         stage_masks = [list(masks)]
 
@@ -681,15 +681,13 @@ class _Engine:
 
             feats, rows, masks, refine_grids = zip(*self._map(one))
             _stage_entries(ledger, w, s, 4 * n_selected, cells[s], cfg.f_neck,
-                           {"subdivide": n_selected, "halve": sum(rows)})
-            _stage_entries(dense_ledger, w, s, cells[s], cells[s], cfg.f_neck,
-                           {"subdivide": cells[s - 1], "halve": cells[s]})
+                           {"subdivide": (n_selected, cells[s - 1]),
+                            "halve": (sum(rows), cells[s])})
             stage_masks.append(list(masks))
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
                              class_id=self.rois[i].class_id) for i in range(n)]
-        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks, ledger=ledger,
-                                dense_ledger=dense_ledger)
+        return RefinementResult(per_roi=per_roi, stage_masks=stage_masks, ledger=ledger)
 
     # -- sparse route: SPS operators at the selected cells ----------------------
 

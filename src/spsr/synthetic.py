@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ContractError
 from .io import MAX_MASK_PIXELS
+from .metrics import _box
 from .ops import CHUNK_VALUES
 from .pipeline import RoiBox, RoiInput, cell_centers, seeded_rng
 
@@ -179,8 +180,7 @@ def gen_synthetic(spec: SyntheticShapeSpec) -> tuple[np.ndarray, RoiBox, Synthet
 
     Only the pixels within the shape's reach of its center (plus one for
     rounding) are tested, at the pixel centers of the full-canvas frame; every
-    other pixel is background. The box comes from that window's row and
-    column projections.
+    other pixel is background. The box is the window's :func:`metrics._box`.
     """
     shape = sample_shape(spec)
     h, w = spec.canvas_h, spec.canvas_w
@@ -191,12 +191,11 @@ def gen_synthetic(spec: SyntheticShapeSpec) -> tuple[np.ndarray, RoiBox, Synthet
     window = mask[rows, cols]
     _fill(window, shape, cell_centers(0.0, float(w), w)[cols],
           cell_centers(0.0, float(h), h)[rows])
-    ys = np.flatnonzero(window.any(axis=1))
-    xs = np.flatnonzero(window.any(axis=0))
-    if len(ys) == 0:
+    ys, xs = _box(window)
+    if ys.start == ys.stop:
         raise ContractError("degenerate shape rasterized to an empty mask")
-    box = RoiBox(x0=float(cols.start + xs[0]), y0=float(rows.start + ys[0]),
-                 x1=float(cols.start + xs[-1] + 1), y1=float(rows.start + ys[-1] + 1))
+    box = RoiBox(x0=float(cols.start + xs.start), y0=float(rows.start + ys.start),
+                 x1=float(cols.start + xs.stop), y1=float(rows.start + ys.stop))
     return mask, box, shape
 
 

@@ -593,6 +593,27 @@ class TestBenchCommand:
         assert fr[3] < fr[2] < fr[1]
         assert "wall_time" in capsys.readouterr().out
 
+    def test_scipy_loaded_before_the_timed_runs(self, tmp_path):
+        """The first bilinear sample imports ``scipy.sparse``; ``bench`` loads it
+        before its first (dense) run, so the dense wall time leaves it out."""
+        code = ("import json, sys\n"
+                "from spsr import cli\n"
+                "assert 'scipy.sparse' not in sys.modules\n"
+                "run, calls = cli.run_refinement, []\n"
+                "def spy(*args, **kwargs):\n"
+                "    calls.append((kwargs['sparse'], 'scipy.sparse' in sys.modules))\n"
+                "    return run(*args, **kwargs)\n"
+                "cli.run_refinement = spy\n"
+                "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+                "print(json.dumps(calls))\n")
+        argv = ["bench", "--count", "1", "--canvas", "64", "--stages", "1",
+                "--f0", "8", "--f-neck", "8", "--f-query", "8"]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                              env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[False, True], [True, True]]
+
     def test_force_dense_active_zero_reduction(self, tmp_path):
         # a budget at the stage-3 cell count (2 RoIs x 112 x 112) keeps every cell
         out = str(tmp_path / "bench.json")
@@ -625,8 +646,9 @@ class TestBenchCommand:
 
     def test_budget_sweep_is_one_bench_per_budget(self, tmp_path):
         """A budget sweep is one ``bench`` call per budget: each report, its
-        corpus block aside, is the comparison of one dense run with the sparse
-        run at that budget, over one weight set, corpus and neck."""
+        corpus block aside, is the ledger report of the sparse run at that
+        budget, whose every-cell MACs are those of one dense run over the same
+        weight set, corpus and neck."""
         base = pipeline.RunConfig(f0=16, f_neck=8, f_query=8, image_hw=(160, 160))
         weights = pipeline.PipelineWeights(None, base)
         rois = synthetic.roi_corpus(2, "blob", 160, base.seed, base.final_side)
@@ -640,7 +662,9 @@ class TestBenchCommand:
                          "--out", str(out)] + REFINE_FAST) == 0
             report = json.load(open(out))
             del report["corpus"]
-            assert report == compare(dense.ledger, sparse.ledger)
+            assert report == compare(sparse.ledger)
+            assert ([e.dense_macs for e in sparse.ledger.entries]
+                    == [e.macs for e in dense.ledger.entries])
 
     def test_weights_refused_before_the_corpus(self, tmp_path, capsys, monkeypatch):
         def no_corpus(*args):

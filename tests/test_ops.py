@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spsr import ops, pipeline, tensor
-from spsr.cost import macs_conv
+from spsr.cost import compare, macs_conv
 from spsr.errors import ContractError
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic
 
@@ -589,7 +589,7 @@ def test_weights_mode_refinement_equals_einsum_reference(monkeypatch):
     config = pipeline.RunConfig(mode="weights", f0=64, f_query=64, f_neck=64, seed=3,
                                 top_n_active=1500, image_hw=(224, 224))
     got = pipeline.run_refinement(rois, config)
-    cells = got.ledger.stage_cells()
+    cells = [(st["active_cells"], st["total_cells"]) for st in compare(got.ledger)["stages"]]
     assert cells[1][0] == cells[1][1]
     assert cells[2][0] < cells[2][1] and cells[3][0] < cells[3][1]
 

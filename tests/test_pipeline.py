@@ -24,8 +24,16 @@ def small_config(**kwargs):
 
 def active_fractions(result):
     """Each refinement stage's active fraction, as the ledger report gives it."""
-    report = compare(result.dense_ledger, result.ledger)
+    report = compare(result.ledger)
     return {st["stage"]: st["active_fraction"] for st in report["stages"][1:]}
+
+
+def stage_macs(ledger: CostLedger, column: str = "macs") -> dict:
+    """Per stage, the sum of the entries' ``macs`` or ``dense_macs``."""
+    out: dict = {}
+    for e in ledger.entries:
+        out[e.stage] = out.get(e.stage, 0) + getattr(e, column)
+    return out
 
 
 def disk_roi(seed=11, canvas=160, side=112):
@@ -398,7 +406,7 @@ class TestRefinementEngine:
             # every probability sits within ~1e-7 of 0.5, under the tolerance
             # above, so a misplaced cell shows only in the deviations
             np.testing.assert_allclose(a - 0.5, b - 0.5, rtol=1e-6, atol=1e-15)
-        assert sparse.ledger.stage_macs() == dense.ledger.stage_macs()
+        assert stage_macs(sparse.ledger) == stage_macs(dense.ledger)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_dense_route_bookkeeping(self, threads):
@@ -406,8 +414,8 @@ class TestRefinementEngine:
         cfg = small_config(threads=threads)  # the dense route ignores the budget
         res = pl.run_refinement(rois, cfg, sparse=False)
         assert active_fractions(res) == {s: 1.0 for s in range(1, cfg.stages + 1)}
-        want = res.dense_ledger.entries
-        assert [e.to_dict() for e in res.ledger.entries] == [e.to_dict() for e in want]
+        for e in res.ledger.entries:
+            assert e.macs == e.dense_macs and e.active_cells == e.total_cells
 
     @pytest.mark.parametrize("stages", [1, 2, 3])
     def test_stage_plan_drives_every_stage(self, stages):
@@ -427,9 +435,10 @@ class TestRefinementEngine:
                 # seeded weights keep every probability within ~1e-7 of 0.5, under
                 # the tolerance above, so a misplaced cell shows only in the deviations
                 np.testing.assert_allclose(a - 0.5, b - 0.5, rtol=1e-6, atol=1e-15)
-        want = dense.dense_ledger.entries
-        assert [e.to_dict() for e in dense.ledger.entries] == [e.to_dict() for e in want]
-        assert {e.stage: e.total_cells for e in want} == {st.s: 2 * st.h * st.w for st in plan}
+        for e in dense.ledger.entries:
+            assert e.macs == e.dense_macs and e.active_cells == e.total_cells
+        assert ({e.stage: e.total_cells for e in dense.ledger.entries}
+                == {st.s: 2 * st.h * st.w for st in plan})
         stages = pl.PipelineWeights(None, cfg).stages
         halve = {s: stage["halve"][0][0] for s, stage in enumerate(stages) if "halve" in stage}
         assert sorted(halve) == [st.s for st in plan[1:]]
@@ -439,8 +448,7 @@ class TestRefinementEngine:
     def test_full_active_ledger_matches_analytic(self):
         cfg = small_config(mode="weights", top_n_active=None)
         res = pl.run_refinement([disk_roi()], cfg, sparse=True)
-        analytic = res.dense_ledger
-        assert res.ledger.stage_macs() == analytic.stage_macs()
+        assert stage_macs(res.ledger) == stage_macs(res.ledger, "dense_macs")
 
     def test_constant_block_mask_final_equals_upsample(self):
         # reference constant per 14x14 cell: stage 0 is already exact
@@ -512,9 +520,8 @@ class TestRefinementEngine:
         rois = [disk_roi(seed=50 + i) for i in range(3)]
         cfg = small_config(top_n_active=300)
         res = pl.run_refinement(rois, cfg)
-        dense = res.dense_ledger
-        dense_stage = dense.stage_macs()
-        for s, macs in res.ledger.stage_macs().items():
+        dense_stage = stage_macs(res.ledger, "dense_macs")
+        for s, macs in stage_macs(res.ledger).items():
             if s >= 2:  # budget binds from stage 2 here
                 assert macs < dense_stage[s]
 
@@ -528,6 +535,29 @@ class TestRefinementEngine:
         b = pl.run_refinement([roi], small_config(seed=9))
         np.testing.assert_array_equal(a.per_roi[0].probs, b.per_roi[0].probs)
 
+    def test_oracle_selection_reads_no_feature(self):
+        """In oracle mode the reference masks alone choose the cells: feature
+        widths and the seed of the weights, queries and neck change the MACs,
+        never a probability or which cells a stage runs."""
+        rois = []
+        for seed in (120, 121, 122, 123):
+            _, box, shape = gen_synthetic(SyntheticShapeSpec(shape="blob", canvas_h=224,
+                                                             canvas_w=224, seed=seed))
+            rois.append(pl.RoiInput(box=box, ref_mask=reference_mask(shape, box, 112)))
+        runs = [pl.run_refinement(rois, small_config(f0=f0, f_neck=f_neck, f_query=f_query,
+                                                     seed=seed, top_n_active=700,
+                                                     image_hw=(224, 224)))
+                for f0, f_neck, f_query, seed in ((16, 8, 8, 0), (32, 16, 64, 7), (64, 8, 32, 3))]
+        first = runs[0]
+        cells = [(e.op, e.stage, e.active_cells, e.total_cells) for e in first.ledger.entries]
+        assert all(a < t for _, s, a, t in cells if s >= 1)  # the budget binds at stages 1-3
+        for run in runs[1:]:
+            for a, b in zip(first.per_roi, run.per_roi):
+                np.testing.assert_array_equal(a.probs, b.probs)
+            assert [(e.op, e.stage, e.active_cells, e.total_cells)
+                    for e in run.ledger.entries] == cells
+            assert run.ledger.total_macs() != first.ledger.total_macs()
+
     def test_weights_mode_runs_without_bundle(self):
         roi = pl.RoiInput(box=pl.RoiBox(8, 8, 100, 100))
         res = pl.run_refinement([roi], small_config(mode="weights", top_n_active=200))
@@ -537,48 +567,57 @@ class TestRefinementEngine:
 
 # The ledger as formulas over the config's widths: a reference that states each
 # width apart from ``PipelineWeights``, whose layers the pipeline's ledger counts.
-def formula_stage0_entries(ledger: CostLedger, cells: int, cfg: pl.RunConfig):
+# Each formula entry is (op, stage, macs, active cells, total cells).
+def formula_stage0_entries(out: list, cells: int, cfg: pl.RunConfig):
     f0, fq, fe = cfg.f0, cfg.f_query, cfg.f_neck
-    ledger.add("neck_sample", 0, macs_bilinear(cells, fe), cells, cells)
-    ledger.add("ingest", 0, macs_conv(cells, 1, fe, f0), cells, cells)
-    ledger.add("query_fuse", 0,
-               macs_conv(cells, 1, f0 + fq, f0) + macs_conv(cells, 1, f0, f0), cells, cells)
-    ledger.add("fcn", 0, 4 * macs_conv(cells, 3, f0, f0), cells, cells)
-    ledger.add("seg_head", 0,
-               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
-    ledger.add("refine_head", 0,
-               macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells)
+    out += [
+        ("neck_sample", 0, macs_bilinear(cells, fe), cells, cells),
+        ("ingest", 0, macs_conv(cells, 1, fe, f0), cells, cells),
+        ("query_fuse", 0,
+         macs_conv(cells, 1, f0 + fq, f0) + macs_conv(cells, 1, f0, f0), cells, cells),
+        ("fcn", 0, 4 * macs_conv(cells, 3, f0, f0), cells, cells),
+        ("seg_head", 0, macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells),
+        ("refine_head", 0,
+         macs_conv(cells, 1, f0, f0) + macs_conv(cells, 1, f0, 1), cells, cells),
+    ]
 
 
-def formula_stage_entries(ledger: CostLedger, prev: pl.StageConfig, cur: pl.StageConfig,
+def formula_stage_entries(out: list, prev: pl.StageConfig, cur: pl.StageConfig,
                           parents: int, halve_rows: int, total: int, cfg: pl.RunConfig):
     s, f_in, f_out, fe = cur.s, prev.f, cur.f, cfg.f_neck
     children = 4 * parents
-    ledger.add("subdivide", s, 8 * macs_conv(parents, 1, f_in, f_in), children, total)
-    ledger.add("neck_sample", s, macs_bilinear(children, fe), children, total)
-    ledger.add("neck_fuse", s,
-               macs_conv(children, 1, f_in + fe, f_in) + macs_conv(children, 1, f_in, f_in),
-               children, total)
-    ledger.add("halve", s, macs_conv(halve_rows, 1, f_in, f_out), children, total)
-    ledger.add("sfm", s, 3 * macs_conv(children, 3, f_out, f_out), children, total)
+    out += [
+        ("subdivide", s, 8 * macs_conv(parents, 1, f_in, f_in), children, total),
+        ("neck_sample", s, macs_bilinear(children, fe), children, total),
+        ("neck_fuse", s,
+         macs_conv(children, 1, f_in + fe, f_in) + macs_conv(children, 1, f_in, f_in),
+         children, total),
+        ("halve", s, macs_conv(halve_rows, 1, f_in, f_out), children, total),
+        ("sfm", s, 3 * macs_conv(children, 3, f_out, f_out), children, total),
+    ]
     for head in ("seg_head", "refine_head"):
-        ledger.add(head, s,
-                   macs_conv(children, 1, f_out, f_out) + macs_conv(children, 1, f_out, 1),
-                   children, total)
+        out.append((head, s,
+                    macs_conv(children, 1, f_out, f_out) + macs_conv(children, 1, f_out, 1),
+                    children, total))
 
 
-def formula_dense_ledger(config: pl.RunConfig, n_rois: int) -> CostLedger:
-    ledger = CostLedger()
+def formula_dense_entries(config: pl.RunConfig, n_rois: int) -> list:
+    out: list = []
     plan = config.stage_configs()
     cells = [n_rois * st.h * st.w for st in plan]
-    formula_stage0_entries(ledger, cells[0], config)
+    formula_stage0_entries(out, cells[0], config)
     for prev, cur in zip(plan, plan[1:]):
-        formula_stage_entries(ledger, prev, cur, cells[prev.s], cells[cur.s], cells[cur.s], config)
-    return ledger
+        formula_stage_entries(out, prev, cur, cells[prev.s], cells[cur.s], cells[cur.s], config)
+    return out
 
 
-def entries(ledger: CostLedger) -> list:
-    return [e.to_dict() for e in ledger.entries]
+def entries(ledger: CostLedger, every_cell: bool = False) -> list:
+    """The ledger's (op, stage, macs, active cells, total cells), as run or,
+    with ``every_cell``, from its ``dense_macs`` column."""
+    if every_cell:
+        return [(e.op, e.stage, e.dense_macs, e.total_cells, e.total_cells)
+                for e in ledger.entries]
+    return [(e.op, e.stage, e.macs, e.active_cells, e.total_cells) for e in ledger.entries]
 
 
 class TestLedgerCountsLayers:
@@ -598,13 +637,14 @@ class TestLedgerCountsLayers:
             t.n_active + t.n_passive) or halve_features(t, transform))
         sparse = pl.run_refinement(rois, cfg)
         dense = pl.run_refinement(rois, cfg, sparse=False)
-        want = entries(formula_dense_ledger(cfg, len(rois)))
-        for ledger in (sparse.dense_ledger, dense.dense_ledger, dense.ledger):
-            assert entries(ledger) == want
+        want = formula_dense_entries(cfg, len(rois))
+        for got in (entries(sparse.ledger, every_cell=True), entries(dense.ledger, every_cell=True),
+                    entries(dense.ledger)):
+            assert got == want
 
         # the budgeted ledger: parents are the selected cells, halving runs on every row
         plan = cfg.stage_configs()
-        ref = CostLedger()
+        ref: list = []
         formula_stage0_entries(ref, len(rois) * plan[0].h * plan[0].w, cfg)
         for prev, cur in zip(plan, plan[1:]):
             children = next(e.active_cells for e in sparse.ledger.entries
@@ -612,7 +652,7 @@ class TestLedgerCountsLayers:
             rows = sum(halved[(cur.s - 1) * len(rois):cur.s * len(rois)])
             formula_stage_entries(ref, prev, cur, children // 4, rows,
                                   len(rois) * cur.h * cur.w, cfg)
-        assert entries(sparse.ledger) == entries(ref)
+        assert entries(sparse.ledger) == ref
         assert sparse.ledger.total_macs() < dense.ledger.total_macs()
 
     def test_counts_the_weights_it_is_given(self):
@@ -620,9 +660,9 @@ class TestLedgerCountsLayers:
         cfg = small_config(mode="weights")
         weights = pl.PipelineWeights(None, cfg)
         del weights.stages[2]["neck_fuse"][0][-1]  # a run with one fusion layer fewer at stage 2
-        got = {(e.op, e.stage): e.macs
-               for e in pl.run_refinement(rois, cfg, weights=weights).dense_ledger.entries}
-        want = {(e.op, e.stage): e.macs for e in formula_dense_ledger(cfg, len(rois)).entries}
+        got = {(e.op, e.stage): e.dense_macs
+               for e in pl.run_refinement(rois, cfg, weights=weights).ledger.entries}
+        want = {(op, s): macs for op, s, macs, _, _ in formula_dense_entries(cfg, len(rois))}
         plan = cfg.stage_configs()
         dropped = {("neck_fuse", 2): plan[2].h * plan[2].w * plan[1].f * plan[1].f}
         assert got == {k: v - dropped.get(k, 0) for k, v in want.items()}

@@ -18,15 +18,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ])
 def test_script_exits_0(script, args, tmp_path):
     """The demo's ``ledger.json`` is the report ``refine`` writes under that
-    name: :func:`compare` of the run's dense and sparse ledgers."""
+    name: :func:`compare` of the run's ledger."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args,
                            "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     one = CostLedger()
-    one.add("fcn", 0, 1, 1, 1)
-    assert json.load(open(tmp_path / "ledger.json")).keys() == compare(one, one).keys()
+    one.add("fcn", 0, 1, 1, 1, 1)
+    assert json.load(open(tmp_path / "ledger.json")).keys() == compare(one).keys()
 
 
 def test_benchmark_smoke_ok():
