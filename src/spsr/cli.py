@@ -2,15 +2,20 @@
 
 The CLI is a thin shell over the library: shared options default to
 :class:`RunConfig`'s fields, ``bench --shape`` and ``--canvas`` to
-:class:`SyntheticShapeSpec`'s, and no environment variable is read. The
-ledger report, its active fractions included, is :func:`compare`'s. All file
-outputs are deterministic for fixed inputs and seed; wall-clock timings go
-to stdout only.
+:class:`SyntheticShapeSpec`'s, and no environment variable is read. A command
+runs NumPy's BLAS on one thread, so ``--threads`` is its one parallel setting.
+The ledger report, its active fractions included, is :func:`compare`'s. All
+file outputs are deterministic for fixed inputs and seed; wall-clock timings
+go to stdout only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
+import glob
 import json
 import os
 import sys
@@ -194,18 +199,53 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {"refine": cmd_refine, "eval": cmd_eval,
-                "bench": cmd_bench, "convert": cmd_convert}
+@functools.cache
+def _blas_thread_calls():
+    """The ``(get, set)`` thread-count calls of NumPy's bundled OpenBLAS, or
+    None where its bundled-library directory holds no library exporting them."""
+    import numpy as np
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        calls = [getattr(lib, f"scipy_openblas_{verb}_num_threads64_", None)
+                 for verb in ("get", "set")]
+        if all(calls):
+            return tuple(calls)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread, then restore the caller's count. A GEMM split
+    over BLAS threads may round differently, so the count, which OpenBLAS
+    takes from the environment, would change output bytes; without the calls
+    the count stays as the environment set it."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
     try:
-        return handlers[args.command](args)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ContractError as e:
-        print(f"contract violation: {e}", file=sys.stderr)
-        return 3
+        yield
+    finally:
+        set_(before)
+
+
+def main(argv=None) -> int:
+    with _one_blas_thread():
+        args = build_parser().parse_args(argv)
+        handlers = {"refine": cmd_refine, "eval": cmd_eval,
+                    "bench": cmd_bench, "convert": cmd_convert}
+        try:
+            return handlers[args.command](args)
+        except SchemaError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except ContractError as e:
+            print(f"contract violation: {e}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

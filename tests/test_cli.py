@@ -260,6 +260,91 @@ def test_eval_and_convert_load_no_scipy(tmp_path, rng):
     assert json.load(open(tmp_path / "panoptic.json"))["PQ"] > 0
 
 
+def blas_calls():
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy's bundled BLAS exports no thread-count calls")
+    return calls
+
+
+class TestBlasThreads:
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        """At the default widths, with a bundle whose weights are scaled to
+        their fan-in so that probabilities are not noise near 0.5, a GEMM split
+        over two BLAS threads rounds differently: on a 2-core host, these six
+        RoIs gave other ``masks.json`` scores under ``OPENBLAS_NUM_THREADS=1``
+        than unset or ``=2`` while the CLI left the count to the environment."""
+        rng = np.random.default_rng(7)
+        arrays = {}
+        for stage in pipeline._layout(pipeline.RunConfig()):
+            for specs in stage.values():
+                for spec in specs:
+                    for name, shape in pipeline._chain_arrays(*spec):
+                        std = 0.1 if name.endswith(".bias") else np.sqrt(2 / np.prod(shape[1:]))
+                        arrays[name] = rng.normal(0.0, std, shape)
+        io.save_weights(str(tmp_path / "w.bin"), arrays)
+        rois = synthetic.roi_corpus(6, "blob", 448, 0, 112)
+        io.dump_json(str(tmp_path / "rois.json"),
+                     [{"box": [r.box.x0, r.box.y0, r.box.x1, r.box.y1], "class": 0, "score": 0.9}
+                      for r in rois])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"out{threads}"
+            subprocess.run([sys.executable, "-m", "spsr.cli", "refine", "--mode", "weights",
+                            "--weights", str(tmp_path / "w.bin"),
+                            "--rois", str(tmp_path / "rois.json"), "--out", str(out),
+                            "--image-size", "448", "448", "--seed", "1"],
+                           env=env, check=True, capture_output=True)
+            outputs.append([(out / n).read_bytes() for n in ("masks.json", "ledger.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_commands_run_on_one_blas_thread(self, tmp_path, monkeypatch):
+        """``main`` sets one BLAS thread before a command computes anything and
+        gives the caller's count back on return, on error exit too."""
+        get, set_ = blas_calls()
+        seen = []
+        run = cli.run_refinement
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_refinement", spy)
+        roi_path, mask_path, _ = write_inputs(tmp_path, n=1)
+        argvs = [["refine", "--mode", "oracle", "--rois", roi_path, "--ref-masks", mask_path,
+                  "--out", str(tmp_path / "out")] + REFINE_FAST,
+                 ["bench", "--count", "1", "--canvas", "64", "--stages", "1"] + REFINE_FAST]
+        before = get()
+        set_(2)
+        try:
+            for argv in argvs:
+                assert main(argv) == 0
+                assert get() == 2
+            with pytest.raises(SystemExit):
+                main(["refine", "--no-such-option"])
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1, 1, 1]
+
+    def test_runs_without_thread_calls(self, tmp_path, monkeypatch):
+        """A NumPy whose bundled BLAS exports no thread-count calls leaves the
+        count to the environment, and the commands run as before."""
+        monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+        assert cli._blas_thread_calls.__wrapped__() is None
+        monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+        roi_path, mask_path, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        assert main(["refine", "--mode", "oracle", "--rois", roi_path, "--ref-masks", mask_path,
+                     "--out", str(out)] + REFINE_FAST) == 0
+        assert (out / "masks.json").is_file() and (out / "ledger.json").is_file()
+
+
 def fail_if_called(*args, **kwargs):
     raise AssertionError("reached work that a rejected input must not start")
 
