@@ -27,6 +27,9 @@ MASK_FORMAT = "sps-rle/1"
 TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
 MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic or reference-mask file
+# largest JSON input. A parse peaks at 1.7-3.2x the file's size on perfbench's
+# inputs (tracemalloc), under 1 GiB at this cap; a file of empty objects takes 25x.
+MAX_JSON_BYTES = 1 << 28
 MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
 IMAGE_ID_RANGE = (-(1 << 63), (1 << 63) - 1)  # image ids are int64
@@ -68,11 +71,31 @@ def check_writable(path: str):
         raise SchemaError(f"cannot write {path}: {ancestor} is not a writable directory")
 
 
-def load_json(path: str):
+def _map_file(path: str, what: str, max_bytes: int | None = None):
+    """The bytes of the regular file at ``path``, mapped read-only (``b""`` if empty):
+    the one opener of every input file. A FIFO is refused, not waited on, and a file
+    over ``max_bytes`` is refused from its size, before any byte is read."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad JSON or UTF-8
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as f:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise SchemaError(f"{what} {path} must be a regular file, to be mapped")
+            if max_bytes is not None and st.st_size > max_bytes:
+                raise SchemaError(f"{what} {path} has {st.st_size} bytes, over the {max_bytes} cap")
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if st.st_size else b""
+    except OSError as e:
+        raise SchemaError(f"cannot read {what} from {path}: {e}") from e
+
+
+def load_json(path: str):
+    """The JSON document at ``path``, decoded as UTF-8 (no encoding sniffing);
+    a file over ``MAX_JSON_BYTES`` is refused from its size."""
+    data = _map_file(path, "JSON", MAX_JSON_BYTES)
+    try:  # ValueError: bad UTF-8 or bad JSON
+        text = str(data, "utf-8")
+        del data  # unmapped before the parse allocates
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
 
 
@@ -123,18 +146,6 @@ def _class_id(value) -> int:
 #
 # Layout per array: name length (u16), name bytes, rank (u8), dims (u32 each),
 # then the f32 payload.
-
-
-def _map_file(path: str, what: str):
-    """The bytes of the regular file at ``path``, mapped read-only; ``b""`` if empty."""
-    try:
-        with open(path, "rb") as f:
-            st = os.fstat(f.fileno())
-            if not stat.S_ISREG(st.st_mode):
-                raise SchemaError(f"{what} {path} must be a regular file, to be mapped")
-            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if st.st_size else b""
-    except OSError as e:
-        raise SchemaError(f"cannot read {what} from {path}: {e}") from e
 
 
 def save_weights(path: str, arrays: Mapping[str, np.ndarray]):
@@ -272,23 +283,42 @@ def rle_from_dict(d: dict) -> Rle:
     return Rle(height=height, width=width, counts=counts)
 
 
+def _records(path: str, what: str, data, parse) -> list:
+    """``parse(record)`` of each record of the JSON list ``data``. A record that is
+    not an object, or that ``parse`` refuses with ``KeyError``, ``TypeError`` or
+    ``ValueError``, is a ``SchemaError`` naming the file, the kind and the index."""
+    if not isinstance(data, list):
+        raise SchemaError(f"{path}: {what} records must be a list, not {type(data).__name__}")
+    out = []
+    for i, rec in enumerate(data):
+        try:
+            if not isinstance(rec, dict):
+                raise TypeError(f"a record must be a JSON object, not {type(rec).__name__}")
+            out.append(parse(rec))
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaError(f"{path}: bad {what} record {i}: {e}") from e
+    return out
+
+
+def _check_canvases(path: str, what: str, rles) -> None:
+    """Refuse a file whose RLE canvases sum to more than ``MAX_PANOPTIC_PIXELS``."""
+    n = sum(r.height * r.width for r in rles)
+    if n > MAX_PANOPTIC_PIXELS:
+        raise SchemaError(f"{path}: {what} hold {n} pixels, over the {MAX_PANOPTIC_PIXELS} cap")
+
+
+def _roi(rec: dict) -> RoiInput:
+    return RoiInput(box=RoiBox(*_finite(rec["box"], "box coordinates")),
+                    cls_score=_finite([rec.get("score", 1.0)], "score")[0],
+                    class_id=_class_id(rec.get("class", 0)))
+
+
 def load_rois(path: str) -> list[RoiInput]:
     """RoI records: list of {box: [x0,y0,x1,y1], class: int, score: float}."""
     data = load_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: RoI file must contain a list")
-    if len(data) > MAX_ROIS:
+    if isinstance(data, list) and len(data) > MAX_ROIS:
         raise SchemaError(f"{path}: {len(data)} RoIs, over the {MAX_ROIS} cap")
-    rois = []
-    for i, rec in enumerate(data):
-        try:
-            box = RoiBox(*_finite(rec["box"], "box coordinates"))
-            score = _finite([rec.get("score", 1.0)], "score")[0]
-            rois.append(RoiInput(box=box, cls_score=score,
-                                 class_id=_class_id(rec.get("class", 0))))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{path}: bad RoI record {i}: {e}") from e
-    return rois
+    return _records(path, "RoI", data, _roi)
 
 
 def load_ref_masks(path: str) -> list[np.ndarray]:
@@ -298,13 +328,8 @@ def load_ref_masks(path: str) -> list[np.ndarray]:
     data = load_json(path)
     if not isinstance(data, dict) or data.get("format") != MASK_FORMAT:
         raise SchemaError(f"{path}: expected a {{format: {MASK_FORMAT!r}, masks: [...]}} object")
-    try:
-        rles = [rle_from_dict(m) for m in data["masks"]]
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"{path}: malformed mask list: {e}") from e
-    pixels = sum(r.height * r.width for r in rles)
-    if pixels > MAX_PANOPTIC_PIXELS:
-        raise SchemaError(f"{path}: masks hold {pixels} pixels, over the {MAX_PANOPTIC_PIXELS} cap")
+    rles = _records(path, "mask", data.get("masks"), rle_from_dict)
+    _check_canvases(path, "masks", rles)
     return [rle_decode(r) for r in rles]
 
 
@@ -322,62 +347,45 @@ def masks_to_dict(masks: list[np.ndarray], scores: list[float],
 def load_eval_entries(path: str, need_score: bool, need_mask: bool = False) -> list[EvalEntry]:
     """Detection/segmentation records with a box and/or mask geometry: each needs
     an rle mask when ``need_mask`` (seg, boundary) and a box otherwise (det)."""
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: evaluation file must contain a list")
-    entries = []
-    for i, rec in enumerate(data):
-        try:
-            if not isinstance(rec, dict):
-                raise TypeError("record must be an object")
-            if rec.get("iscrowd", False):
-                raise SchemaError("crowd regions are not supported")
-            box = np.asarray(_finite(rec["box"], "box coordinates")) if "box" in rec else None
-            if box is not None and box.shape != (4,):
-                raise ValueError(f"a box has 4 coordinates, not {box.size}")
-            mask = rle_from_dict(rec["rle"]) if "rle" in rec else None
-            if need_mask and mask is None:
-                raise SchemaError("this task needs an rle mask per record")
-            if not need_mask and box is None:
-                raise SchemaError("this task needs a box per record")
-            score = _finite([rec["score"] if need_score else rec.get("score", 1.0)], "score")[0]
-            image_id = _integer(rec.get("image_id", 0), "image_id", *IMAGE_ID_RANGE)
-            entries.append(EvalEntry(image_id=image_id,
-                                     class_id=_class_id(rec["class"]), score=score,
-                                     box=box, mask=mask))
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{path}: bad record {i}: {e}") from e
-    return entries
+
+    def entry(rec: dict) -> EvalEntry:
+        if rec.get("iscrowd", False):
+            raise SchemaError("crowd regions are not supported")
+        box = np.asarray(_finite(rec["box"], "box coordinates")) if "box" in rec else None
+        if box is not None and box.shape != (4,):
+            raise ValueError(f"a box has 4 coordinates, not {box.size}")
+        mask = rle_from_dict(rec["rle"]) if "rle" in rec else None
+        if need_mask and mask is None:
+            raise SchemaError("this task needs an rle mask per record")
+        if not need_mask and box is None:
+            raise SchemaError("this task needs a box per record")
+        score = _finite([rec["score"] if need_score else rec.get("score", 1.0)], "score")[0]
+        image_id = _integer(rec.get("image_id", 0), "image_id", *IMAGE_ID_RANGE)
+        return EvalEntry(image_id=image_id, class_id=_class_id(rec["class"]), score=score,
+                         box=box, mask=mask)
+
+    return _records(path, "evaluation", load_json(path), entry)
 
 
 def load_panoptic(path: str):
     """Panoptic file: list of {image_id, segments: [{class, is_thing, rle}]}, one
-    record per image. The whole file is parsed and its summed canvases are
-    checked against ``MAX_PANOPTIC_PIXELS``; no mask is decoded.
-
-    Returns (segments by image, each segment's mask an ``Rle``; thing classes;
-    stuff classes).
-    """
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path}: panoptic file must contain a list")
+    record per image, parsed whole and its summed canvases checked; no mask is
+    decoded. Returns (segments by image, each mask an ``Rle``; thing classes;
+    stuff classes)."""
     records: dict = {}  # image id -> [PanopticSegment]
     things, stuffs = set(), set()
-    for i, rec in enumerate(data):
-        try:
-            image_id = _integer(rec["image_id"], "image_id", *IMAGE_ID_RANGE)
-            if image_id in records:
-                raise ValueError(f"image_id {image_id} already has a record")
-            segs = []
-            for seg in rec["segments"]:
-                cls = _class_id(seg["class"])
-                (things if seg.get("is_thing", True) else stuffs).add(cls)
-                segs.append(PanopticSegment(class_id=cls, mask=rle_from_dict(seg["rle"])))
-            records[image_id] = segs
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"{path}: bad panoptic record {i}: {e}") from e
-    pixels = sum(s.mask.height * s.mask.width for segs in records.values() for s in segs)
-    if pixels > MAX_PANOPTIC_PIXELS:
-        raise SchemaError(f"{path}: segments hold {pixels} pixels, "
-                          f"over the {MAX_PANOPTIC_PIXELS} cap")
+
+    def image(rec: dict):
+        image_id = _integer(rec["image_id"], "image_id", *IMAGE_ID_RANGE)
+        if image_id in records:
+            raise ValueError(f"image_id {image_id} already has a record")
+        segs = []
+        for seg in rec["segments"]:
+            cls = _class_id(seg["class"])
+            (things if seg.get("is_thing", True) else stuffs).add(cls)
+            segs.append(PanopticSegment(class_id=cls, mask=rle_from_dict(seg["rle"])))
+        records[image_id] = segs
+
+    _records(path, "panoptic", load_json(path), image)
+    _check_canvases(path, "segments", [s.mask for segs in records.values() for s in segs])
     return records, things, stuffs

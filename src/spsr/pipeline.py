@@ -399,7 +399,6 @@ class NeckFeatures:
     """
 
     levels: dict
-    image_hw: tuple
 
     @classmethod
     def synthesize(cls, seed: int, image_hw: tuple, f_neck: int) -> "NeckFeatures":
@@ -408,7 +407,7 @@ class NeckFeatures:
         neck cap bounds the draw too."""
         levels = {level: _draw_channel_last(seeded_rng(seed, "neck", level), gh, gw, f_neck)
                   for level, (gh, gw) in neck_grids(image_hw, f_neck).items()}
-        return cls(levels=levels, image_hw=image_hw)
+        return cls(levels=levels)
 
     def sample(self, level: int, ys: np.ndarray, xs: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -518,6 +519,38 @@ class TestBadInputValues:
         code = main(["eval", "--task", task, "--preds", str(tmp_path / "p.json"),
                      "--gts", str(tmp_path / "g.json"), "--out", str(out)])
         assert_exit_2_no_output(capsys, code, out)
+
+    @pytest.mark.parametrize("command", ["eval-det", "eval-panoptic", "refine-rois",
+                                         "refine-ref-masks", "convert"])
+    def test_oversized_json_refused_from_its_size(self, tmp_path, command):
+        """A JSON input over ``io.MAX_JSON_BYTES`` is refused from its size, before
+        a byte is read: a 1 GiB sparse file (it takes no disk) costs no memory."""
+        big = tmp_path / "big.json"
+        with open(big, "wb") as f:
+            f.truncate(1 << 30)
+        rois, masks, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        refine = ["refine", "--mode", "oracle", "--out", str(out)] + REFINE_FAST
+        argv, outputs = {
+            "eval-det": (["eval", "--task", "det", "--preds", str(big), "--gts", str(big),
+                          "--out", str(out / "r.json")], [out / "r.json"]),
+            "eval-panoptic": (["eval", "--task", "panoptic", "--preds", str(big),
+                               "--gts", str(big), "--out", str(out / "r.json")],
+                              [out / "r.json"]),
+            "refine-rois": (refine + ["--rois", str(big), "--ref-masks", masks],
+                            [out / "masks.json", out / "ledger.json"]),
+            "refine-ref-masks": (refine + ["--rois", rois, "--ref-masks", str(big)],
+                                 [out / "masks.json", out / "ledger.json"]),
+            "convert": (["convert", "--input", str(big), "--output", str(out / "t.bin")],
+                        [out / "t.bin"]),
+        }[command]
+        proc, peak_kb = cli_peak(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{big} has {1 << 30} bytes, over the {io.MAX_JSON_BYTES} cap" in proc.stderr
+        assert peak_kb < 100 * 1024 and not any(p.exists() for p in outputs)
+        started = time.perf_counter()
+        assert main(argv) == 2  # in-process too, to time the refusal without the start-up
+        assert time.perf_counter() - started < 1.0
 
 
 def box_record(image_id, cls, box, score=None):

@@ -1,4 +1,4 @@
-"""Truncated and mutated inputs for every loader and every CLI command.
+"""Truncated, mutated and oversized inputs for every loader and every CLI command.
 
 A loader may only accept an input or raise ``SchemaError``/``ContractError``.
 The CLI exits 0, 2 or 3 with no traceback, and leaves no output file unless
@@ -11,8 +11,10 @@ import io as stdio
 import json
 import os
 import tempfile
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +169,53 @@ def test_loaders_raise_only_schema_or_contract_errors(case):
             LOADERS[kind](path)
         except (SchemaError, ContractError):
             pass
+
+
+CAP = 4096  # ``io.MAX_JSON_BYTES`` patched down, so a file at the cap is a few KB
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_DOCS))
+def test_json_at_the_cap_loads_and_one_byte_over_is_refused(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(io, "MAX_JSON_BYTES", CAP)
+    text = json.dumps(JSON_DOCS[kind]).encode()
+    path = tmp_path / "input.json"
+    path.write_bytes(text.ljust(CAP))  # padded with trailing spaces, which JSON allows
+    LOADERS[kind](str(path))
+    path.write_bytes(text.ljust(CAP + 1))
+    with pytest.raises(SchemaError, match=f"has {CAP + 1} bytes, over the {CAP} cap"):
+        LOADERS[kind](str(path))
+
+
+def _refused_without_blocking(load, path):
+    """``load(path)`` raises ``SchemaError`` within a few seconds. A loader left
+    waiting on a FIFO is released by opening the FIFO's write end."""
+    raised = []
+
+    def run():
+        try:
+            load(path)
+        except SchemaError:
+            raised.append(True)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(5)
+    if worker.is_alive():
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        worker.join(5)
+        raise AssertionError(f"the loader blocked on {path}")
+    assert raised == [True]
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("special", ["directory", "fifo"])
+def test_path_that_is_no_regular_file_is_refused(tmp_path, kind, special):
+    path = str(tmp_path / "input")
+    if special == "directory":
+        os.mkdir(path)
+    else:
+        os.mkfifo(path)
+    _refused_without_blocking(LOADERS[kind], path)
 
 
 @settings(max_examples=250, deadline=None)

@@ -402,3 +402,79 @@ class TestRoiValues:
         io.dump_json(path, [{"box": [1.0, 2.0, 30.0, 40.0]}] * (io.MAX_ROIS + 1))
         with pytest.raises(SchemaError, match="cap"):
             io.load_rois(path)
+
+
+def _rle_4x4() -> dict:
+    return io.rle_to_dict(rle_encode(np.ones((4, 4), dtype=bool)))
+
+
+_TENSOR = SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]])
+# One valid input per loader: (what to write, how to write it, how to load it).
+# The four record lists sit under ``LIST_KINDS`` with each one's record noun.
+LOADER_INPUTS = {
+    "rois": ([{"box": [1.0, 2.0, 30.0, 40.0], "class": 1, "score": 0.5}], io.dump_json,
+             io.load_rois),
+    "ref_masks": ({"format": io.MASK_FORMAT, "masks": [_rle_4x4()]}, io.dump_json,
+                  io.load_ref_masks),
+    "eval": ([{"image_id": 0, "class": 1, "score": 0.9, "box": [0, 0, 4, 4], "rle": _rle_4x4()}],
+             io.dump_json, lambda p: io.load_eval_entries(p, need_score=True, need_mask=True)),
+    "panoptic": ([{"image_id": 0, "segments": [{"class": 1, "is_thing": True,
+                                                "rle": _rle_4x4()}]}],
+                 io.dump_json, io.load_panoptic),
+    "sps_dict": (io.sps_to_dict(_TENSOR), io.dump_json,
+                 lambda p: io.sps_from_dict(io.load_json(p))),
+    "weights": ({"a.weight": np.ones((2, 3)), "a.bias": np.zeros(2)}, io.save_weights,
+                io.load_weights),
+    "sps": (_TENSOR, io.save_sps, io.load_sps),
+}
+LIST_KINDS = {"rois": "RoI", "ref_masks": "mask", "eval": "evaluation", "panoptic": "panoptic"}
+
+
+class TestLoaderRule:
+    @pytest.mark.parametrize("kind", sorted(LOADER_INPUTS))
+    def test_each_loader_opens_its_file_once_through_map_file(self, tmp_path, monkeypatch,
+                                                              kind):
+        doc, save, load = LOADER_INPUTS[kind]
+        path = str(tmp_path / "input")
+        save(path, doc)
+        maps, opens = [], []
+        real_map = io._map_file
+
+        def spy_map(p, *args):
+            maps.append(p)
+            return real_map(p, *args)
+
+        def spy_open(p, *args, **kwargs):
+            opens.append(p)
+            return open(p, *args, **kwargs)
+
+        monkeypatch.setattr(io, "_map_file", spy_map)
+        monkeypatch.setattr(io, "open", spy_open, raising=False)  # shadows the builtin in io
+        load(path)
+        assert maps == [path] and opens == [path]
+
+    @pytest.mark.parametrize("kind", sorted(LIST_KINDS))
+    @pytest.mark.parametrize("record", [5, "x", []])
+    def test_record_that_is_not_an_object_is_refused_by_index(self, tmp_path, kind, record):
+        doc, save, load = LOADER_INPUTS[kind]
+        doc = {**doc, "masks": doc["masks"] + [record]} if kind == "ref_masks" else doc + [record]
+        path = str(tmp_path / "input.json")
+        save(path, doc)
+        want = f"{path}: bad {LIST_KINDS[kind]} record 1: a record must be a JSON object"
+        with pytest.raises(SchemaError, match=re.escape(want)):
+            load(path)
+
+    @pytest.mark.parametrize("data,want", [
+        ('{"s": "é",\r\n "n": [1, 2]}\r\n'.encode(), {"s": "é", "n": [1, 2]}),
+        (b"\xef\xbb\xbf[1]", None),  # a byte-order mark, as text-mode UTF-8 reading refuses it
+        ("[1]".encode("utf-16"), None),  # no encoding is sniffed
+        (b'["\xff"]', None),
+    ])
+    def test_json_is_decoded_as_utf8_only(self, tmp_path, data, want):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        if want is None:
+            with pytest.raises(SchemaError, match="cannot read JSON from"):
+                io.load_json(str(path))
+        else:
+            assert io.load_json(str(path)) == want
