@@ -89,7 +89,8 @@ def _map_file(path: str, what: str, max_bytes: int | None = None):
 
 def load_json(path: str):
     """The JSON document at ``path``, decoded as UTF-8 (no encoding sniffing);
-    a file over ``MAX_JSON_BYTES`` is refused from its size."""
+    a file over ``MAX_JSON_BYTES`` is refused from its size, and a parse that
+    runs out of memory raises ``SchemaError`` as well."""
     data = _map_file(path, "JSON", MAX_JSON_BYTES)
     try:  # ValueError: bad UTF-8 or bad JSON
         text = str(data, "utf-8")
@@ -97,6 +98,8 @@ def load_json(path: str):
         return json.loads(text)
     except (ValueError, RecursionError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
+    except MemoryError as e:  # the cap bounds the bytes, not what they parse into
+        raise SchemaError(f"cannot read JSON from {path}: out of memory while parsing it") from e
 
 
 def _finite(values, what: str) -> list[float]:

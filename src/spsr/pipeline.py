@@ -125,10 +125,31 @@ def select_active(scores: Sequence[np.ndarray], top_n: int | None) -> list[np.nd
 
 
 def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell targets: mask value at the cell center, and whether the cell's
-    pixel footprint mixes foreground with background."""
+    """Per-cell targets, the one target rule of the oracle: the mask value at
+    the cell center, and whether the cell's pixel footprint mixes foreground
+    with background. Footprint pixels are counted a few row bands at a time,
+    so each int64 copy holds at most ``ops.CHUNK_VALUES`` values, or one band."""
     gt = np.asarray(gt_mask, dtype=bool)
-    return _cell_targets(gt, _summed_area(gt), grid_hw)
+    rows, cols = gt.shape
+    h, w = grid_hw
+    if rows < h or cols < w:
+        raise ContractError(f"mask {gt.shape} coarser than grid {grid_hw}")
+    cy = np.floor(cell_centers(0, rows, h)).astype(np.int64)
+    cx = np.floor(cell_centers(0, cols, w)).astype(np.int64)
+    seg = gt.take(cy, axis=0).take(cx, axis=1)
+
+    # footprint bounds: each row band is 1 to ceil(rows / h) rows tall
+    by = np.floor(np.arange(h + 1) * rows / h).astype(np.int64)
+    bx = np.floor(np.arange(w + 1) * cols / w).astype(np.int64)
+    count = np.empty((h, w), dtype=np.int64)
+    step = max(1, ops.CHUNK_VALUES // (-(-rows // h) * cols))  # row bands per chunk
+    for i in range(0, h, step):
+        j = min(i + step, h)
+        bands = np.add.reduceat(gt[by[i]:by[j]], by[i:j] - by[i], axis=0, dtype=np.int64)
+        count[i:j] = np.add.reduceat(bands, bx[:-1], axis=1)
+    area = (by[1:, None] - by[:-1, None]) * (bx[None, 1:] - bx[None, :-1])
+    refine = (count > 0) & (count < area)
+    return seg, refine
 
 
 def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -137,44 +158,14 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
-def _summed_area(gt: np.ndarray) -> np.ndarray:
-    """Summed-area table of a bool mask, framed by a zero row and column."""
-    sat = np.zeros((gt.shape[0] + 1, gt.shape[1] + 1), dtype=np.int64)
-    sat[1:, 1:] = gt.cumsum(axis=0).cumsum(axis=1)
-    return sat
-
-
-def _cell_targets(gt: np.ndarray, sat: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`make_targets` of the bool mask ``gt`` with its summed-area table ``sat``."""
-    rows, cols = gt.shape
-    h, w = grid_hw
-    if rows < h or cols < w:
-        raise ContractError(f"mask {gt.shape} coarser than grid {grid_hw}")
-    cy = np.floor(cell_centers(0, rows, h)).astype(np.int64)
-    cx = np.floor(cell_centers(0, cols, w)).astype(np.int64)
-    seg = gt[cy[:, None], cx[None, :]]
-
-    by = np.floor(np.arange(h + 1) * rows / h).astype(np.int64)
-    bx = np.floor(np.arange(w + 1) * cols / w).astype(np.int64)
-    corners = sat[by[:, None], bx[None, :]]
-    count = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
-    area = (by[1:, None] - by[:-1, None]) * (bx[None, 1:] - bx[None, :-1])
-    refine = (count > 0) & (count < area)
-    return seg, refine
-
-
 def _all_cells(grid_hw: tuple) -> np.ndarray:
     """Every cell of a grid as ``(n, 2)`` (y, x), row-major."""
     return np.stack(np.unravel_index(np.arange(grid_hw[0] * grid_hw[1]), grid_hw), axis=1)
 
 
-def upsample2_nn(grid: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
-
-
 def assemble_grid(prev: np.ndarray, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Nearest-neighbor 2x upsample of ``prev`` with sparse overwrites."""
-    out = upsample2_nn(np.asarray(prev, dtype=np.float64))
+    out = np.repeat(np.repeat(np.asarray(prev, dtype=np.float64), 2, axis=0), 2, axis=1)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
     if len(cells):
         if cells.min() < 0 or cells[:, 0].max() >= out.shape[0] or cells[:, 1].max() >= out.shape[1]:
@@ -582,16 +573,10 @@ class _Engine:
         self.plan = config.stage_configs()
         self.oracle_targets = []  # oracle mode: per RoI, [(seg, refine) of stage s]
         if config.mode == "oracle":
-            final = self.plan[-1]
             for i, r in enumerate(self.rois):
                 if r.ref_mask is None:
                     raise ContractError(f"oracle mode needs a reference mask for RoI {i}")
-                if r.ref_mask.shape[0] < final.h or r.ref_mask.shape[1] < final.w:
-                    raise ContractError(f"reference mask {r.ref_mask.shape} coarser than "
-                                        f"final {final.h}x{final.w} grid")
-                sat = _summed_area(r.ref_mask)  # once per RoI, for every stage's grid
-                self.oracle_targets.append([_cell_targets(r.ref_mask, sat, st.hw)
-                                            for st in self.plan])
+                self.oracle_targets.append([make_targets(r.ref_mask, st.hw) for st in self.plan])
         self.weights = weights or PipelineWeights(None, config)  # capped before any draw
         _check_weights(self.weights, config)
         if neck is None:

@@ -76,8 +76,9 @@ class TestRefineCommand:
                      "--out", str(tmp_path / "x")] + REFINE_FAST)
         assert code == 2
 
-    def test_contract_violation_exit_3(self, tmp_path):
-        # reference masks coarser than the final grid: engine precondition
+    def test_contract_violation_exit_3(self, tmp_path, no_neck_draw):
+        # reference masks coarser than the final grid: make_targets refuses
+        # them before any neck is drawn
         roi_path, _, _ = write_inputs(tmp_path, n=1)
         refs = {"format": io.MASK_FORMAT,
                 "masks": [io.rle_to_dict(rle_encode(np.ones((14, 14), dtype=bool)))]}
@@ -120,6 +121,22 @@ class TestRefineCommand:
         assert (args.shape, args.canvas) == (spec.shape, spec.canvas_h)
         args = cli.build_parser().parse_args(["refine", "--rois", "r.json", "--out", "o"])
         assert args.mode == config.mode
+
+    def test_large_reference_mask_in_bounded_memory(self, tmp_path):
+        """Oracle targets are counted a few row bands at a time, so one 8192^2
+        reference mask (a 109-byte file) refines with the child's peak under
+        250 MiB; a whole-mask int64 summed-area table peaked at 1,085 MiB."""
+        side = 8192
+        rois, masks = tmp_path / "rois.json", tmp_path / "refs.json"
+        rois.write_text(json.dumps([{"box": [0, 0, 64, 64]}]))
+        third = side * side // 3
+        masks.write_text(json.dumps({"format": io.MASK_FORMAT, "masks": [
+            {"height": side, "width": side, "counts": [third, third, side * side - 2 * third]}]}))
+        out = tmp_path / "out"
+        proc, peak_kb = cli_peak(["refine", "--rois", str(rois), "--ref-masks", str(masks),
+                                  "--out", str(out)] + REFINE_FAST)
+        assert proc.returncode == 0, proc.stderr
+        assert peak_kb < 250 * 1024 and (out / "masks.json").exists()
 
 
 @pytest.fixture
@@ -551,6 +568,30 @@ class TestBadInputValues:
         started = time.perf_counter()
         assert main(argv) == 2  # in-process too, to time the refusal without the start-up
         assert time.perf_counter() - started < 1.0
+
+    def test_json_parse_out_of_memory_exit_2(self, tmp_path):
+        """A JSON file under the byte cap can still parse into more than the
+        process may allocate (empty objects take about 25x their bytes): that
+        is a malformed input, exit 2 with a message, not a traceback. The child
+        lowers only its own address-space limit, to 256 MiB over its size once
+        spsr is imported."""
+        objs = tmp_path / "objs.json"
+        objs.write_text("[" + ",".join(["{}"] * ((32 << 20) // 3)) + "]")
+        out = tmp_path / "r.json"
+        script = ("import resource, sys\n"
+                  "from spsr.cli import main\n"
+                  "size = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+                  "            if line.startswith('VmSize:')) << 10\n"
+                  "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (size + (256 << 20), hard))\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", script, "eval", "--task", "det",
+                               "--preds", str(objs), "--gts", str(objs), "--out", str(out)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert f"cannot read JSON from {objs}: out of memory while parsing it" in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
 
 
 def box_record(image_id, cls, box, score=None):

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +189,60 @@ class TestMakeTargets:
         for i in range(4):
             block = mask[by[i]:by[i + 1]]
             assert refine[i, 0] == (block.any() and not block.all())
+
+
+def brute_force_targets(mask, grid_hw):
+    """Cell by cell: the centre pixel, and whether the ``by``/``bx`` footprint
+    holds both values."""
+    (rows, cols), (h, w) = mask.shape, grid_hw
+    by = [int(np.floor(i * rows / h)) for i in range(h + 1)]
+    bx = [int(np.floor(j * cols / w)) for j in range(w + 1)]
+    seg = np.zeros(grid_hw, dtype=bool)
+    refine = np.zeros(grid_hw, dtype=bool)
+    for i in range(h):
+        for j in range(w):
+            seg[i, j] = mask[int(np.floor((i + 0.5) * rows / h)), int(np.floor((j + 0.5) * cols / w))]
+            block = mask[by[i]:by[i + 1], bx[j]:bx[j + 1]]
+            refine[i, j] = block.any() and not block.all()
+    return seg, refine
+
+
+@st.composite
+def masks_and_grids(draw):
+    """A mask with sides 1-300 (noise, a disk, or a sparse scatter) and a grid
+    no larger than it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["noise", "disk", "scatter"]))
+    if kind == "disk":
+        yy, xx = np.mgrid[:rows, :cols]
+        mask = (yy - rows * rng.random()) ** 2 + (xx - cols * rng.random()) ** 2 \
+            < (max(rows, cols) * rng.random()) ** 2
+    else:
+        mask = rng.random((rows, cols)) < (rng.random() if kind == "noise" else 0.002)
+    return mask, (draw(st.integers(1, rows)), draw(st.integers(1, cols)))
+
+
+class TestMakeTargetsReference:
+    """``make_targets`` counts pixels a few row bands at a time; the targets
+    match a cell-by-cell reference for any chunk size, down to one band per chunk."""
+
+    @staticmethod
+    def check(mask, grid_hw):
+        for got, want in zip(pl.make_targets(mask, grid_hw), brute_force_targets(mask, grid_hw)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks_and_grids())
+    def test_matches_brute_force(self, case):
+        self.check(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks_and_grids(), st.integers(1, 2000))
+    def test_matches_brute_force_in_small_chunks(self, case, chunk):
+        with mock.patch.object(ops, "CHUNK_VALUES", chunk):
+            self.check(*case)
 
 
 class TestCellCenters:
@@ -491,7 +546,7 @@ class TestRefinementEngine:
             assert a.score == b.score
         assert res1.ledger == res4.ledger
 
-    def test_oracle_targets_use_each_rois_own_mask(self, monkeypatch):
+    def test_oracle_targets_use_each_rois_own_mask(self):
         rois = []
         for seed in (61, 62, 63):
             _, box, shape = gen_synthetic(SyntheticShapeSpec(shape="blob", canvas_h=160,
@@ -500,15 +555,21 @@ class TestRefinementEngine:
         got = pl.run_refinement(rois, small_config(top_n_active=400))
         for roi, probs in zip(rois, got.stage_masks[0]):
             np.testing.assert_array_equal(probs >= 0.5, pl.make_targets(roi.ref_mask, (14, 14))[0])
-        # summed-area tables are built once per RoI; a run that rebuilds the
-        # table of the mask at hand for every stage must give the same masks
-        cell_targets = pl._cell_targets
-        monkeypatch.setattr(pl, "_cell_targets", lambda gt, sat, grid_hw:
-                            cell_targets(gt, pl._summed_area(gt), grid_hw))
-        want = pl.run_refinement(rois, small_config(top_n_active=400))
-        for got_masks, want_masks in zip(got.stage_masks, want.stage_masks):
-            for g, w in zip(got_masks, want_masks):
-                np.testing.assert_array_equal(g, w)
+
+    def test_oracle_targets_come_from_make_targets(self, monkeypatch):
+        """The engine's one target rule is ``make_targets``, called once per
+        (RoI, stage), in that order, on the RoI's own mask."""
+        rois = [disk_roi(seed=s) for s in (71, 72)]
+        calls = []
+        make_targets = pl.make_targets
+
+        def spy(gt_mask, grid_hw):
+            calls.append((next(i for i, r in enumerate(rois) if r.ref_mask is gt_mask), grid_hw))
+            return make_targets(gt_mask, grid_hw)
+
+        monkeypatch.setattr(pl, "make_targets", spy)
+        pl.run_refinement(rois, small_config(top_n_active=400))
+        assert calls == [(i, (side, side)) for i in range(2) for side in (14, 28, 56, 112)]
 
     def test_budget_binds_and_fractions_decay(self):
         rois = [disk_roi(seed=40 + i) for i in range(4)]
