@@ -1,11 +1,10 @@
 """Structure-preserving sparse refinement: tensors, operators, pipeline, metrics."""
 
-from .tensor import SpsTensor, from_dense, gather_neighborhood, reselect, subdivide, to_dense
+from .tensor import SpsTensor, from_dense, reselect, subdivide, to_dense
 
 __all__ = [
     "SpsTensor",
     "from_dense",
-    "gather_neighborhood",
     "reselect",
     "subdivide",
     "to_dense",

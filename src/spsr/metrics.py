@@ -361,7 +361,9 @@ def _erode(crop: np.ndarray, d: int) -> np.ndarray:
 
 
 def _band_in_box(mask: np.ndarray, box: tuple, d: int) -> np.ndarray:
-    """:func:`boundary_band` of a mask whose pixels all lie in ``box``.
+    """Boundary band of a bool mask whose pixels all lie in ``box``: the mask
+    pixels within Chebyshev distance ``d`` of background or of the canvas
+    border.
 
     Only the crop is eroded. Every pixel outside the box is background, as is
     every pixel off the canvas, so a window that leaves the crop sees a zero
@@ -374,12 +376,6 @@ def _band_in_box(mask: np.ndarray, box: tuple, d: int) -> np.ndarray:
     band = np.zeros(mask.shape, dtype=bool)
     np.greater(crop, eroded, out=band[box])  # crop & ~eroded, written in place
     return band
-
-
-def boundary_band(mask: np.ndarray, d: int) -> np.ndarray:
-    """Mask pixels within Chebyshev distance d of background (or the border)."""
-    mask = np.asarray(mask, dtype=bool)
-    return _band_in_box(mask, _box(mask), d)
 
 
 def _band_width(shape: tuple) -> int:

@@ -266,8 +266,10 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
 
     Each chunk of ``CHUNK_VALUES // F`` samples is one product ``W @ rows`` with
     a sparse weight matrix ``W`` (one CSR row per sample), so only one chunk's
-    product is held beside ``out``; with ``out`` None and every sample in one
-    chunk, that product is returned itself. Each row holds its corners in the
+    product is held beside ``out``. With ``out`` None and every sample in one
+    chunk, or at most ``CHUNK_VALUES // 4`` samples (so that the CSR index
+    arrays hold at most ``CHUNK_VALUES`` entries), all samples are one product,
+    which is returned itself, uncopied. Each row holds its corners in the
     order (y0, x0), (y0, x1), (y1, x0), (y1, x1), with column
     ``index_map[cy, cx]``; a corner outside the grid or with zero weight gets
     no entry, so an all-outside sample is a ``+0.0`` row. Two corners may
@@ -288,7 +290,9 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
         raise ContractError(f"output block {out.shape} of {out.dtype} cannot hold {n} "
                             f"float64 samples of {f} features")
     step = max(1, CHUNK_VALUES // max(f, 1))
-    if out is None and not 0 < n <= step:  # else the one chunk's product is the output
+    if out is None and 0 < n <= max(step, CHUNK_VALUES // 4):
+        step = n  # one product is the output
+    elif out is None:
         out = np.empty((n, f))
     for lo in range(0, n, step):
         y, x = py[lo:lo + step], px[lo:lo + step]

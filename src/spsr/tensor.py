@@ -206,17 +206,6 @@ def gather_taps(rows: np.ndarray, index: np.ndarray, coords: np.ndarray,
     return rows[_tap_index(index, coords, taps, len(rows) - 1).T]
 
 
-def gather_neighborhood(s: SpsTensor, c: tuple, offsets: Sequence[tuple]) -> np.ndarray:
-    """Collect the feature rows at ``(y+dy, x+dx)`` for one active cell."""
-    y, x = int(c[0]), int(c[1])
-    if not (0 <= y < s.h and 0 <= x < s.w):
-        raise ContractError(f"cell ({y}, {x}) outside grid")
-    if s.index_map[y, x] >= s.n_active:
-        raise ContractError(f"cell ({y}, {x}) is not active")
-    taps = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
-    return gather_taps(s.tap_rows(), s.index_map, np.array([[y, x]]), taps)[0]
-
-
 def subdivide(s: SpsTensor, child_maps: Sequence[Callable[[np.ndarray], np.ndarray]]) -> SpsTensor:
     """Double the grid; each active cell becomes 4 active children.
 

@@ -38,70 +38,6 @@ class TestIou:
         assert geo.iou([1, 1, 1, 1], [1, 1, 1, 1]) == 0.0
 
 
-class TestIouVariants:
-    def test_identical_boxes_all_one(self):
-        v = geo.iou_variants([0, 0, 4, 3], [0, 0, 4, 3])
-        for key in ("giou", "diou", "ciou", "eiou"):
-            assert v[key] == pytest.approx(1.0, abs=1e-12)
-
-    def test_giou_hand_value(self):
-        # enclosing box [0,0,3,3]: area 9, union 7 -> giou = 1/7 - 2/9
-        v = geo.iou_variants([0, 0, 2, 2], [1, 1, 3, 3])
-        assert v["giou"] == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
-
-    def test_far_separation_giou_negative(self):
-        v = geo.iou_variants([0, 0, 1, 1], [100, 100, 101, 101])
-        assert v["giou"] < 0.0
-        assert v["giou"] > -1.0  # asymptotic bound
-        assert v["diou"] < 0.0
-
-    def test_variants_bounded_by_iou(self, rng):
-        for _ in range(200):
-            a = rng.uniform(0, 10, 2)
-            b = rng.uniform(0, 10, 2)
-            box_a = [a[0], a[1], a[0] + rng.uniform(0.1, 5), a[1] + rng.uniform(0.1, 5)]
-            box_b = [b[0], b[1], b[0] + rng.uniform(0.1, 5), b[1] + rng.uniform(0.1, 5)]
-            v = geo.iou_variants(box_a, box_b)
-            base = geo.iou(box_a, box_b)
-            for key in ("giou", "diou", "ciou", "eiou"):
-                assert v[key] <= base + 1e-12
-
-
-class TestAnchors:
-    def test_single_shape_counts(self):
-        spec = geo.AnchorSpec(sizes=(1.0,), ratios=(1.0,))
-        boxes, types = geo.gen_anchors(spec, {3: (2, 2)})
-        assert len(boxes) == 4 and len(types) == 4
-        assert set(types.tolist()) == {0}
-
-    def test_nine_types_per_cell(self):
-        spec = geo.AnchorSpec()
-        boxes, types = geo.gen_anchors(spec, {4: (1, 1)})
-        assert len(boxes) == 9
-        assert sorted(types.tolist()) == list(range(9))
-
-    def test_aspect_ratio_exact(self):
-        spec = geo.AnchorSpec()
-        boxes, types = geo.gen_anchors(spec, {3: (1, 1)})
-        ratios = []
-        for box in boxes:
-            w, h = box[2] - box[0], box[3] - box[1]
-            ratios.append(w / h)
-        for ratio in (0.5, 1.0, 2.0):
-            assert any(abs(r - ratio) < 1e-9 for r in ratios)
-
-    def test_area_and_centering(self):
-        spec = geo.AnchorSpec(sizes=(1.0,), ratios=(1.0,), base_scale=4.0)
-        boxes, _ = geo.gen_anchors(spec, {3: (2, 3)})
-        stride = 8.0
-        for i, box in enumerate(boxes):
-            cy, cx = divmod(i, 3)
-            assert (box[0] + box[2]) / 2 == pytest.approx((cx + 0.5) * stride)
-            assert (box[1] + box[3]) / 2 == pytest.approx((cy + 0.5) * stride)
-            area = (box[2] - box[0]) * (box[3] - box[1])
-            assert area == pytest.approx((4.0 * stride) ** 2)
-
-
 class TestBoxCodec:
     def test_same_box_zero_deltas(self):
         d = geo.encode_box([0, 0, 4, 2], [0, 0, 4, 2])
@@ -254,10 +190,6 @@ class TestNms:
         assert geo.nms(boxes, [0.9, 0.8], 0.5) == [0]
         assert geo.nms(boxes, [0.9, 0.8], 0.6) == [0, 1]  # strict > drops only above
 
-    def test_presets_exposed(self):
-        assert geo.NMS_THRESHOLD_SMALL_SCALE == 0.65
-        assert geo.NMS_THRESHOLD_LARGE_SCALE == 0.70
-
     def test_kept_pairwise_iou_bounded(self, rng):
         for _ in range(500):
             n = int(rng.integers(1, 12))
@@ -279,46 +211,6 @@ class TestNms:
         perm = rng.permutation(n)
         kept_perm = geo.nms(boxes[perm], scores[perm], 0.5)
         assert sorted(perm[kept_perm].tolist()) == sorted(kept)
-
-
-class TestMulticlass:
-    def test_both_classes_emitted(self):
-        boxes, classes, scores = geo.multiclass_inference([[0, 0, 2, 2]], [[0.9, 0.2]])
-        assert len(scores) == 2
-        assert set(classes.tolist()) == {0, 1}
-
-    def test_top_100_truncation(self, rng):
-        pos = rng.uniform(0, 100, size=(300, 2))
-        boxes = np.concatenate([pos, pos + rng.uniform(1, 10, size=(300, 2))], axis=1)
-        scores = rng.uniform(0, 1, size=(300, 80))
-        _, _, out_scores = geo.multiclass_inference(boxes, scores, top=100)
-        assert len(out_scores) <= 100
-
-    def test_scores_non_increasing(self, rng):
-        pos = rng.uniform(0, 50, size=(40, 2))
-        boxes = np.concatenate([pos, pos + rng.uniform(1, 10, size=(40, 2))], axis=1)
-        scores = rng.uniform(0, 1, size=(40, 5))
-        _, _, out_scores = geo.multiclass_inference(boxes, scores)
-        assert np.all(np.diff(out_scores) <= 1e-12)
-
-
-class TestUpbndRemoval:
-    def test_perfect_unique_kept(self):
-        gts = np.array([[0, 0, 10, 10], [20, 20, 30, 30]], dtype=float)
-        kept = geo.upbnd_removal(gts, [0.9, 0.8], gts, overlap_thresh=0.5)
-        assert sorted(kept) == [0, 1]
-
-    def test_exact_duplicate_removed(self):
-        gts = np.array([[0, 0, 10, 10]], dtype=float)
-        dets = np.array([[0, 0, 10, 10], [0, 0, 10, 10]], dtype=float)
-        kept = geo.upbnd_removal(dets, [0.9, 0.8], gts, overlap_thresh=0.5)
-        assert kept == [0]
-
-    def test_far_false_positive_kept(self):
-        gts = np.array([[0, 0, 10, 10]], dtype=float)
-        dets = np.array([[0, 0, 10, 10], [50, 50, 55, 55]], dtype=float)
-        kept = geo.upbnd_removal(dets, [0.9, 0.8], gts, overlap_thresh=0.75)
-        assert sorted(kept) == [0, 1]
 
 
 class TestMaskNms:

@@ -450,15 +450,24 @@ class TestBilinearKernel:
         assert np.all(np.isnan(wide[:, :7])) and np.all(np.isnan(wide[:, 7 + self.F:]))
 
     def test_one_chunk_holds_one_output(self, rng):
-        # with out=None and every sample in one chunk, the CSR product is the output
+        # with out=None and every sample in one chunk, or as many as the dense
+        # route's 112x112 neck grid, the one CSR product is the output
         rows, index_map = self._neck(rng)
-        n = self.CHUNK
-        py = rng.uniform(-1, self.H, n)
-        px = rng.uniform(-1, self.W, n)
-        ops._bilinear(rows, index_map, py, px)  # scipy.sparse is imported before tracing
-        got, peak = traced_peak(ops._bilinear, rows, index_map, py, px)
-        assert_bit_identical(got, four_corner_bilinear(rows, index_map, py, px))
-        assert peak < 1.5 * n * self.F * 8
+        for n in (self.CHUNK, 12544):
+            py = rng.uniform(-1, self.H, n)
+            px = rng.uniform(-1, self.W, n)
+            ops._bilinear(rows, index_map, py, px)  # scipy.sparse is imported before tracing
+            got, peak = traced_peak(ops._bilinear, rows, index_map, py, px)
+            assert_bit_identical(got, four_corner_bilinear(rows, index_map, py, px))
+            assert peak < 1.15 * n * self.F * 8
+
+    def test_new_output_past_one_product_fills_in_chunks(self, rng, monkeypatch):
+        # with CHUNK_VALUES = 4F, one product holds up to F samples; past that,
+        # out=None fills a new array 4 samples at a time
+        monkeypatch.setattr(ops, "CHUNK_VALUES", 4 * self.F)
+        rows, index_map = self._neck(rng)
+        for n in (self.F, self.F + 1, 3 * self.F + 2):
+            self._check(rows, index_map, rng.uniform(-1, self.H, n), rng.uniform(-1, self.W, n))
 
     @pytest.mark.parametrize("shape,dtype", [((9, F), np.float64), ((11, F), np.float64),
                                              ((10, F - 1), np.float64), ((10, F + 1), np.float64),

@@ -199,56 +199,6 @@ class TestInvariants:
         np.testing.assert_array_equal(tensor.to_dense(s), dense)
 
 
-class TestGatherNeighborhood:
-    OFFSETS_3X3 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-
-    def test_center_full_grid(self, rng):
-        d = rng.standard_normal((2, 3, 3))
-        s = tensor.from_dense(d, full_grid(3, 3))
-        rows = tensor.gather_neighborhood(s, (1, 1), self.OFFSETS_3X3)
-        assert rows.shape == (9, 2)
-        for i, (dy, dx) in enumerate(self.OFFSETS_3X3):
-            np.testing.assert_array_equal(rows[i], d[:, 1 + dy, 1 + dx])
-
-    def test_corner_zero_padding(self, rng):
-        d = rng.standard_normal((2, 3, 3))
-        s = tensor.from_dense(d, full_grid(3, 3))
-        rows = tensor.gather_neighborhood(s, (0, 0), self.OFFSETS_3X3)
-        n_zero = sum(1 for r in rows if np.all(r == 0.0))
-        assert n_zero == 5  # enumerated: 5 of 9 offsets leave the grid
-
-    def test_dilation_2_matches_dense_oracle(self, rng):
-        d = rng.standard_normal((3, 5, 5))
-        s = tensor.from_dense(d, full_grid(5, 5))
-        offsets = [(dy, dx) for dy in (-2, 0, 2) for dx in (-2, 0, 2)]
-        rows = tensor.gather_neighborhood(s, (2, 2), offsets)
-        for i, (dy, dx) in enumerate(offsets):
-            np.testing.assert_array_equal(rows[i], d[:, 2 + dy, 2 + dx])
-
-    def test_passive_cell_rejected(self, rng):
-        d = rng.standard_normal((2, 3, 3))
-        s = tensor.from_dense(d, [(0, 0)])
-        with pytest.raises(ContractError):
-            tensor.gather_neighborhood(s, (1, 1), self.OFFSETS_3X3)
-
-    def test_sparse_gather_equals_dense_gather(self, rng):
-        # randomized equivalence against direct dense indexing with zero pad
-        for _ in range(1000):
-            d, s = random_sps(rng)
-            if s.n_active == 0:
-                continue
-            coords = s.active_coords()
-            y, x = coords[rng.integers(len(coords))]
-            offsets = [(int(dy), int(dx)) for dy, dx in rng.integers(-3, 4, size=(5, 2))]
-            rows = tensor.gather_neighborhood(s, (y, x), offsets)
-            for i, (dy, dx) in enumerate(offsets):
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < s.h and 0 <= nx < s.w:
-                    np.testing.assert_array_equal(rows[i], d[:, ny, nx])
-                else:
-                    assert np.all(rows[i] == 0.0)
-
-
 class TestGatherTaps:
     def test_zero_row_equals_masked_gather(self, rng):
         # reference: gather through a clipped map, then zero the out-of-grid taps
