@@ -6,10 +6,10 @@ halves the feature size, runs the fusion-convolution block at the active
 cells only, and overwrites the upsampled mask there. Three stages take the
 mask from 14x14 to 112x112.
 
-Both routes run one stage loop (``_Engine.run``) and differ only in the
-per-RoI stage bodies it is given. The sparse route runs the SPS operators on
-the selected cells; the dense route selects every cell (``top_n=None``) and
-runs plain array operators, and serves as oracle and baseline.
+One stage loop (``_Engine.run``), stage 0 its first pass, runs both routes;
+they differ only in their per-RoI stage bodies, and a RoI holds one stage of
+features. The sparse route runs SPS operators on the selected cells; the dense
+route (oracle and baseline) runs array operators on every cell (``top_n=None``).
 """
 
 from __future__ import annotations
@@ -449,28 +449,34 @@ def _chain_arrays(name: str, widths: Sequence[int], dilation: int | None) -> lis
             for array in ((f"{name}.l{i}.weight", (f_out, f_in)), (f"{name}.l{i}.bias", (f_out,)))]
 
 
+def _head_arrays(config: RunConfig) -> list[tuple]:
+    """``(array name, shape)`` of every weight array of ``config``'s head, in draw order."""
+    return [array for stage in _layout(config) for specs in stage.values()
+            for spec in specs for array in _chain_arrays(*spec)]
+
+
 class _WeightArrays:
     """Named arrays: loaded if the bundle holds them, else a seeded draw.
 
     Raises ``SchemaError`` for a bundle array that no layer of a three-stage
-    head reads, and, before it is drawn, for the array that takes the values
-    handed out over ``MAX_WEIGHT_ELEMENTS``."""
+    head reads, and, before any array is drawn, for the array that takes the
+    values of ``config``'s head over ``MAX_WEIGHT_ELEMENTS``."""
 
-    def __init__(self, arrays: Mapping | None, seed: int):
+    def __init__(self, arrays: Mapping | None, config: RunConfig):
         self.arrays = dict(arrays or {})
-        self.seed = seed
-        self.elements = 0
-        known = {array for stage in _layout(RunConfig(stages=3)) for specs in stage.values()
-                 for spec in specs for array, _ in _chain_arrays(*spec)}
+        self.seed = config.seed
+        known = {name for name, _ in _head_arrays(RunConfig(stages=3))}
         stray = next((name for name in self.arrays if name not in known), None)
         if stray is not None:
             raise SchemaError(f"weight array {stray} is read by no layer of the refinement head")
+        elements = 0
+        for name, shape in _head_arrays(config):
+            elements += math.prod(shape)
+            if elements > MAX_WEIGHT_ELEMENTS:
+                raise SchemaError(f"weight array {name} {shape} takes the weights to "
+                                  f"{elements} values, over the {MAX_WEIGHT_ELEMENTS} cap")
 
     def array(self, name: str, shape: tuple) -> np.ndarray:
-        self.elements += math.prod(shape)
-        if self.elements > MAX_WEIGHT_ELEMENTS:
-            raise SchemaError(f"weight array {name} {shape} takes the weights to "
-                              f"{self.elements} values, over the {MAX_WEIGHT_ELEMENTS} cap")
         if name in self.arrays:
             arr = self.arrays[name]
             if np.shape(arr) != tuple(shape):
@@ -495,7 +501,7 @@ class PipelineWeights:
     stage ``s``, as :func:`_layout` gives them."""
 
     def __init__(self, arrays: Mapping | None, config: RunConfig):
-        src = _WeightArrays(arrays, config.seed)
+        src = _WeightArrays(arrays, config)
         self.stages = [{op: [src.chain(*spec) for spec in specs] for op, specs in stage.items()}
                        for stage in _layout(config)]
 
@@ -606,11 +612,6 @@ class _Engine:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(fn, items))
 
-    def _oracle_values(self, roi: int, s: int):
-        seg, refine = self.oracle_targets[roi][s]
-        logits = np.where(seg, ORACLE_LOGIT, -ORACLE_LOGIT)
-        return logits, refine.astype(np.float64)
-
     def _neck_rows(self, i: int, s: int, coords: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
         """Neck features of RoI i's level at stage s, at the centers of
@@ -625,48 +626,46 @@ class _Engine:
                 for m in self.weights.stages[s]["subdivide"]]
 
     def run(self, stage0, stage, top_n: int | None) -> RefinementResult:
-        """The stage loop of both routes.
+        """The stage loop of both routes; stage 0 is its first pass.
 
-        ``stage0(i)`` returns RoI i's stage-0 features with its seg and refine
-        grids. ``stage(i, s, feats, cells)`` refines the selected parent
-        ``cells`` and returns ``(feats, feature rows, child coords, seg,
-        refine)``, with one seg and refine value per child coord.
+        ``stage0(i)`` runs RoI i on every stage-0 cell, ``stage(i, s, feats,
+        cells)`` on the children of its selected ``cells``. Both return ``(feats,
+        feature rows, coords, seg, refine)``, one seg and refine value per coord.
+        Each RoI's step replaces its own features: a RoI holds one stage of them.
         """
         cfg, w = self.config, self.weights
         ledger = CostLedger()
         n = len(self.rois)
         cells = [n * st.h * st.w for st in self.plan]
+        feats, rows, masks, refine_grids = [None] * n, [0] * n, [None] * n, [None] * n
+        stage_masks = []
 
-        def first(i: int):
-            feats, seg, refine = stage0(i)
-            if cfg.mode == "oracle":
-                seg, refine = self._oracle_values(i, 0)
-            return feats, sigmoid(seg), np.asarray(refine, dtype=np.float64)
+        for s, st in enumerate(self.plan):
+            selected = select_active(refine_grids, top_n) if s else None
 
-        feats, masks, refine_grids = zip(*self._map(first))
-        # stage 0 runs every cell on both routes
-        _stage_entries(ledger, w, 0, cells[0], cells[0], cfg.f_neck, {})
+            def step(i: int):
+                out = stage(i, s, feats[i], selected[i]) if s else stage0(i)
+                feats[i], rows[i], coords, seg, refine = out
+                if cfg.mode == "oracle":  # the targets at the coords the body returns
+                    seg_grid, refine_grid = self.oracle_targets[i][s]
+                    ys, xs = coords.T
+                    seg = np.where(seg_grid[ys, xs], ORACLE_LOGIT, -ORACLE_LOGIT)
+                    refine = refine_grid[ys, xs]
+                if s == 0:
+                    masks[i] = sigmoid(seg).reshape(st.hw)
+                    refine_grids[i] = np.asarray(refine, dtype=np.float64).reshape(st.hw)
+                else:
+                    masks[i] = assemble_mask(masks[i], coords, seg)
+                    refine_grids[i] = assemble_grid(refine_grids[i], coords, refine)
 
-        stage_masks = [list(masks)]
-
-        for s in range(1, len(self.plan)):
-            selected = select_active(refine_grids, top_n)
-            n_selected = int(sum(len(c) for c in selected))
-
-            def one(i: int):
-                feat, rows, coords, seg, refine = stage(i, s, feats[i], selected[i])
-                if cfg.mode == "oracle":
-                    seg_grid, refine_grid = self._oracle_values(i, s)
-                    seg = seg_grid[coords[:, 0], coords[:, 1]]
-                    refine = refine_grid[coords[:, 0], coords[:, 1]]
-                mask = assemble_mask(masks[i], coords, seg)
-                rgrid = assemble_grid(refine_grids[i], coords, refine)
-                return feat, rows, mask, rgrid
-
-            feats, rows, masks, refine_grids = zip(*self._map(one))
-            _stage_entries(ledger, w, s, 4 * n_selected, cells[s], cfg.f_neck,
-                           {"subdivide": (n_selected, cells[s - 1]),
-                            "halve": (sum(rows), cells[s])})
+            self._map(step)
+            if s == 0:  # stage 0 runs every cell on both routes
+                _stage_entries(ledger, w, 0, cells[0], cells[0], cfg.f_neck, {})
+            else:
+                n_selected = int(sum(len(c) for c in selected))
+                _stage_entries(ledger, w, s, 4 * n_selected, cells[s], cfg.f_neck,
+                               {"subdivide": (n_selected, cells[s - 1]),
+                                "halve": (sum(rows), cells[s])})
             stage_masks.append(list(masks))
 
         per_roi = [RoiResult(probs=masks[i], score=seg_score(self.rois[i].cls_score, masks[i]),
@@ -684,9 +683,9 @@ class _Engine:
                               w["query_fuse"][0])
         for (kernel,) in w["fcn"]:
             t = ops.relu_active(ops.conv2d_sparse(t, kernel))
-        seg = ops.apply_chain(w["seg_head"][0], t.active).reshape(grid0)
-        refine = ops.apply_chain(w["refine_head"][0], t.active).reshape(grid0)
-        return t, seg, refine
+        seg = ops.apply_chain(w["seg_head"][0], t.active).ravel()
+        refine = ops.apply_chain(w["refine_head"][0], t.active).ravel()
+        return t, t.n_active + t.n_passive, _all_cells(grid0), seg, refine
 
     def sparse_stage(self, i: int, s: int, t: SpsTensor, cells: np.ndarray):
         w = self.weights.stages[s]
@@ -714,9 +713,9 @@ class _Engine:
         x = ops.dense_fuse(x, ext, w["query_fuse"][0])
         for (kernel,) in w["fcn"]:
             x = np.maximum(ops.dense_conv2d(x, kernel), 0.0)
-        seg = ops.dense_chain(x, w["seg_head"][0])[0]
-        refine = ops.dense_chain(x, w["refine_head"][0])[0]
-        return x, seg, refine
+        seg = ops.dense_chain(x, w["seg_head"][0])[0].ravel()
+        refine = ops.dense_chain(x, w["refine_head"][0])[0].ravel()
+        return x, x.shape[1] * x.shape[2], _all_cells(grid0), seg, refine
 
     def dense_stage(self, i: int, s: int, x: np.ndarray, cells: np.ndarray):
         w = self.weights.stages[s]

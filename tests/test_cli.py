@@ -889,6 +889,24 @@ class TestWeightBounds:
         code = main(["refine", "--mode", "weights", "--rois", roi_path, "--out", str(out)] + argv)
         assert_exit_2_no_output(capsys, code, out / "masks.json", out / "ledger.json")
 
+    def test_over_cap_head_refused_before_any_draw(self, tmp_path, monkeypatch):
+        """``--f0 1024`` takes the weights to 67.4M values, over the cap. The
+        array shapes are summed before any array is drawn, so the refusal is
+        quick and small; drawing the arrays under the cap first peaked at
+        548 MiB, more than an accepted ``--f0 512`` run."""
+        roi_path, _, _ = write_inputs(tmp_path, n=1)
+        out = tmp_path / "out"
+        argv = ["refine", "--mode", "weights", "--rois", roi_path, "--out", str(out),
+                "--f0", "1024"]
+        proc, peak_kb = cli_peak(argv)
+        assert proc.returncode == 2 and "cap" in proc.stderr, proc.stderr
+        assert peak_kb < 100 * 1024 and not out.exists()
+        drawn = []
+        monkeypatch.setattr(pipeline, "seeded_rng", lambda *parts: drawn.append(parts))
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 0.5 and drawn == []
+
 
 class TestConvertCommand:
     def test_binary_json_roundtrip(self, tmp_path, rng):

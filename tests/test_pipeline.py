@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -813,6 +814,29 @@ class TestFusionMemory:
         assert peak < block + neck_rows // 2
 
 
+class TestOneStageStep:
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_a_roi_drops_its_previous_features_once_its_step_returns(self, monkeypatch, sparse):
+        # when RoI i's stage-s step starts, RoI i-1's step has replaced its
+        # stage-(s-1) features, so nothing holds them any more
+        name = "sparse_stage" if sparse else "dense_stage"
+        body = getattr(pl._Engine, name)
+        incoming = {}  # (roi, stage) -> weakref to the features its stage body got
+        alive = []  # (roi, stage) whose previous RoI's incoming features outlived its step
+
+        def watched(self, i, s, feats, cells):
+            if i > 0 and incoming[i - 1, s]() is not None:
+                alive.append((i, s))
+            incoming[i, s] = weakref.ref(feats)
+            return body(self, i, s, feats, cells)
+
+        monkeypatch.setattr(pl._Engine, name, watched)
+        rois = [disk_roi(seed=k) for k in (11, 12, 13)]
+        pl.run_refinement(rois, small_config(threads=1), sparse=sparse)
+        assert sorted(incoming) == [(i, s) for i in range(3) for s in (1, 2, 3)]
+        assert alive == []
+
+
 class TestGivenWeightsAndNeck:
     """``run_refinement`` refuses, on both routes, weights or a neck that do not
     fit the run's config."""
@@ -917,7 +941,7 @@ class TestWeightBounds:
         with pytest.raises(SchemaError, match=every_array[-1]):
             pl.PipelineWeights(None, cfg)
         assert every_array[-1] not in drawn  # the array over the cap is never drawn
-        assert drawn == every_array[:-1]
+        assert drawn == []
 
     @pytest.mark.parametrize("f0,millions", [(256, 4.4), (512, 17.1), (1024, None)])
     def test_default_widths_and_f0_limit(self, monkeypatch, f0, millions):
