@@ -1,11 +1,13 @@
 """File formats: binary weight bundles, SPS tensor dumps, JSON records.
 
 All binary layouts are little-endian. JSON reports are dumped with sorted
-keys and an indent of 2, so identical inputs produce identical bytes.
+keys and an indent of 2, so identical inputs produce identical bytes. Each
+writer builds its output in one buffer, which ``write_atomic`` writes once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import mmap
@@ -30,19 +32,41 @@ MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic or reference-ma
 # largest JSON input. A parse peaks at 1.7-3.2x the file's size on perfbench's
 # inputs (tracemalloc), under 1 GiB at this cap; a file of empty objects takes 25x.
 MAX_JSON_BYTES = 1 << 28
+# A parse is estimated before it runs from the file's structural bytes, at these
+# costs (tracemalloc, CPython 3.11, 64-bit): a dict takes 64 bytes per `{`, a
+# list 56 per `[`, and each `,` or `:` adds a slot and a number, at most 40 (a
+# string value takes 49 bytes plus its characters, more than the estimate). A
+# list of empty objects builds 72 bytes per 3-byte `{},` and is estimated at
+# 104; perfbench's inputs build 0.7-1.4x their size and are estimated at 2.5-4.3x.
+# So the budget refuses a 64 MiB list of empty objects (2.2 GiB) and accepts a
+# file at the byte cap with perfbench's ratios (at most 1.1 GiB).
+_PARSE_COSTS = {ord("{"): 64, ord("["): 56, ord(","): 40, ord(":"): 40}
+MAX_JSON_PARSE_BYTES = 3 << 29  # 1.5 GiB
+_COUNT_CHUNK = 1 << 20  # bytes compared at a time while counting structural bytes
+_JSON_BATCH = 1 << 12  # encoder chunks joined at a time while dumping
 MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
 IMAGE_ID_RANGE = (-(1 << 63), (1 << 63) - 1)  # image ids are int64
 
 
 def dump_json(path: str, obj):
-    """Pretty-printed JSON with sorted keys, written atomically."""
-    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2).encode() + b"\n")
+    """Pretty-printed JSON with sorted keys, written atomically: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline. The stdlib
+    encoder's chunks are joined a batch at a time into one buffer, so no list
+    of every chunk, joined string or second copy is held; an object the
+    encoder refuses raises before any file exists."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    out = bytearray()
+    while batch := list(itertools.islice(chunks, _JSON_BATCH)):
+        out += "".join(batch).encode()
+    out += b"\n"
+    write_atomic(path, out)
 
 
-def write_atomic(path: str, data: bytes):
-    """Write via a temp file and rename, so failures leave no partial output and
-    no temp file; a path that cannot be written raises ``SchemaError``."""
+def write_atomic(path: str, data: bytes | bytearray):
+    """Write ``data``, one bytes-like buffer whose length is the bytes written,
+    via a temp file and rename, so failures leave no partial output and no temp
+    file; a path that cannot be written raises ``SchemaError``."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -87,11 +111,25 @@ def _map_file(path: str, what: str, max_bytes: int | None = None):
         raise SchemaError(f"cannot read {what} from {path}: {e}") from e
 
 
+def _parse_estimate(data) -> int:
+    """Bytes a parse of ``data`` is estimated to build: its structural bytes,
+    counted ``_COUNT_CHUNK`` bytes at a time, at ``_PARSE_COSTS``."""
+    view = np.frombuffer(data, dtype=np.uint8)
+    return sum(cost * int(np.count_nonzero(view[start:start + _COUNT_CHUNK] == token))
+               for start in range(0, view.size, _COUNT_CHUNK)
+               for token, cost in _PARSE_COSTS.items())
+
+
 def load_json(path: str):
     """The JSON document at ``path``, decoded as UTF-8 (no encoding sniffing);
-    a file over ``MAX_JSON_BYTES`` is refused from its size, and a parse that
-    runs out of memory raises ``SchemaError`` as well."""
+    a file over ``MAX_JSON_BYTES`` is refused from its size, one whose parse is
+    estimated over ``MAX_JSON_PARSE_BYTES`` from its structural bytes, and a
+    parse that runs out of memory raises ``SchemaError`` as well."""
     data = _map_file(path, "JSON", MAX_JSON_BYTES)
+    estimate = _parse_estimate(data)
+    if estimate > MAX_JSON_PARSE_BYTES:
+        raise SchemaError(f"JSON {path} would parse into about {estimate} bytes, over the "
+                          f"{MAX_JSON_PARSE_BYTES}-byte parse budget")
     try:  # ValueError: bad UTF-8 or bad JSON
         text = str(data, "utf-8")
         del data  # unmapped before the parse allocates
@@ -151,17 +189,24 @@ def _class_id(value) -> int:
 # then the f32 payload.
 
 
+def _cast_into(buf: bytearray, pos: int, arr: np.ndarray, dtype: str) -> int:
+    """Cast ``arr`` into ``buf`` at byte ``pos`` as ``dtype`` (4 bytes a value,
+    the cast ``astype`` makes, without a copy of ``arr``); the end of its slot."""
+    np.copyto(np.frombuffer(buf, dtype, arr.size, pos).reshape(arr.shape), arr, casting="unsafe")
+    return pos + 4 * arr.size
+
+
 def save_weights(path: str, arrays: Mapping[str, np.ndarray]):
-    chunks = []
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    write_atomic(path, b"".join(chunks))
+    """The bundle, in one buffer sized from the shapes (a scalar is saved as
+    shape ``(1,)``)."""
+    records = [(name.encode("utf-8"), np.atleast_1d(arrays[name])) for name in sorted(arrays)]
+    buf = bytearray(sum(3 + len(key) + 4 * arr.ndim + 4 * arr.size for key, arr in records))
+    pos = 0
+    for key, arr in records:
+        struct.pack_into(f"<H{len(key)}sB{arr.ndim}I", buf, pos, len(key), key, arr.ndim,
+                         *arr.shape)
+        pos = _cast_into(buf, pos + 3 + len(key) + 4 * arr.ndim, arr, "<f4")
+    write_atomic(path, buf)
 
 
 def load_weights(path: str) -> dict:
@@ -202,11 +247,14 @@ def load_weights(path: str) -> dict:
 
 
 def save_sps(path: str, t: SpsTensor):
-    header = SPS_MAGIC + struct.pack("<5I", t.f, t.h, t.w, t.n_active, t.n_passive)
-    body = (np.ascontiguousarray(t.active, dtype="<f4").tobytes()
-            + np.ascontiguousarray(t.passive, dtype="<f4").tobytes()
-            + np.ascontiguousarray(t.index_map, dtype="<u4").tobytes())
-    write_atomic(path, header + body)
+    """The dump, in one buffer sized from the shapes."""
+    parts = ((t.active, "<f4"), (t.passive, "<f4"), (t.index_map, "<u4"))
+    buf = bytearray(24 + sum(4 * arr.size for arr, _ in parts))
+    struct.pack_into("<4s5I", buf, 0, SPS_MAGIC, t.f, t.h, t.w, t.n_active, t.n_passive)
+    pos = 24
+    for arr, dtype in parts:
+        pos = _cast_into(buf, pos, arr, dtype)
+    write_atomic(path, buf)
 
 
 def load_sps(path: str) -> SpsTensor:

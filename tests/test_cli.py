@@ -593,6 +593,22 @@ class TestBadInputValues:
         assert f"cannot read JSON from {objs}: out of memory while parsing it" in proc.stderr
         assert "Traceback" not in proc.stderr and not out.exists()
 
+    def test_json_parse_over_budget_refused_before_parsing(self, tmp_path):
+        """A 64 MiB list of empty objects, under the byte cap, would parse into
+        about 1.6 GB; it is refused from its structural bytes with no address-space
+        limit, at the child's start-up footprint plus the mapped file."""
+        objs = tmp_path / "objs.json"
+        with open(objs, "wb") as f:
+            f.write(b"[" + b"{}," * ((64 << 20) // 3 - 1) + b"{}]")
+        out = tmp_path / "r.json"
+        proc, peak_kb = cli_peak(["eval", "--task", "det", "--preds", str(objs),
+                                  "--gts", str(objs), "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert f"JSON {objs} would parse into about " in proc.stderr
+        assert f"over the {io.MAX_JSON_PARSE_BYTES}-byte parse budget" in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
+        assert peak_kb < 200_000
+
 
 def box_record(image_id, cls, box, score=None):
     rec = {"image_id": image_id, "class": cls, "box": list(box)}

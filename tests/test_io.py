@@ -1,9 +1,15 @@
+import importlib.util
+import json
 import os
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spsr import cli, io
 from spsr import pipeline as pl
@@ -478,3 +484,141 @@ class TestLoaderRule:
                 io.load_json(str(path))
         else:
             assert io.load_json(str(path)) == want
+
+
+# --- writers -------------------------------------------------------------------
+
+_NUMBER_KEYS = st.integers(-(1 << 70), 1 << 70) | st.floats() | st.booleans()
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(1 << 63, 1 << 80)
+            | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+            | st.text())
+# Keys of one dict are of one sortable kind: strings, numbers (ints, floats,
+# bools) or the one None key.
+_DOCS = st.recursive(_SCALARS, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(_NUMBER_KEYS, children, max_size=3)
+    | st.dictionaries(st.none(), children, max_size=1)), max_leaves=40)
+MIB = 1 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_dump_json_writes_the_stdlib_bytes(obj):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        io.dump_json(path, obj)
+        with open(path, "rb") as f:
+            assert f.read() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _large_tensor(n: int, f: int = 16) -> SpsTensor:
+    """A tensor of ``n`` active rows and one passive row, each of ``f`` values."""
+    return SpsTensor(active=np.arange(n * f, dtype=np.float64).reshape(n, f) / 7,
+                     passive=np.ones((1, f)),
+                     index_map=np.append(np.arange(n + 1), n).reshape(-1, 2))
+
+
+class TestWriters:
+    def test_dump_json_holds_the_file_about_once(self, tmp_path):
+        path = tmp_path / "t.json"
+        doc = io.sps_to_dict(_large_tensor(27_000))  # the document ``convert`` writes
+        _, peak = traced_peak(io.dump_json, str(path), doc)
+        size = path.stat().st_size
+        assert size >= 10_000_000
+        assert peak <= 1.25 * size + MIB
+        assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_save_sps_holds_its_payload_once(self, tmp_path):
+        t = _large_tensor(160_000)
+        path = tmp_path / "t.bin"
+        _, peak = traced_peak(io.save_sps, str(path), t)
+        size = path.stat().st_size
+        assert size >= 10_000_000 and peak <= size + MIB
+        back = io.load_sps(str(path))
+        np.testing.assert_array_equal(back.active, t.active.astype(np.float32))
+        np.testing.assert_array_equal(back.index_map, t.index_map)
+
+    def test_save_weights_holds_its_payload_once(self, tmp_path, rng):
+        arrays = {f"stage0.fcn.c{i}.weight": rng.standard_normal((256, 256, 3, 3))
+                  for i in range(5)}
+        path = tmp_path / "w.bin"
+        _, peak = traced_peak(io.save_weights, str(path), arrays)
+        size = path.stat().st_size
+        assert size >= 10_000_000 and peak <= size + MIB
+        back = io.load_weights(str(path))
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(back[name], arr.astype(np.float32))
+
+    @pytest.mark.parametrize("active,passive", [(0, 2), (2, 0)])
+    def test_save_sps_with_an_empty_block(self, tmp_path, active, passive):
+        t = SpsTensor(active=np.ones((active, 3)), passive=np.full((passive, 3), 2.0),
+                      index_map=np.arange(2).reshape(1, 2))
+        path = str(tmp_path / "t.bin")
+        io.save_sps(path, t)
+        back = io.load_sps(path)
+        assert (back.n_active, back.n_passive, back.f) == (active, passive, 3)
+        np.testing.assert_array_equal(back.index_map, t.index_map)
+
+    def test_save_weights_with_empty_and_scalar_arrays(self, tmp_path):
+        path = str(tmp_path / "w.bin")
+        io.save_weights(path, {"a": np.zeros((0, 3)), "b": np.float64(1.5), "c": np.zeros(0)})
+        back = io.load_weights(path)
+        assert {name: arr.shape for name, arr in back.items()} == {"a": (0, 3), "b": (1,),
+                                                                 "c": (0,)}
+        assert back["b"][0] == 1.5
+
+    @pytest.mark.parametrize("obj", [{"a": object()}, [1, {2: "x", "y": 3}]])
+    def test_unserializable_value_raises_and_leaves_no_file(self, tmp_path, obj):
+        path = tmp_path / "out" / "r.json"
+        path.parent.mkdir()
+        with pytest.raises(TypeError):
+            io.dump_json(str(path), obj)
+        assert os.listdir(path.parent) == []
+
+
+# --- the JSON parse budget -----------------------------------------------------
+
+
+def _perfbench_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestParseBudget:
+    def test_refused_from_its_structural_bytes_before_decoding(self, tmp_path, monkeypatch):
+        path = tmp_path / "objs.json"
+        path.write_bytes(b"[" + b",".join([b"{}"] * 1000) + b"]")
+        estimate = 56 + 64 * 1000 + 40 * 999
+        assert io._parse_estimate(path.read_bytes()) == estimate
+        monkeypatch.setattr(io, "MAX_JSON_PARSE_BYTES", estimate)
+        assert io.load_json(str(path)) == [{}] * 1000
+        monkeypatch.setattr(io, "MAX_JSON_PARSE_BYTES", estimate - 1)
+        monkeypatch.setattr(io.json, "loads", lambda *a: pytest.fail("decoded"))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"JSON {path} would parse into about {estimate} bytes, over the "
+                f"{estimate - 1}-byte parse budget")):
+            io.load_json(str(path))
+
+    def test_counted_a_chunk_at_a_time(self, monkeypatch):
+        data = b'{"a": [1, 2], "b": {"c": 3}}' * 50
+        whole = io._parse_estimate(data)
+        monkeypatch.setattr(io, "_COUNT_CHUNK", 7)
+        assert io._parse_estimate(data) == whole == 50 * (2 * 64 + 56 + 2 * 40 + 3 * 40)
+
+    def test_perfbench_inputs_fit_the_budget_at_the_byte_cap(self, tmp_path):
+        """Each of perfbench's input kinds, scaled to ``MAX_JSON_BYTES`` at its own
+        ratio of structural bytes, is estimated within the parse budget."""
+        corpus = _perfbench_corpus()
+        paths = [*corpus.write_refine_image(str(tmp_path), 0, 0, 10, 448, 112)]
+        paths += [p for pair in corpus.write_eval_corpus(
+            str(tmp_path), 0, 0, 256, 3, 4, {"masks": 1, "det": 2, "panoptic": 2}).values()
+            for p in pair]
+        for path in paths:
+            data = Path(path).read_bytes()
+            at_cap = io._parse_estimate(data) * io.MAX_JSON_BYTES / len(data)
+            assert at_cap <= io.MAX_JSON_PARSE_BYTES, path
+            io.load_json(path)
