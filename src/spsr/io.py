@@ -14,7 +14,6 @@ import mmap
 import os
 import stat
 import struct
-import tempfile
 from typing import Mapping
 
 import numpy as np
@@ -34,13 +33,22 @@ MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic or reference-ma
 MAX_JSON_BYTES = 1 << 28
 # A parse is estimated before it runs from the file's structural bytes, at these
 # costs (tracemalloc, CPython 3.11, 64-bit): a dict takes 64 bytes per `{`, a
-# list 56 per `[`, and each `,` or `:` adds a slot and a number, at most 40 (a
-# string value takes 49 bytes plus its characters, more than the estimate). A
-# list of empty objects builds 72 bytes per 3-byte `{},` and is estimated at
-# 104; perfbench's inputs build 0.7-1.4x their size and are estimated at 2.5-4.3x.
-# So the budget refuses a 64 MiB list of empty objects (2.2 GiB) and accepts a
-# file at the byte cap with perfbench's ratios (at most 1.1 GiB).
-_PARSE_COSTS = {ord("{"): 64, ord("["): 56, ord(","): 40, ord(":"): 40}
+# list 56 per `[`, and each `,` or `:` adds a slot and a number, at most 40. A
+# string value of two or more characters builds 49 bytes plus its characters
+# (shorter ones are shared) and is charged _STRING_COST, as a 7-character one,
+# half at each `"`; a key, a `"` followed by `:`, gets both halves back, since
+# the decoder shares each key's string. A list of empty objects builds 72 bytes
+# per 3-byte `{},` and is estimated at 104; a list of 4-character strings builds
+# 61 bytes per 7-byte `"abcd",` and is estimated at 96; perfbench's inputs build
+# 0.7-1.4x their size and are estimated at 2.5-4.3x.
+# So the budget refuses a 64 MiB list of empty objects (2.2 GiB) and a 256 MiB
+# list of 4-character strings (3.4 GiB), and accepts each of perfbench's input
+# kinds scaled to the byte cap (at most 1.1 GiB) and every record example of
+# the README (strings there are `format` values only).
+_STRING_COST = 56
+_PARSE_COSTS = {ord("{"): 64, ord("["): 56, ord(","): 40, ord(":"): 40,
+                ord('"'): _STRING_COST // 2}
+_KEY_WORD = ord('"') | ord(":") << 8  # a key's `":`, read as a little-endian 2-byte word
 MAX_JSON_PARSE_BYTES = 3 << 29  # 1.5 GiB
 _COUNT_CHUNK = 1 << 20  # bytes compared at a time while counting structural bytes
 _JSON_BATCH = 1 << 12  # encoder chunks joined at a time while dumping
@@ -66,12 +74,16 @@ def dump_json(path: str, obj):
 def write_atomic(path: str, data: bytes | bytearray):
     """Write ``data``, one bytes-like buffer whose length is the bytes written,
     via a temp file and rename, so failures leave no partial output and no temp
-    file; a path that cannot be written raises ``SchemaError``."""
+    file; a path that cannot be written raises ``SchemaError``. The temp file
+    is created with mode 0o666 less the umask, as a plain ``open`` creates a
+    file, and the output keeps that mode."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # ours to remove only once created
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -112,12 +124,20 @@ def _map_file(path: str, what: str, max_bytes: int | None = None):
 
 
 def _parse_estimate(data) -> int:
-    """Bytes a parse of ``data`` is estimated to build: its structural bytes,
-    counted ``_COUNT_CHUNK`` bytes at a time, at ``_PARSE_COSTS``."""
+    """Bytes a parse of ``data`` is estimated to build: its structural bytes at
+    ``_PARSE_COSTS``, less ``_STRING_COST`` per key, counted ``_COUNT_CHUNK``
+    bytes at a time. Keys are counted as 2-byte words at even and then at odd
+    offsets, so no chunk edge splits one."""
     view = np.frombuffer(data, dtype=np.uint8)
-    return sum(cost * int(np.count_nonzero(view[start:start + _COUNT_CHUNK] == token))
-               for start in range(0, view.size, _COUNT_CHUNK)
-               for token, cost in _PARSE_COSTS.items())
+    pairs = [np.frombuffer(data, dtype="<u2", count=(view.size - odd) // 2, offset=odd)
+             for odd in (0, 1) if view.size > odd]
+    step = max(_COUNT_CHUNK // 2, 1)
+    charged = sum(cost * int(np.count_nonzero(view[start:start + _COUNT_CHUNK] == token))
+                  for start in range(0, view.size, _COUNT_CHUNK)
+                  for token, cost in _PARSE_COSTS.items())
+    keys = sum(int(np.count_nonzero(words[start:start + step] == _KEY_WORD))
+               for words in pairs for start in range(0, words.size, step))
+    return charged - _STRING_COST * keys
 
 
 def load_json(path: str):

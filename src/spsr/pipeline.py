@@ -570,6 +570,14 @@ def _stage_entries(ledger: CostLedger, w: PipelineWeights, s: int, active: int, 
 
 
 class _Engine:
+    """One refinement over one image's RoIs, run once by :meth:`run`.
+
+    The engine holds its own ``NeckFeatures``: a new dict of the given (or
+    synthesized) neck's levels. ``run`` drops a level from it as soon as no
+    later stage samples that level, so a caller's neck is never changed and a
+    synthesized one is freed level by level.
+    """
+
     def __init__(self, rois: Sequence[RoiInput], config: RunConfig,
                  weights: PipelineWeights | None, neck: NeckFeatures | None):
         if not rois:
@@ -589,7 +597,7 @@ class _Engine:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
         _check_neck(neck, config.f_neck)
-        self.neck = neck
+        self.neck = NeckFeatures(levels=dict(neck.levels))  # run prunes this dict only
         self.k0 = [assign_level(r.box) for r in self.rois]
         self.queries = [seeded_rng(config.seed, "query", i).standard_normal(config.f_query)
                         for i in range(len(self.rois))]
@@ -632,6 +640,9 @@ class _Engine:
         cells)`` on the children of its selected ``cells``. Both return ``(feats,
         feature rows, coords, seg, refine)``, one seg and refine value per coord.
         Each RoI's step replaces its own features: a RoI holds one stage of them.
+        Stage s starts by dropping every neck level that no stage ``t >= s``
+        samples (:func:`stage_level` of each RoI's ``k0``), so the engine holds
+        only the levels a later stage reads; it can run only once.
         """
         cfg, w = self.config, self.weights
         ledger = CostLedger()
@@ -641,6 +652,9 @@ class _Engine:
         stage_masks = []
 
         for s, st in enumerate(self.plan):
+            later = {stage_level(k0, t) for k0 in self.k0 for t in range(s, len(self.plan))}
+            for level in set(self.neck.levels) - later:
+                del self.neck.levels[level]
             selected = select_active(refine_grids, top_n) if s else None
 
             def step(i: int):

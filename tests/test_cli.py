@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -609,6 +610,29 @@ class TestBadInputValues:
         assert "Traceback" not in proc.stderr and not out.exists()
         assert peak_kb < 200_000
 
+    def test_json_string_list_over_budget_refused_before_parsing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """A list of 4-character strings at the byte cap would parse into about
+        2.2 GiB (each `"abcd",` builds 61 bytes): its string values are charged,
+        so it is refused from its bytes, before any decoding."""
+        strings = tmp_path / "strings.json"
+        piece = b'"abcd",' * ((1 << 20) // 7)
+        with open(strings, "wb") as f:
+            f.write(b"[")
+            for _ in range((io.MAX_JSON_BYTES - 16) // len(piece)):
+                f.write(piece)
+            f.write(b'"abcd"]')
+        assert strings.stat().st_size <= io.MAX_JSON_BYTES
+        monkeypatch.setattr(io.json, "loads", fail_if_called)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "det", "--preds", str(strings), "--gts", str(strings),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"JSON {strings} would parse into about " in err
+        assert f"over the {io.MAX_JSON_PARSE_BYTES}-byte parse budget" in err
+        assert not out.exists()
+
 
 def box_record(image_id, cls, box, score=None):
     rec = {"image_id": image_id, "class": cls, "box": list(box)}
@@ -1030,6 +1054,31 @@ class TestConvertCommand:
         src.write_bytes(bytes(data))
         assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
                                               "--output", str(out)]), out)
+
+
+class TestOutputMode:
+    """An output gets the mode a plain ``open`` gives a new file, 0o666 less the
+    umask, though it is written to a temp file and renamed into place."""
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        rois, masks, _ = write_inputs(tmp_path, n=1)
+        dets = str(tmp_path / "dets.json")
+        io.dump_json(dets, [box_record(0, 1, [0, 0, 10, 10], 0.9)])
+        out, report, bundle = tmp_path / "out", tmp_path / "report.json", tmp_path / "w.bin"
+        before = os.umask(umask)
+        try:
+            assert main(["refine", "--mode", "oracle", "--rois", rois, "--ref-masks", masks,
+                         "--out", str(out)] + REFINE_FAST) == 0
+            assert main(["eval", "--task", "det", "--preds", dets, "--gts", dets,
+                         "--out", str(report)]) == 0
+            io.save_weights(str(bundle), {"stage0.seg.l0.bias": np.zeros(1)})
+        finally:
+            os.umask(before)
+        for path in (out / "masks.json", out / "ledger.json", report, bundle):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
+        assert not list(tmp_path.rglob(".tmp-*"))
 
 
 class TestUnwritableOutput:

@@ -609,6 +609,20 @@ class TestParseBudget:
         monkeypatch.setattr(io, "_COUNT_CHUNK", 7)
         assert io._parse_estimate(data) == whole == 50 * (2 * 64 + 56 + 2 * 40 + 3 * 40)
 
+    def test_string_values_are_charged_and_keys_are_not(self):
+        assert io._parse_estimate(b'["abcd", "efgh"]') == 56 + 40 + 2 * io._STRING_COST
+        # the decoder shares each key's string; a `"` followed by `:` closes one
+        assert io._parse_estimate(b'{"a": "xy", "b": 1}') == 64 + 2 * 40 + 40 + io._STRING_COST
+        assert io._parse_estimate(b'{"a" : 1}') == 64 + 40 + io._STRING_COST  # over, not under
+
+    def test_a_key_split_by_the_chunk_edge_is_counted_once(self, monkeypatch):
+        data = b'[{"key": "value", "k": ["a", "bc"]}, {"key": ""}]'
+        whole = io._parse_estimate(data)
+        assert whole == 56 + 3 * 40 + 2 * 64 + 56 + 3 * 40 + 4 * io._STRING_COST
+        for chunk in range(1, len(data) + 2):
+            monkeypatch.setattr(io, "_COUNT_CHUNK", chunk)
+            assert io._parse_estimate(data) == whole, chunk
+
     def test_perfbench_inputs_fit_the_budget_at_the_byte_cap(self, tmp_path):
         """Each of perfbench's input kinds, scaled to ``MAX_JSON_BYTES`` at its own
         ratio of structural bytes, is estimated within the parse budget."""

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import weakref
 from unittest import mock
 
@@ -835,6 +836,110 @@ class TestOneStageStep:
         pl.run_refinement(rois, small_config(threads=1), sparse=sparse)
         assert sorted(incoming) == [(i, s) for i in range(3) for s in (1, 2, 3)]
         assert alive == []
+
+
+LEVEL_IMAGE = (480, 480)
+
+
+def level_rois():
+    """Box-only RoIs of a ``LEVEL_IMAGE`` image, of k0 2, 3, 4 and 5."""
+    return [pl.RoiInput(box=pl.RoiBox(10, 10, 10 + side, 10 + side))
+            for side in (60, 120, 240, 460)]
+
+
+class TestNeckLevelLifetime:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_a_level_lives_while_a_later_stage_samples_it(self, monkeypatch, sparse, stages,
+                                                          threads):
+        rois = level_rois()
+        k0s = [pl.assign_level(r.box) for r in rois]
+        assert k0s == [2, 3, 4, 5]
+        synthesize = pl.NeckFeatures.synthesize
+        drawn = {}  # level -> weakref to the grid synthesize drew
+
+        def watched_synthesize(*args):
+            neck = synthesize(*args)
+            drawn.update((level, weakref.ref(grid)) for level, grid in neck.levels.items())
+            return neck
+
+        alive = {}  # stage -> the drawn levels alive when its first step started
+        lock = threading.Lock()
+        route = "sparse_" if sparse else "dense_"
+        for name in ("stage0", "stage"):
+            def watched(self, i, *rest, body=getattr(pl._Engine, route + name)):
+                with lock:
+                    alive.setdefault(rest[0] if rest else 0,
+                                     {level for level, ref in drawn.items() if ref() is not None})
+                return body(self, i, *rest)
+
+            monkeypatch.setattr(pl._Engine, route + name, watched)
+        monkeypatch.setattr(pl.NeckFeatures, "synthesize", watched_synthesize)
+        cfg = small_config(mode="weights", stages=stages, threads=threads, top_n_active=300,
+                           image_hw=LEVEL_IMAGE)
+        pl.run_refinement(rois, cfg, sparse=sparse)
+        assert sorted(drawn) == [2, 3, 4, 5]
+        assert alive == {s: {pl.stage_level(k0, t) for k0 in k0s for t in range(s, stages + 1)}
+                         for s in range(stages + 1)}
+
+    def test_a_given_neck_keeps_its_levels(self):
+        cfg = small_config(mode="weights", top_n_active=300, image_hw=LEVEL_IMAGE)
+        neck = pl.NeckFeatures.synthesize(cfg.seed, cfg.image_hw, cfg.f_neck)
+        held = dict(neck.levels)
+        values = {level: grid.copy() for level, grid in held.items()}
+        for sparse in (True, False):
+            pl.run_refinement(level_rois(), cfg, neck=neck, sparse=sparse)
+        assert sorted(neck.levels) == [2, 3, 4, 5]
+        for level, grid in neck.levels.items():
+            assert grid is held[level]
+            np.testing.assert_array_equal(grid, values[level])
+
+    def test_stage3_peak_holds_level2_and_one_fusion_block(self):
+        # the TestFusionMemory RoI (k0 4) samples level 2 from stage 2 on, so
+        # levels 3-5 (8.0 MiB) are gone when its 26 MiB stage-3 fusion block is
+        # allocated; holding them breaks the bound
+        import scipy.sparse  # noqa: F401  (a first import would count about 10 MiB here)
+        cfg = pl.RunConfig(mode="weights", f0=64, f_query=256, f_neck=256, image_hw=(448, 448))
+        weights = pl.PipelineWeights(None, cfg)
+        roi = pl.RoiInput(box=pl.RoiBox(40, 40, 400, 400))
+        result, peak = traced_peak(pl.run_refinement, [roi], cfg, weights)
+        n = 4 * 56 * 56
+        assert [(e.active_cells, e.total_cells) for e in result.ledger.entries
+                if e.stage == 3 and e.op == "neck_fuse"] == [(n, n)]  # every parent selected
+        level_bytes = {level: 8 * gh * gw * cfg.f_neck
+                       for level, (gh, gw) in pl.neck_grids(cfg.image_hw, cfg.f_neck).items()}
+        block = 8 * n * (cfg.stage_configs()[2].f + cfg.f_neck)
+        # one sampling chunk, and the RoI's tensors, coordinates and chain
+        # outputs (5.5 MiB together, measured)
+        slack = 8 * ops.CHUNK_VALUES + (4 << 20)
+        assert slack < level_bytes[3] + level_bytes[4] + level_bytes[5]
+        assert peak < level_bytes[2] + block + slack
+
+
+class TestGivenNeckMatchesSynthesized:
+    """A run given the neck it would synthesize gives the same masks and
+    ledger, so dropping levels never drops one a later stage reads."""
+
+    # box sides of k0 2, 3, 4 and 5 on a LEVEL_IMAGE image
+    sides = st.one_of(st.integers(20, 111), st.integers(112, 223), st.integers(224, 447),
+                      st.integers(448, 460))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(sides, st.integers(0, 19), st.integers(0, 19)),
+                    min_size=1, max_size=4),
+           st.integers(1, 3), st.sampled_from([None, 0, 40, 300, 100000]), st.booleans(),
+           st.integers(0, 3))
+    def test_same_probs_and_ledger(self, boxes, stages, top_n, sparse, seed):
+        rois = [pl.RoiInput(box=pl.RoiBox(x, y, x + side, y + side)) for side, x, y in boxes]
+        cfg = small_config(mode="weights", stages=stages, top_n_active=top_n, seed=seed,
+                           image_hw=LEVEL_IMAGE)
+        neck = pl.NeckFeatures.synthesize(seed, cfg.image_hw, cfg.f_neck)
+        want = pl.run_refinement(rois, cfg, sparse=sparse)
+        got = pl.run_refinement(rois, cfg, neck=neck, sparse=sparse)
+        for a, b in zip(want.per_roi, got.per_roi):
+            assert a.probs.tobytes() == b.probs.tobytes()
+        assert got.ledger == want.ledger
 
 
 class TestGivenWeightsAndNeck:
