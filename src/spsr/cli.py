@@ -1,4 +1,4 @@
-"""Command-line interface: refine, eval, bench and convert subcommands.
+"""Command-line interface: refine, eval and bench subcommands.
 
 The CLI is a thin shell over the library: shared options default to
 :class:`RunConfig`'s fields, ``bench --shape`` and ``--canvas`` to
@@ -80,13 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="square canvas side")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
-    p = sub.add_parser("convert", help="convert SPS tensor dumps binary <-> JSON",
-                       epilog="Binary layout (little-endian): magic SPS1; F, H, W, N_A, "
-                              "N_P as u32; active then passive rows as f32; row-major "
-                              "u32 index map. JSON uses the sps-tensor/1 schema.")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True,
-                   help="direction chosen by extension: .json writes JSON, else binary")
     return parser
 
 
@@ -184,21 +177,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_convert(args) -> int:
-    io.check_writable(args.output)
-    to_json = args.output.endswith(".json")
-    if args.input.endswith(".json"):
-        tensor = io.sps_from_dict(io.load_json(args.input))
-    else:
-        tensor = io.load_sps(args.input)
-    if to_json:
-        io.dump_json(args.output, io.sps_to_dict(tensor))
-    else:
-        io.save_sps(args.output, tensor)
-    print(f"converted {args.input} -> {args.output}")
-    return 0
-
-
 @functools.cache
 def _blas_thread_calls():
     """The ``(get, set)`` thread-count calls of NumPy's bundled OpenBLAS, or
@@ -236,8 +214,7 @@ def _one_blas_thread():
 def main(argv=None) -> int:
     with _one_blas_thread():
         args = build_parser().parse_args(argv)
-        handlers = {"refine": cmd_refine, "eval": cmd_eval,
-                    "bench": cmd_bench, "convert": cmd_convert}
+        handlers = {"refine": cmd_refine, "eval": cmd_eval, "bench": cmd_bench}
         try:
             return handlers[args.command](args)
         except SchemaError as e:

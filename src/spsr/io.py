@@ -1,4 +1,4 @@
-"""File formats: binary weight bundles, SPS tensor dumps, JSON records.
+"""File formats: binary weight bundles, JSON records.
 
 All binary layouts are little-endian. JSON reports are dumped with sorted
 keys and an indent of 2, so identical inputs produce identical bytes. Each
@@ -18,34 +18,34 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractError, SchemaError
+from .errors import SchemaError
 from .metrics import EvalEntry, PanopticSegment, Rle, rle_decode, rle_encode
 from .pipeline import RoiBox, RoiInput
-from .tensor import SpsTensor
 
-SPS_MAGIC = b"SPS1"
 MASK_FORMAT = "sps-rle/1"
-TENSOR_FORMAT = "sps-tensor/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
 MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic or reference-mask file
 # largest JSON input. A parse peaks at 1.7-3.2x the file's size on perfbench's
 # inputs (tracemalloc), under 1 GiB at this cap; a file of empty objects takes 25x.
 MAX_JSON_BYTES = 1 << 28
-# A parse is estimated before it runs from the file's structural bytes, at these
-# costs (tracemalloc, CPython 3.11, 64-bit): a dict takes 64 bytes per `{`, a
-# list 56 per `[`, and each `,` or `:` adds a slot and a number, at most 40. A
-# string value of two or more characters builds 49 bytes plus its characters
-# (shorter ones are shared) and is charged _STRING_COST, as a 7-character one,
-# half at each `"`; a key, a `"` followed by `:`, gets both halves back, since
-# the decoder shares each key's string. A list of empty objects builds 72 bytes
-# per 3-byte `{},` and is estimated at 104; a list of 4-character strings builds
-# 61 bytes per 7-byte `"abcd",` and is estimated at 96; perfbench's inputs build
-# 0.7-1.4x their size and are estimated at 2.5-4.3x.
-# So the budget refuses a 64 MiB list of empty objects (2.2 GiB) and a 256 MiB
-# list of 4-character strings (3.4 GiB), and accepts each of perfbench's input
-# kinds scaled to the byte cap (at most 1.1 GiB) and every record example of
-# the README (strings there are `format` values only).
+# A parse is estimated before it runs from the file's structural bytes, at these costs
+# (tracemalloc, CPython 3.11, 64-bit): a dict takes 64 bytes per `{`, a list 56 per
+# `[`, and each `,` or `:` adds a slot and a number, at most 40. A string value of two
+# or more characters builds 49 bytes plus its characters (shorter ones are shared) and
+# is charged _STRING_COST, as a 7-character one, half at each `"`; a key, a `"`
+# followed by `:`, gets both halves back, since the decoder shares each key's string.
+# The decoded text and each string hold every character at the widest one's width: a
+# 4 MiB string ending in one U+4E2D peaks at 4.00x its size, one ending in U+1F600 at
+# 8.00x (all ASCII: 2.00x), each plus 1.3 KB of decoder state; so a file whose largest
+# UTF-8 lead byte marks 2 or 4 bytes a character adds twice that per byte, and
+# _WIDE_DECODE. A list of empty objects builds 72 bytes per 3-byte `{},` and is
+# estimated at 104, one of 4-character strings 61 bytes per 7-byte `"abcd",` and is
+# estimated at 96; perfbench's inputs build 0.7-1.4x their size, estimated at 2.5-4.3x.
+# So the budget refuses 64 MiB of `{},` (2.2 GiB), 256 MiB of `"abcd",` (3.4 GiB) and a
+# 256 MiB string with one emoji (2 GiB), and accepts perfbench's inputs at the byte cap
+# (at most 1.1 GiB) and the README's records (their strings are `format` values only).
 _STRING_COST = 56
+_WIDE_DECODE = 1 << 11
 _PARSE_COSTS = {ord("{"): 64, ord("["): 56, ord(","): 40, ord(":"): 40,
                 ord('"'): _STRING_COST // 2}
 _KEY_WORD = ord('"') | ord(":") << 8  # a key's `":`, read as a little-endian 2-byte word
@@ -125,19 +125,22 @@ def _map_file(path: str, what: str, max_bytes: int | None = None):
 
 def _parse_estimate(data) -> int:
     """Bytes a parse of ``data`` is estimated to build: its structural bytes at
-    ``_PARSE_COSTS``, less ``_STRING_COST`` per key, counted ``_COUNT_CHUNK``
-    bytes at a time. Keys are counted as 2-byte words at even and then at odd
-    offsets, so no chunk edge splits one."""
+    ``_PARSE_COSTS`` less ``_STRING_COST`` per key, and its text if wide (see
+    above), counted ``_COUNT_CHUNK`` bytes at a time. Keys are counted as 2-byte
+    words at even and then at odd offsets, so no chunk edge splits one."""
     view = np.frombuffer(data, dtype=np.uint8)
     pairs = [np.frombuffer(data, dtype="<u2", count=(view.size - odd) // 2, offset=odd)
              for odd in (0, 1) if view.size > odd]
     step = max(_COUNT_CHUNK // 2, 1)
-    charged = sum(cost * int(np.count_nonzero(view[start:start + _COUNT_CHUNK] == token))
-                  for start in range(0, view.size, _COUNT_CHUNK)
-                  for token, cost in _PARSE_COSTS.items())
+    charged = lead = 0
+    for chunk in (view[start:start + _COUNT_CHUNK] for start in range(0, view.size, _COUNT_CHUNK)):
+        charged += sum(c * int(np.count_nonzero(chunk == t)) for t, c in _PARSE_COSTS.items())
+        lead = max(lead, int(chunk.max()))
     keys = sum(int(np.count_nonzero(words[start:start + step] == _KEY_WORD))
                for words in pairs for start in range(0, words.size, step))
-    return charged - _STRING_COST * keys
+    width = 4 if lead >= 0xF0 else 2 if lead >= 0xC4 else 1
+    wide = 2 * width * view.size + _WIDE_DECODE if width > 1 else 0
+    return charged - _STRING_COST * keys + wide
 
 
 def load_json(path: str):
@@ -258,81 +261,6 @@ def load_weights(path: str) -> dict:
             raise SchemaError(f"weight bundle {path} holds array {name} twice")
         arrays[name] = arr
     return arrays
-
-
-# --- SPS tensor dumps --------------------------------------------------------
-#
-# Header: magic "SPS1", then F, H, W, N_A, N_P as u32. Payload: active rows,
-# passive rows (f32, row-major), then the index map (u32, row-major).
-
-
-def save_sps(path: str, t: SpsTensor):
-    """The dump, in one buffer sized from the shapes."""
-    parts = ((t.active, "<f4"), (t.passive, "<f4"), (t.index_map, "<u4"))
-    buf = bytearray(24 + sum(4 * arr.size for arr, _ in parts))
-    struct.pack_into("<4s5I", buf, 0, SPS_MAGIC, t.f, t.h, t.w, t.n_active, t.n_passive)
-    pos = 24
-    for arr, dtype in parts:
-        pos = _cast_into(buf, pos, arr, dtype)
-    write_atomic(path, buf)
-
-
-def load_sps(path: str) -> SpsTensor:
-    """The dump at ``path``, refused from its header alone; it holds no view of the file."""
-    data = _map_file(path, "tensor")
-    if data[:4] != SPS_MAGIC:
-        raise SchemaError(f"{path} is not an SPS tensor dump (bad magic)")
-    try:
-        f, h, w, n_a, n_p = struct.unpack_from("<5I", data, 4)
-        pos = 4 + 20
-        active = np.frombuffer(data, dtype="<f4", count=n_a * f, offset=pos).reshape(n_a, f)
-        pos += 4 * n_a * f
-        passive = np.frombuffer(data, dtype="<f4", count=n_p * f, offset=pos).reshape(n_p, f)
-        pos += 4 * n_p * f
-        index = np.frombuffer(data, dtype="<u4", count=h * w, offset=pos).reshape(h, w).copy()
-        pos += 4 * h * w
-    except (struct.error, ValueError) as e:
-        raise SchemaError(f"truncated SPS dump {path}: {e}") from e
-    if pos != len(data):
-        raise SchemaError(f"SPS dump {path} has {len(data) - pos} bytes after its index map")
-    return _finite_sps(active, passive, index, path)
-
-
-def sps_to_dict(t: SpsTensor) -> dict:
-    return {
-        "format": TENSOR_FORMAT,
-        "f": t.f, "h": t.h, "w": t.w,
-        "active": np.asarray(t.active, dtype=np.float32).tolist(),
-        "passive": np.asarray(t.passive, dtype=np.float32).tolist(),
-        "index_map": t.index_map.tolist(),
-    }
-
-
-def sps_from_dict(d: dict) -> SpsTensor:
-    if not isinstance(d, dict):
-        raise SchemaError("a tensor record must be a JSON object")
-    try:
-        if d.get("format") != TENSOR_FORMAT:
-            raise SchemaError(f"unknown tensor format {d.get('format')!r}")
-        f = _integer(d["f"], "f", 1, (1 << 32) - 1)
-        active = np.asarray(d["active"], dtype=np.float64).reshape(-1, f)
-        passive = np.asarray(d["passive"], dtype=np.float64).reshape(-1, f)
-        index = np.asarray(d["index_map"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"malformed tensor record: {e}") from e
-    return _finite_sps(active, passive, index, "tensor record")
-
-
-def _finite_sps(active, passive, index, source: str) -> SpsTensor:
-    """The loaded tensor, or ``SchemaError`` if it breaks the tensor's contract or
-    holds a value that is not finite: NaN/Inf would pass every operator and
-    reach JSON output as bare tokens that are not valid JSON."""
-    if not (np.all(np.isfinite(active)) and np.all(np.isfinite(passive))):
-        raise SchemaError(f"{source}: tensor values must be finite")
-    try:
-        return SpsTensor(active=active, passive=passive, index_map=index)
-    except ContractError as e:
-        raise SchemaError(f"{source}: {e}") from e
 
 
 # --- JSON record schemas -----------------------------------------------------

@@ -7,8 +7,8 @@ cells), and a dense ``[H, W]`` index map. Indices below ``N_A`` point into the
 active matrix, the rest into the passive matrix, so any 2D neighborhood can
 still be resolved while only active rows are ever recomputed.
 
-``SpsTensor`` checks its contract on construction, for the file loaders too:
-the map is range-checked before any value is converted or counted.
+``SpsTensor`` checks its contract on construction: the map is range-checked
+before any value is converted or counted.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
+import argparse
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from spsr.cost import compare
 from spsr.metrics import rle_encode
 from spsr.pipeline import make_targets
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
-from spsr.tensor import SpsTensor
 
 from conftest import cli_peak
 
@@ -219,6 +221,17 @@ def test_negative_top_n_exit_3(tmp_path, capsys, top_n):
     assert not bench_out.exists()
 
 
+def test_readme_documents_each_subcommand():
+    """The ``### <name>`` headings of README's ``## CLI`` section are the parser's
+    subcommands, in order: the README documents no command that is gone and
+    misses no new one."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (subcommands,) = [action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert re.findall(r"^### (\S+)$", section, flags=re.M) == list(subcommands)
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """``eval`` never samples the neck, so it must not pay for ``scipy.sparse``;
     the bilinear kernel loads it on first use."""
@@ -232,10 +245,10 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_eval_and_convert_load_no_scipy(tmp_path, rng):
+def test_eval_loads_no_scipy(tmp_path, rng):
     """Only the bilinear kernel needs SciPy: after ``import spsr.cli``, every
-    ``eval`` task and ``convert`` leave ``sys.modules`` without any ``scipy``
-    module, and a ``refine`` then loads ``scipy.sparse``."""
+    ``eval`` task leaves ``sys.modules`` without any ``scipy`` module, and a
+    ``refine`` then loads ``scipy.sparse``."""
     masks = [np.zeros((64, 80), dtype=bool) for _ in range(3)]
     masks[0][5:40, 10:70] = True
     masks[1][8:44, 12:66] = True
@@ -248,15 +261,10 @@ def test_eval_and_convert_load_no_scipy(tmp_path, rng):
     segments = [{"class": c, "is_thing": c == 1, "rle": io.rle_to_dict(rle_encode(labels == c))}
                 for c in (1, 2)]
     io.dump_json(str(tmp_path / "pan.json"), [{"image_id": 0, "segments": segments}])
-    io.save_sps(str(tmp_path / "t.bin"), SpsTensor(active=rng.standard_normal((3, 4)),
-                                                   passive=rng.standard_normal((2, 4)),
-                                                   index_map=[[0, 1, 3], [2, 4, 4]]))
     argvs = [["eval", "--task", task, "--preds", str(tmp_path / f), "--gts", str(tmp_path / f),
               "--out", str(tmp_path / f"{task}.json")]
              for task, f in (("det", "inst.json"), ("seg", "inst.json"),
                              ("boundary", "inst.json"), ("panoptic", "pan.json"))]
-    argvs.append(["convert", "--input", str(tmp_path / "t.bin"),
-                  "--output", str(tmp_path / "t.json")])
     roi_path, mask_path, _ = write_inputs(tmp_path, n=1)
     refine = ["refine", "--mode", "oracle", "--rois", roi_path, "--ref-masks", mask_path,
               "--out", str(tmp_path / "out")] + REFINE_FAST
@@ -539,7 +547,7 @@ class TestBadInputValues:
         assert_exit_2_no_output(capsys, code, out)
 
     @pytest.mark.parametrize("command", ["eval-det", "eval-panoptic", "refine-rois",
-                                         "refine-ref-masks", "convert"])
+                                         "refine-ref-masks"])
     def test_oversized_json_refused_from_its_size(self, tmp_path, command):
         """A JSON input over ``io.MAX_JSON_BYTES`` is refused from its size, before
         a byte is read: a 1 GiB sparse file (it takes no disk) costs no memory."""
@@ -559,8 +567,6 @@ class TestBadInputValues:
                             [out / "masks.json", out / "ledger.json"]),
             "refine-ref-masks": (refine + ["--rois", rois, "--ref-masks", str(big)],
                                  [out / "masks.json", out / "ledger.json"]),
-            "convert": (["convert", "--input", str(big), "--output", str(out / "t.bin")],
-                        [out / "t.bin"]),
         }[command]
         proc, peak_kb = cli_peak(argv)
         assert proc.returncode == 2, proc.stderr
@@ -631,6 +637,29 @@ class TestBadInputValues:
         assert code == 2, err
         assert f"JSON {strings} would parse into about " in err
         assert f"over the {io.MAX_JSON_PARSE_BYTES}-byte parse budget" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("char", ["\U0001F600", "\u4e2d"], ids=["astral", "bmp"])
+    def test_wide_string_over_budget_refused_before_parsing(self, tmp_path, capsys,
+                                                            monkeypatch, char):
+        """A string that holds one wide character is charged at that width: under
+        a budget of twice the file's size, which its all-ASCII twin fits, it
+        exits 2 before any decoding."""
+        ascii_twin, wide = tmp_path / "ascii.json", tmp_path / "wide.json"
+        ascii_twin.write_bytes(b'"' + b"a" * ((1 << 20) + len(char.encode())) + b'"')
+        wide.write_bytes(('"' + "a" * (1 << 20) + char + '"').encode())
+        assert ascii_twin.stat().st_size == wide.stat().st_size
+        monkeypatch.setattr(io, "MAX_JSON_PARSE_BYTES", 2 * wide.stat().st_size)
+        assert len(io.load_json(str(ascii_twin))) == (1 << 20) + len(char.encode())
+        monkeypatch.setattr(io.json, "loads", fail_if_called)
+        out = tmp_path / "r.json"
+        code = main(["eval", "--task", "det", "--preds", str(wide), "--gts", str(wide),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"JSON {wide} would parse into about " in err
+        assert f"over the {2 * wide.stat().st_size}-byte parse budget" in err
         assert not out.exists()
 
 
@@ -948,114 +977,6 @@ class TestWeightBounds:
         assert time.perf_counter() - started < 0.5 and drawn == []
 
 
-class TestConvertCommand:
-    def test_binary_json_roundtrip(self, tmp_path, rng):
-        t = SpsTensor(active=rng.standard_normal((3, 4)),
-                      passive=rng.standard_normal((2, 4)),
-                      index_map=[[0, 1, 3], [2, 4, 4]])
-        bin1 = str(tmp_path / "t.bin")
-        js = str(tmp_path / "t.json")
-        bin2 = str(tmp_path / "t2.bin")
-        io.save_sps(bin1, t)
-        assert main(["convert", "--input", bin1, "--output", js]) == 0
-        assert main(["convert", "--input", js, "--output", bin2]) == 0
-        assert open(bin1, "rb").read() == open(bin2, "rb").read()
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_binary_exit_2(self, tmp_path, value):
-        active = np.ones((2, 3))
-        active[1, 2] = value
-        t = SpsTensor(active=active, passive=np.zeros((1, 3)), index_map=[[0, 1, 2]])
-        src, out = str(tmp_path / "t.bin"), tmp_path / "t.json"
-        io.save_sps(src, t)
-        assert main(["convert", "--input", src, "--output", str(out)]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("field", ["active", "passive"])
-    def test_non_finite_json_exit_2(self, tmp_path, token, field):
-        record = {"format": io.TENSOR_FORMAT, "f": 2, "h": 1, "w": 2,
-                  "active": [[1.0, 2.0]], "passive": [[3.0, 4.0]], "index_map": [[0, 1]]}
-        record[field] = [[1.0, float(token)]]
-        src, out = tmp_path / "t.json", tmp_path / "t.bin"
-        src.write_text(json.dumps(record))  # json writes the bare NaN/Infinity token
-        assert token in src.read_text()
-        assert main(["convert", "--input", str(src), "--output", str(out)]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("index_map", [[[0, 0]], [[1, 1]], [[0, 1, 0]]])
-    @pytest.mark.parametrize("suffix", [".bin", ".json"])
-    def test_tensor_invariant_broken_exit_2(self, tmp_path, capsys, index_map, suffix):
-        """A dump that breaks the tensor's invariants is malformed input, like any
-        other bad dump, not a contract violation of the caller."""
-        f, (h, w) = 2, np.shape(index_map)
-        header = io.SPS_MAGIC + np.array([f, h, w, 1, 1], dtype="<u4").tobytes()
-        body = np.arange(4, dtype="<f4").tobytes() + np.asarray(index_map, dtype="<u4").tobytes()
-        record = {"format": io.TENSOR_FORMAT, "f": f, "h": h, "w": w, "active": [[0.0, 1.0]],
-                  "passive": [[2.0, 3.0]], "index_map": index_map}
-        src, out = tmp_path / f"t{suffix}", tmp_path / "out.bin"
-        if suffix == ".bin":
-            src.write_bytes(header + body)
-        else:
-            src.write_text(json.dumps(record))
-        assert main(["convert", "--input", str(src), "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "exactly once" in err and not out.exists()
-
-    def test_bad_magic_exit_2(self, tmp_path):
-        bad = tmp_path / "x.bin"
-        bad.write_bytes(b"NOPE" + b"\x00" * 20)
-        assert main(["convert", "--input", str(bad), "--output", str(tmp_path / "x.json")]) == 2
-
-    @pytest.mark.parametrize("index", ["[[0, 2]]", "[[0, -1]]", "[[0, 4000000000]]",
-                                       "[[0, 1.5]]", "[[0, Infinity]]"])
-    def test_bad_json_index_map_exit_2(self, tmp_path, capsys, index):
-        """An index must address a row; the tensor check would otherwise count
-        the values in a table as long as the largest one."""
-        src, out = tmp_path / "t.json", tmp_path / "t.bin"
-        src.write_text('{"format": "sps-tensor/1", "f": 2, "h": 1, "w": 2, "active": [[1.0, 2.0]],'
-                       ' "passive": [[3.0, 4.0]], "index_map": %s}' % index)
-        assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
-                                              "--output", str(out)]), out)
-
-    @pytest.mark.parametrize("extra", [b"\x00", bytes(16)])
-    def test_trailing_bytes_exit_2(self, tmp_path, capsys, extra):
-        """Bytes after the index map are no part of the dump: it is refused, as a
-        weight bundle refuses a partial trailing record."""
-        src, out = tmp_path / "t.bin", tmp_path / "t.json"
-        io.save_sps(str(src), SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]]))
-        src.write_bytes(src.read_bytes() + extra)
-        code = main(["convert", "--input", str(src), "--output", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2 and not out.exists()
-        assert err.startswith("error:") and f"has {len(extra)} bytes after its index map" in err
-
-    def test_sparse_hole_refused_from_header(self, tmp_path):
-        """The dump is mapped, not read: a 1 GiB hole after a valid dump (a
-        sparse file, so it takes no disk) is refused with a small footprint."""
-        src, out = tmp_path / "t.bin", tmp_path / "t.json"
-        io.save_sps(str(src), SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]]))
-        with open(src, "ab") as f:
-            f.truncate(f.tell() + (1 << 30))
-        proc, peak_kb = cli_peak(["convert", "--input", str(src), "--output", str(out)])
-        assert proc.returncode == 2, proc.stderr
-        assert f"has {1 << 30} bytes after its index map" in proc.stderr and not out.exists()
-        assert peak_kb < 100 * 1024
-
-    @pytest.mark.parametrize("offset,value", [(24 + 8, 5), (24 + 8, 0xF0000000), (0, None)])
-    def test_bad_binary_index_or_header_exit_2(self, tmp_path, capsys, offset, value):
-        src, out = tmp_path / "t.bin", tmp_path / "t.json"
-        io.save_sps(str(src), SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]]))
-        data = bytearray(src.read_bytes())
-        if value is None:
-            data = data[:10]  # a truncated header
-        else:
-            data[offset:offset + 4] = value.to_bytes(4, "little")
-        src.write_bytes(bytes(data))
-        assert_exit_2_no_output(capsys, main(["convert", "--input", str(src),
-                                              "--output", str(out)]), out)
-
-
 class TestOutputMode:
     """An output gets the mode a plain ``open`` gives a new file, 0o666 less the
     umask, though it is written to a temp file and renamed into place."""
@@ -1132,26 +1053,14 @@ class TestUnwritableOutput:
         assert_exit_2_no_output(capsys, code, tmp_path / "out" / "masks.json")
         assert not self.leftovers(tmp_path)
 
-    def test_convert_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(io, "load_sps", fail_if_called)
-        monkeypatch.setattr(io, "load_json", fail_if_called)
-        io.save_sps(str(tmp_path / "t.bin"), SpsTensor(active=[[1.0]], passive=[[2.0]],
-                                                       index_map=[[0, 1]]))
-        out = tmp_path / "out.json"
-        out.mkdir()
-        for src in ("t.bin", "t.json"):  # neither input is opened
-            code = main(["convert", "--input", str(tmp_path / src), "--output", str(out)])
-            assert code == 2
-            assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
-        assert not any(out.iterdir()) and not self.leftovers(tmp_path)
-
-    def test_eval_out_is_a_directory(self, tmp_path, capsys):
+    def test_eval_out_is_a_directory(self, tmp_path, capsys, monkeypatch):
         io.dump_json(str(tmp_path / "g.json"), [box_record(0, 1, [0, 0, 10, 10], 0.9)])
+        monkeypatch.setattr(io, "load_json", fail_if_called)  # no input is opened
         out = tmp_path / "report"
         out.mkdir()
         code = main(["eval", "--task", "det", "--preds", str(tmp_path / "g.json"),
                      "--gts", str(tmp_path / "g.json"), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
         assert not any(out.iterdir()) and not self.leftovers(tmp_path)

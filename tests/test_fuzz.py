@@ -23,7 +23,6 @@ from spsr.cli import main
 from spsr.errors import ContractError, SchemaError
 from spsr.metrics import rle_encode
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
-from spsr.tensor import SpsTensor
 
 # Raw JSON tokens put in place of one value of a valid document.
 MUTANTS = ["Infinity", "-Infinity", "NaN", "1e400", "-1e400", "1" + "0" * 400, "-1", "0",
@@ -57,18 +56,12 @@ def _panoptic_records():
             {"image_id": 3, "segments": [{"class": 1, "is_thing": True, "rle": _rle(b)}]}]
 
 
-def _sps():
-    return SpsTensor(active=[[1.0, 2.0], [0.5, -1.0]], passive=[[3.0, 4.0]],
-                     index_map=[[0, 2], [1, 2]])
-
-
 JSON_DOCS = {
     "panoptic": _panoptic_records(),
     "eval": _eval_records(),
     "rois": [{"box": [10.0, 10.0, 60.0, 50.0], "class": 1, "score": 0.8},
              {"box": [5.0, 20.0, 40.0, 90.0], "class": 0}],
     "ref_masks": {"format": io.MASK_FORMAT, "masks": [_rle(_masks()[0]), _rle(_masks()[1])]},
-    "sps_dict": io.sps_to_dict(_sps()),
 }
 
 
@@ -122,17 +115,14 @@ def mutated_bytes(draw, data):
 
 @functools.cache
 def binary_docs() -> dict:
-    """Bytes of a valid weight bundle and SPS dump, written once when first drawn."""
+    """Bytes of two valid weight bundles, a small one and one that sets a layer
+    of a ``--f0 16 --f-neck 8`` refinement, written once when first drawn."""
     docs = {}
     with tempfile.TemporaryDirectory() as d:
-        # refine_weights sets one layer of a --f0 16 --f-neck 8 refinement
-        for kind, save, value in (("weights", io.save_weights, {"a.w": np.arange(6.0).reshape(2, 3),
-                                                                "b": np.ones(2)}),
-                                  ("refine_weights", io.save_weights,
-                                   {"stage0.ingest.l0.weight": np.full((16, 8), 0.01),
-                                    "stage0.ingest.l0.bias": np.zeros(16)}),
-                                  ("sps", io.save_sps, _sps())):
-            save(os.path.join(d, kind), value)
+        for kind, arrays in (("weights", {"a.w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}),
+                             ("refine_weights", {"stage0.ingest.l0.weight": np.full((16, 8), 0.01),
+                                                 "stage0.ingest.l0.bias": np.zeros(16)})):
+            io.save_weights(os.path.join(d, kind), arrays)
             with open(os.path.join(d, kind), "rb") as f:
                 docs[kind] = f.read()
     return docs
@@ -143,16 +133,14 @@ LOADERS = {
     "eval": lambda p: io.load_eval_entries(p, need_score=True, need_mask=True),
     "rois": io.load_rois,
     "ref_masks": io.load_ref_masks,
-    "sps_dict": lambda p: io.sps_from_dict(io.load_json(p)),
     "weights": io.load_weights,
-    "sps": io.load_sps,
 }
 
 
 @st.composite
 def loader_input(draw):
     kind = draw(st.sampled_from(sorted(LOADERS)))
-    if kind in ("weights", "sps"):
+    if kind == "weights":
         return kind, draw(mutated_bytes(binary_docs()[kind]))
     return kind, draw(mutated_json(JSON_DOCS[kind]))
 
@@ -321,15 +309,3 @@ def test_bench_exits_0_2_or_3_without_traceback(data):
         out = os.path.join(d, "out", "bench.json")
         run_cli(["bench", "--count", "2", "--canvas", "64", "--out", out]
                 + draw_options(data, BENCH_OPTIONS), [out])
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["sps_dict", "sps"]), st.sampled_from([".json", ".bin"]), st.data())
-def test_convert_exits_0_2_or_3_without_traceback(kind, suffix, data):
-    with tempfile.TemporaryDirectory() as d:
-        src = os.path.join(d, "input.json" if kind == "sps_dict" else "input.bin")
-        with open(src, "wb") as f:
-            f.write(data.draw(mutated_json(JSON_DOCS[kind]) if kind == "sps_dict"
-                              else mutated_bytes(binary_docs()[kind])))
-        out = os.path.join(d, "out", "tensor" + suffix)
-        run_cli(["convert", "--input", src, "--output", out], [out])

@@ -17,7 +17,6 @@ from spsr.cli import main
 from spsr.errors import SchemaError
 from spsr.metrics import rle_encode
 from spsr.pipeline import PipelineWeights, RunConfig
-from spsr.tensor import SpsTensor
 
 from conftest import cli_peak, traced_peak
 
@@ -150,10 +149,6 @@ class TestWeightBundle:
         with pytest.raises(SchemaError, match="must be a regular file"):
             io.load_weights(os.devnull)
 
-    def test_sps_dump_not_a_regular_file_rejected(self):
-        with pytest.raises(SchemaError, match="must be a regular file"):
-            io.load_sps(os.devnull)
-
     def test_pipeline_accepts_bundle_and_validates_shapes(self, rng):
         cfg = RunConfig(f0=16, f_query=8, f_neck=8)
         seeded = PipelineWeights(None, cfg)
@@ -211,32 +206,6 @@ class TestBundleFormat:
         for stages in (1, 3):
             with pytest.raises(SchemaError, match=re.escape(f"weight array {stray} ")):
                 PipelineWeights(bundle, small_config(stages))
-
-
-class TestSpsBinary:
-    def test_exact_header_layout(self, tmp_path):
-        t = SpsTensor(active=[[1.0, 2.0]], passive=[[3.0, 4.0]], index_map=[[0, 1, 1]])
-        path = str(tmp_path / "t.bin")
-        io.save_sps(path, t)
-        data = open(path, "rb").read()
-        assert data[:4] == b"SPS1"
-        f, h, w, n_a, n_p = struct.unpack_from("<5I", data, 4)
-        assert (f, h, w, n_a, n_p) == (2, 1, 3, 1, 1)
-        floats = np.frombuffer(data[24:24 + 16], dtype="<f4")
-        np.testing.assert_array_equal(floats, [1.0, 2.0, 3.0, 4.0])
-        index = np.frombuffer(data[40:], dtype="<u4")
-        np.testing.assert_array_equal(index, [0, 1, 1])
-
-    def test_binary_roundtrip(self, tmp_path, rng):
-        t = SpsTensor(active=rng.standard_normal((3, 5)).astype(np.float32),
-                      passive=rng.standard_normal((2, 5)).astype(np.float32),
-                      index_map=[[0, 1, 3], [2, 4, 4]])
-        path = str(tmp_path / "t.bin")
-        io.save_sps(path, t)
-        back = io.load_sps(path)
-        np.testing.assert_array_equal(back.active, t.active)
-        np.testing.assert_array_equal(back.passive, t.passive)
-        np.testing.assert_array_equal(back.index_map, t.index_map)
 
 
 class TestRefineWithWeights:
@@ -414,7 +383,6 @@ def _rle_4x4() -> dict:
     return io.rle_to_dict(rle_encode(np.ones((4, 4), dtype=bool)))
 
 
-_TENSOR = SpsTensor(active=[[1.0]], passive=[[2.0]], index_map=[[0, 1]])
 # One valid input per loader: (what to write, how to write it, how to load it).
 # The four record lists sit under ``LIST_KINDS`` with each one's record noun.
 LOADER_INPUTS = {
@@ -427,11 +395,8 @@ LOADER_INPUTS = {
     "panoptic": ([{"image_id": 0, "segments": [{"class": 1, "is_thing": True,
                                                 "rle": _rle_4x4()}]}],
                  io.dump_json, io.load_panoptic),
-    "sps_dict": (io.sps_to_dict(_TENSOR), io.dump_json,
-                 lambda p: io.sps_from_dict(io.load_json(p))),
     "weights": ({"a.weight": np.ones((2, 3)), "a.bias": np.zeros(2)}, io.save_weights,
                 io.load_weights),
-    "sps": (_TENSOR, io.save_sps, io.load_sps),
 }
 LIST_KINDS = {"rois": "RoI", "ref_masks": "mask", "eval": "evaluation", "panoptic": "panoptic"}
 
@@ -512,32 +477,23 @@ def test_dump_json_writes_the_stdlib_bytes(obj):
             assert f.read() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _large_tensor(n: int, f: int = 16) -> SpsTensor:
-    """A tensor of ``n`` active rows and one passive row, each of ``f`` values."""
-    return SpsTensor(active=np.arange(n * f, dtype=np.float64).reshape(n, f) / 7,
-                     passive=np.ones((1, f)),
-                     index_map=np.append(np.arange(n + 1), n).reshape(-1, 2))
+def _large_masks_doc(n: int = 150) -> dict:
+    """``refine``'s masks document for ``n`` seeded 112x112 masks of noise, whose
+    runs are a few pixels long: about 10 MB as pretty-printed JSON."""
+    rng = np.random.default_rng(0)
+    masks = [rng.random((112, 112)) < 0.5 for _ in range(n)]
+    return io.masks_to_dict(masks, [0.5 + i / (2 * n) for i in range(n)], list(range(n)))
 
 
 class TestWriters:
     def test_dump_json_holds_the_file_about_once(self, tmp_path):
         path = tmp_path / "t.json"
-        doc = io.sps_to_dict(_large_tensor(27_000))  # the document ``convert`` writes
+        doc = _large_masks_doc()  # the document ``refine`` writes
         _, peak = traced_peak(io.dump_json, str(path), doc)
         size = path.stat().st_size
         assert size >= 10_000_000
         assert peak <= 1.25 * size + MIB
         assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
-
-    def test_save_sps_holds_its_payload_once(self, tmp_path):
-        t = _large_tensor(160_000)
-        path = tmp_path / "t.bin"
-        _, peak = traced_peak(io.save_sps, str(path), t)
-        size = path.stat().st_size
-        assert size >= 10_000_000 and peak <= size + MIB
-        back = io.load_sps(str(path))
-        np.testing.assert_array_equal(back.active, t.active.astype(np.float32))
-        np.testing.assert_array_equal(back.index_map, t.index_map)
 
     def test_save_weights_holds_its_payload_once(self, tmp_path, rng):
         arrays = {f"stage0.fcn.c{i}.weight": rng.standard_normal((256, 256, 3, 3))
@@ -549,16 +505,6 @@ class TestWriters:
         back = io.load_weights(str(path))
         for name, arr in arrays.items():
             np.testing.assert_array_equal(back[name], arr.astype(np.float32))
-
-    @pytest.mark.parametrize("active,passive", [(0, 2), (2, 0)])
-    def test_save_sps_with_an_empty_block(self, tmp_path, active, passive):
-        t = SpsTensor(active=np.ones((active, 3)), passive=np.full((passive, 3), 2.0),
-                      index_map=np.arange(2).reshape(1, 2))
-        path = str(tmp_path / "t.bin")
-        io.save_sps(path, t)
-        back = io.load_sps(path)
-        assert (back.n_active, back.n_passive, back.f) == (active, passive, 3)
-        np.testing.assert_array_equal(back.index_map, t.index_map)
 
     def test_save_weights_with_empty_and_scalar_arrays(self, tmp_path):
         path = str(tmp_path / "w.bin")
@@ -622,6 +568,33 @@ class TestParseBudget:
         for chunk in range(1, len(data) + 2):
             monkeypatch.setattr(io, "_COUNT_CHUNK", chunk)
             assert io._parse_estimate(data) == whole, chunk
+
+    @pytest.mark.parametrize("char,width", [("\U0001F600", 4), ("\u4e2d", 2)],
+                             ids=["astral", "bmp"])
+    def test_wide_text_is_estimated_at_or_above_its_peak(self, tmp_path, char, width):
+        """The decoded text and the parsed string hold every character at the
+        widest one's width: a 4 MiB string that ends in one wide character peaks
+        at twice that width per byte, and is estimated at or above its peak."""
+        data = ('"' + "a" * ((4 << 20) - 2 - len(char.encode())) + char + '"').encode()
+        path = tmp_path / "wide.json"
+        path.write_bytes(data)
+        estimate = io._parse_estimate(data)
+        assert estimate == io._STRING_COST + 2 * width * len(data) + io._WIDE_DECODE
+        doc, peak = traced_peak(io.load_json, str(path))
+        assert doc.endswith(char) and 2 * width * len(data) <= peak <= estimate
+
+    @pytest.mark.parametrize("char,width", [("a", 1), ("\u00ff", 1), ("\u0100", 2),
+                                            ("\uffff", 2), ("\U00010000", 4)],
+                             ids=["ascii", "latin1", "U+0100", "U+FFFF", "U+10000"])
+    def test_width_from_the_largest_lead_byte_in_any_chunk(self, monkeypatch, char, width):
+        """ASCII and Latin-1 text (lead bytes below 0xC4) is charged nothing, so
+        its estimate is what the structural bytes give; wider text is charged
+        twice its width per byte, wherever the chunk edges fall."""
+        data = ('["abcd", "' + char + 'x"]').encode()
+        wide = 2 * width * len(data) + io._WIDE_DECODE if width > 1 else 0
+        for chunk in (1, 3, io._COUNT_CHUNK):
+            monkeypatch.setattr(io, "_COUNT_CHUNK", chunk)
+            assert io._parse_estimate(data) == 56 + 40 + 2 * io._STRING_COST + wide, chunk
 
     def test_perfbench_inputs_fit_the_budget_at_the_byte_cap(self, tmp_path):
         """Each of perfbench's input kinds, scaled to ``MAX_JSON_BYTES`` at its own

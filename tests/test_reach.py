@@ -17,8 +17,8 @@ CALLERS = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench"
 
 # public names kept without a caller, and why
 UNREACHED_BY_DESIGN = {
-    "save_weights": "writes the bundles `refine --weights` reads; ROADMAP item 6 gives it a "
-                    "caller (perfbench's seeded contrast bundle)",
+    "save_weights": "writes the bundles `refine --weights` reads; ROADMAP item 3 gives it a "
+                    "caller (`perfbench/corpus.py` writing the mask neck and the carrier bundle)",
     "panoptic_postprocess": "turns refined masks into panoptic segments; ROADMAP item 4 gives "
                             "it a caller (`refine` writing them for `eval --task panoptic`)",
     "gather_taps": "the gather that tests/test_ops.py and tests/test_tensor.py hold the sparse "
