@@ -25,32 +25,14 @@ from .pipeline import RoiBox, RoiInput
 MASK_FORMAT = "sps-rle/1"
 MAX_MASK_PIXELS = 1 << 26  # largest RLE canvas accepted; decoding holds it as bools
 MAX_PANOPTIC_PIXELS = 1 << 30  # summed canvases of one panoptic or reference-mask file
-# largest JSON input. A parse peaks at 1.7-3.2x the file's size on perfbench's
-# inputs (tracemalloc), under 1 GiB at this cap; a file of empty objects takes 25x.
-MAX_JSON_BYTES = 1 << 28
-# A parse is estimated before it runs from the file's structural bytes, at these costs
-# (tracemalloc, CPython 3.11, 64-bit): a dict takes 64 bytes per `{`, a list 56 per
-# `[`, and each `,` or `:` adds a slot and a number, at most 40. A string value of two
-# or more characters builds 49 bytes plus its characters (shorter ones are shared) and
-# is charged _STRING_COST, as a 7-character one, half at each `"`; a key, a `"`
-# followed by `:`, gets both halves back, since the decoder shares each key's string.
-# The decoded text and each string hold every character at the widest one's width: a
-# 4 MiB string ending in one U+4E2D peaks at 4.00x its size, one ending in U+1F600 at
-# 8.00x (all ASCII: 2.00x), each plus 1.3 KB of decoder state; so a file whose largest
-# UTF-8 lead byte marks 2 or 4 bytes a character adds twice that per byte, and
-# _WIDE_DECODE. A list of empty objects builds 72 bytes per 3-byte `{},` and is
-# estimated at 104, one of 4-character strings 61 bytes per 7-byte `"abcd",` and is
-# estimated at 96; perfbench's inputs build 0.7-1.4x their size, estimated at 2.5-4.3x.
-# So the budget refuses 64 MiB of `{},` (2.2 GiB), 256 MiB of `"abcd",` (3.4 GiB) and a
-# 256 MiB string with one emoji (2 GiB), and accepts perfbench's inputs at the byte cap
-# (at most 1.1 GiB) and the README's records (their strings are `format` values only).
-_STRING_COST = 56
-_WIDE_DECODE = 1 << 11
-_PARSE_COSTS = {ord("{"): 64, ord("["): 56, ord(","): 40, ord(":"): 40,
-                ord('"'): _STRING_COST // 2}
-_KEY_WORD = ord('"') | ord(":") << 8  # a key's `":`, read as a little-endian 2-byte word
-MAX_JSON_PARSE_BYTES = 3 << 29  # 1.5 GiB
-_COUNT_CHUNK = 1 << 20  # bytes compared at a time while counting structural bytes
+# largest JSON input, a bound on what parsing it builds: no JSON text parsed into more
+# than 47.3x its size (tracemalloc, CPython 3.11.7, 2 MiB files of each shape): nested
+# one-element lists 44-45x, the same after one astral character, which makes the decoded
+# text 4 bytes a character, 47.3x; nested one-key objects 37.7x (47.2x on 3.10.13, whose
+# one-key dict is larger), `{"":0}` records 28.5x and `{}` lists 25.2x. So a parse at the cap stays under 56 x 32 MiB = 1.75 GiB,
+# whatever the file holds; a worst-shape file of exactly 32 MiB took 8.7 s and 1,683 MB
+# child max RSS end to end, then exited 2.
+MAX_JSON_BYTES = 1 << 25
 _JSON_BATCH = 1 << 12  # encoder chunks joined at a time while dumping
 MAX_ROIS = 1 << 12  # RoIs per image; COCO keeps at most 100 detections per image
 CLASS_RANGE = (-(1 << 31), (1 << 31) - 1)  # class ids are int32
@@ -123,43 +105,18 @@ def _map_file(path: str, what: str, max_bytes: int | None = None):
         raise SchemaError(f"cannot read {what} from {path}: {e}") from e
 
 
-def _parse_estimate(data) -> int:
-    """Bytes a parse of ``data`` is estimated to build: its structural bytes at
-    ``_PARSE_COSTS`` less ``_STRING_COST`` per key, and its text if wide (see
-    above), counted ``_COUNT_CHUNK`` bytes at a time. Keys are counted as 2-byte
-    words at even and then at odd offsets, so no chunk edge splits one."""
-    view = np.frombuffer(data, dtype=np.uint8)
-    pairs = [np.frombuffer(data, dtype="<u2", count=(view.size - odd) // 2, offset=odd)
-             for odd in (0, 1) if view.size > odd]
-    step = max(_COUNT_CHUNK // 2, 1)
-    charged = lead = 0
-    for chunk in (view[start:start + _COUNT_CHUNK] for start in range(0, view.size, _COUNT_CHUNK)):
-        charged += sum(c * int(np.count_nonzero(chunk == t)) for t, c in _PARSE_COSTS.items())
-        lead = max(lead, int(chunk.max()))
-    keys = sum(int(np.count_nonzero(words[start:start + step] == _KEY_WORD))
-               for words in pairs for start in range(0, words.size, step))
-    width = 4 if lead >= 0xF0 else 2 if lead >= 0xC4 else 1
-    wide = 2 * width * view.size + _WIDE_DECODE if width > 1 else 0
-    return charged - _STRING_COST * keys + wide
-
-
 def load_json(path: str):
     """The JSON document at ``path``, decoded as UTF-8 (no encoding sniffing);
-    a file over ``MAX_JSON_BYTES`` is refused from its size, one whose parse is
-    estimated over ``MAX_JSON_PARSE_BYTES`` from its structural bytes, and a
-    parse that runs out of memory raises ``SchemaError`` as well."""
+    a file over ``MAX_JSON_BYTES`` is refused from its size, and a parse that runs
+    out of memory raises ``SchemaError`` as well."""
     data = _map_file(path, "JSON", MAX_JSON_BYTES)
-    estimate = _parse_estimate(data)
-    if estimate > MAX_JSON_PARSE_BYTES:
-        raise SchemaError(f"JSON {path} would parse into about {estimate} bytes, over the "
-                          f"{MAX_JSON_PARSE_BYTES}-byte parse budget")
     try:  # ValueError: bad UTF-8 or bad JSON
         text = str(data, "utf-8")
         del data  # unmapped before the parse allocates
         return json.loads(text)
     except (ValueError, RecursionError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
-    except MemoryError as e:  # the cap bounds the bytes, not what they parse into
+    except MemoryError as e:  # the cap bounds the parse, not what this process may allocate
         raise SchemaError(f"cannot read JSON from {path}: out of memory while parsing it") from e
 
 
