@@ -149,7 +149,9 @@ def cmd_bench(args) -> int:
                           f"mask cap")
     weights = pipeline.PipelineWeights(None, config)  # capped before the corpus is drawn
     rois = roi_corpus(args.count, args.shape, args.canvas, args.seed, config.final_side)
-    neck = NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)
+    # one neck for both routes; the last run is handed the only reference, so
+    # it frees each level once no later stage samples it
+    necks = [NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)]
 
     # the first bilinear sample imports scipy.sparse; do it here, untimed
     import scipy.sparse  # noqa: F401
@@ -157,9 +159,9 @@ def cmd_bench(args) -> int:
     # the dense route runs for its wall time only: the sparse run's ledger
     # already counts every op with every cell active
     t0 = time.perf_counter()
-    run_refinement(rois, config, weights=weights, neck=neck, sparse=False)
+    run_refinement(rois, config, weights=weights, neck=necks[0], sparse=False)
     t1 = time.perf_counter()
-    sparse = run_refinement(rois, config, weights=weights, neck=neck, sparse=True)
+    sparse = run_refinement(rois, config, weights=weights, neck=necks.pop(), sparse=True)
     t2 = time.perf_counter()
 
     report = compare(sparse.ledger)

@@ -34,6 +34,7 @@ the results are bit-identical to the einsum it replaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -167,11 +168,16 @@ class OffsetField:
             raise ContractError("offsets must be finite")
 
 
+@functools.cache
 def _tap_offsets(k: int, dilation: int) -> np.ndarray:
+    """``[K*K, 2]`` (dy, dx) of a dilated ``K x K`` kernel's taps, row-major;
+    built once per (k, dilation) and read-only, as every call shares it."""
     r = k // 2
     grid = np.arange(-r, r + 1) * dilation
     dy, dx = np.meshgrid(grid, grid, indexing="ij")
-    return np.stack([dy.ravel(), dx.ravel()], axis=1)  # [K*K, 2], row-major taps
+    taps = np.stack([dy.ravel(), dx.ravel()], axis=1)
+    taps.flags.writeable = False
+    return taps
 
 
 # the 25 distinct taps of sfm's dilation-1, -3 and -5 branches, and each branch's 9 of them
@@ -182,8 +188,14 @@ _SFM_BRANCHES = _SFM_BRANCHES.reshape(3, 9)
 
 def _tap_columns(s: SpsTensor) -> np.ndarray:
     """:meth:`SpsTensor.tap_rows` feature-major, a C-contiguous ``[F, N + 1]``
-    array, so that one ``np.take`` gathers a whole ``[F, T, n]`` column block."""
-    return np.ascontiguousarray(s.tap_rows().T)
+    array, so that one ``np.take`` gathers a whole ``[F, T, n]`` column block.
+    Each row is written once, straight into its column."""
+    n_a = s.n_active
+    columns = np.empty((s.f, n_a + s.n_passive + 1))
+    columns[:, :n_a] = s.active.T
+    columns[:, n_a:-1] = s.passive.T
+    columns[:, -1] = 0.0
+    return columns
 
 
 def _im2col(columns: np.ndarray, tap_index: np.ndarray) -> np.ndarray:
@@ -301,14 +313,20 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
         wy = y - y0
         wx = x - x0
         ay, ax = 1.0 - wy, 1.0 - wx
-        cy = np.stack([y0, y0, y0 + 1, y0 + 1], axis=1)
-        cx = np.stack([x0, x0 + 1, x0, x0 + 1], axis=1)
-        weight = np.stack([ay * ax, ay * wx, wy * ax, wy * wx], axis=1)
-        keep = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w) & (weight != 0.0)
-        indptr = np.zeros(len(y0) + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        matrix = csr_array((weight[keep], index_map[cy[keep], cx[keep]], indptr),
-                           shape=(len(y0), rows.shape[0]))
+        cy = y0[:, None] + (0, 0, 1, 1)  # corners (y0, x0), (y0, x1), (y1, x0), (y1, x1)
+        cx = x0[:, None] + (0, 1, 0, 1)
+        weight = np.empty(cy.shape)
+        for c, (a, b) in enumerate(((ay, ax), (ay, wx), (wy, ax), (wy, wx))):
+            np.multiply(a, b, out=weight[:, c])
+        # viewed as unsigned, a negative coordinate exceeds every side: one compare per axis
+        keep = (cy.view(np.uint64) < h) & (cx.view(np.uint64) < w) & (weight != 0.0)
+        cells = cy * w
+        cells += cx
+        # int32 index arrays, which SciPy takes as they are, neither scanned nor cast
+        indptr = np.zeros(len(y0) + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(keep.ravel(), dtype=np.int32)[3::4]
+        columns = index_map.take(cells[keep]).astype(np.int32)
+        matrix = csr_array((weight[keep], columns, indptr), shape=(len(y0), rows.shape[0]))
         if out is None:
             out = matrix @ rows
         else:
@@ -371,8 +389,9 @@ def relu_active(s: SpsTensor) -> SpsTensor:
 # multiplies the ``[F_out, F_in*K*K]`` weight view with one ``[F_in*K*K, H*W]``
 # im2col block cut from the zero-padded input (Chellapilla et al. 2006), and a
 # fusion applies its first layer as two weight blocks, one per input, so the
-# two inputs are never concatenated. A strided input such as a transposed
-# channel-last grid reshapes to a strided view, which BLAS reads transposed.
+# two inputs are never concatenated, and reads its external input a band of
+# grid rows at a time. A strided input such as a transposed channel-last grid
+# reshapes to a strided view, which BLAS reads transposed.
 # The convolutions, fusions and chains share no code with the sparse
 # operators above; the bilinear sampler is the one kernel both sides use, and
 # tests/test_ops.py checks it against SciPy's map_coordinates as the
@@ -452,16 +471,26 @@ def dense_sfm(x: np.ndarray, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> 
     return out.reshape(k1.f_out, h, w)
 
 
-def dense_fuse(x: np.ndarray, ext: np.ndarray, transform: TransformChain) -> np.ndarray:
-    """Dense twin of :func:`fuse_external`; ``ext`` is ``[F_e, H, W]``.
+def dense_fuse(x: np.ndarray, ext: Callable[[slice], np.ndarray],
+               transform: TransformChain) -> np.ndarray:
+    """Dense twin of :func:`fuse_external`, whose external input comes band
+    by band: ``ext(cells)`` returns the ``F_e`` external features of the
+    row-major cells ``cells`` (a slice of whole grid rows) as an ``[n, F_e]``
+    array, with ``F_e`` the transform's input width beyond ``F``.
 
-    The first layer's weights split into the block that reads ``x`` and the
-    block that reads ``ext``; the later layers are plain pointwise layers.
+    The first layer's weights split into the block that reads ``x``, one GEMM
+    over every cell, and the block that reads the external input, applied one
+    band of whole grid rows at a time: at most ``CHUNK_VALUES`` external
+    values (or one grid row) per band, so the external input is never held
+    whole. The later layers are plain pointwise layers.
     """
     first, *rest = _layers(transform)
     f, h, w = x.shape
     out = first.weights[:, :f] @ x.reshape(f, -1)
-    out += first.weights[:, f:] @ ext.reshape(ext.shape[0], -1)
+    step = max(1, CHUNK_VALUES // max(w * (first.f_in - f), 1)) * w  # cells per band
+    for lo in range(0, h * w, step):
+        cells = slice(lo, min(lo + step, h * w))
+        out[:, cells] += first.weights[:, f:] @ ext(cells).T
     update = _epilogue(out, first).reshape(first.f_out, h, w)
     for t in rest:
         update = dense_pointwise(update, t)

@@ -574,8 +574,9 @@ class _Engine:
 
     The engine holds its own ``NeckFeatures``: a new dict of the given (or
     synthesized) neck's levels. ``run`` drops a level from it as soon as no
-    later stage samples that level, so a caller's neck is never changed and a
-    synthesized one is freed level by level.
+    later stage samples that level, so a caller's neck is never changed, and
+    a level is freed there unless something else holds it: always for a
+    synthesized neck, and for a given one that no caller still references.
     """
 
     def __init__(self, rois: Sequence[RoiInput], config: RunConfig,
@@ -715,16 +716,12 @@ class _Engine:
 
     # -- dense route: plain [F, H, W] operators at every cell -------------------
 
-    def _neck_grid(self, i: int, s: int) -> np.ndarray:
-        grid_hw = self.plan[s].hw
-        rows = self._neck_rows(i, s, _all_cells(grid_hw))
-        return rows.reshape(grid_hw + (self.config.f_neck,)).transpose(2, 0, 1)
-
     def dense_stage0(self, i: int):
         cfg, grid0, w = self.config, self.plan[0].hw, self.weights.stages[0]
-        x = ops.dense_pointwise(self._neck_grid(i, 0), w["ingest"][0][0])
-        ext = np.broadcast_to(self.queries[i][:, None, None], (cfg.f_query,) + grid0)
-        x = ops.dense_fuse(x, ext, w["query_fuse"][0])
+        neck = self._neck_rows(i, 0, _all_cells(grid0)).reshape(grid0 + (cfg.f_neck,))
+        x = ops.dense_pointwise(neck.transpose(2, 0, 1), w["ingest"][0][0])
+        x = ops.dense_fuse(x, lambda band: np.broadcast_to(
+            self.queries[i], (band.stop - band.start, cfg.f_query)), w["query_fuse"][0])
         for (kernel,) in w["fcn"]:
             x = np.maximum(ops.dense_conv2d(x, kernel), 0.0)
         seg = ops.dense_chain(x, w["seg_head"][0])[0].ravel()
@@ -734,12 +731,13 @@ class _Engine:
     def dense_stage(self, i: int, s: int, x: np.ndarray, cells: np.ndarray):
         w = self.weights.stages[s]
         x = ops.dense_subdivide(x, self._child_maps(s))
-        x = ops.dense_fuse(x, self._neck_grid(i, s), w["neck_fuse"][0])
+        grid = _all_cells(self.plan[s].hw)
+        x = ops.dense_fuse(x, lambda band: self._neck_rows(i, s, grid[band]), w["neck_fuse"][0])
         x = ops.dense_pointwise(x, w["halve"][0][0])
         x = ops.dense_sfm(x, *(kernel for (kernel,) in w["sfm"]))
         seg = ops.dense_chain(x, w["seg_head"][0])[0].ravel()
         refine = ops.dense_chain(x, w["refine_head"][0])[0].ravel()
-        return x, x.shape[1] * x.shape[2], _all_cells(self.plan[s].hw), seg, refine
+        return x, x.shape[1] * x.shape[2], grid, seg, refine
 
 
 def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
@@ -752,8 +750,16 @@ def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
     raises ``ContractError``. They default to the seeded sets of ``config``.
     ``sparse=False`` runs the dense baseline route (every cell active, plain
     array operators) with identical weights and shapes.
+
+    The run drops its ``neck`` argument once the engine has copied the level
+    dict, so a neck that the caller hands over (keeps no reference to) is
+    freed level by level as the run stops sampling it; a neck the caller
+    keeps stays whole and unchanged. (CPython 3.10 keeps a call's arguments
+    referenced by its caller until the call returns, so there a neck is
+    never handed over.)
     """
     engine = _Engine(rois, config, weights, neck)
+    del neck  # the engine holds the levels it still samples
     if sparse:
         return engine.run(engine.sparse_stage0, engine.sparse_stage, config.top_n_active)
     return engine.run(engine.dense_stage0, engine.dense_stage, None)

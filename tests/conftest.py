@@ -53,6 +53,13 @@ def writes(rows):
     return write
 
 
+def grid_bands(grid):
+    """An ``ext`` band source for ``ops.dense_fuse`` that returns the cells of
+    an ``[F_e, H, W]`` grid (a view of any strides) as ``[n, F_e]`` rows."""
+    flat = np.asarray(grid, dtype=np.float64).reshape(grid.shape[0], -1)
+    return lambda band: flat[:, band].T
+
+
 def traced_peak(fn, *args):
     """``fn(*args)``, and the peak of the bytes it allocated that tracemalloc saw."""
     tracemalloc.start()

@@ -6,8 +6,8 @@ from spsr.cost import compare, macs_conv
 from spsr.errors import ContractError
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic
 
-from conftest import (identity_transform, random_kernel, random_linear, random_sps, traced_peak,
-                      writes)
+from conftest import (grid_bands, identity_transform, random_kernel, random_linear, random_sps,
+                      traced_peak, writes)
 
 
 def active_values(s):
@@ -204,7 +204,7 @@ class TestFuseExternal:
         ext_rows = ext_grid[:, coords[:, 0], coords[:, 1]].T
         chain = [random_linear(rng, 5, 4, activation="relu"), random_linear(rng, 4, 3)]
         out = ops.fuse_external(s, writes(ext_rows), chain)
-        ref = ops.dense_fuse(d, ext_grid, chain)
+        ref = ops.dense_fuse(d, grid_bands(ext_grid), chain)
         assert_sparse_matches_dense(out, ref, s)
 
     def test_row_count_mismatch_rejected(self, rng):
@@ -655,7 +655,10 @@ def einsum_dense_sfm(x, k1, k3, k5):
 
 
 def einsum_dense_fuse(x, ext, transform):
-    return x + einsum_dense_chain(np.concatenate([x, ext], axis=0), transform)
+    """The concat form, with the band source ``ext`` read whole in one call."""
+    f, h, w = x.shape
+    ext_grid = np.asarray(ext(slice(0, h * w))).T.reshape(-1, h, w)
+    return x + einsum_dense_chain(np.concatenate([x, ext_grid], axis=0), transform)
 
 
 def einsum_dense_deform_conv(x, k, offsets):
@@ -672,15 +675,6 @@ def einsum_dense_deform_conv(x, k, offsets):
 def assert_close_to_reference(got, want):
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def neck_view(rng, f_e, side):
-    """``[F_e, side, side]`` as the dense route's neck input: channel-last sample
-    rows, reshaped and transposed, so not C-contiguous."""
-    rows = rng.standard_normal((side * side, f_e))
-    ext = rows.reshape(side, side, f_e).transpose(2, 0, 1)
-    assert not ext.flags.c_contiguous
-    return rows, ext
 
 
 class TestDenseGemmForms:
@@ -733,24 +727,63 @@ class TestDenseGemmForms:
             "relu-chain": lambda rng, f, f_e: [random_linear(rng, f + f_e, f, "relu"),
                                                random_linear(rng, f, f)]}
 
+    @staticmethod
+    def _neck_bands(rng, f_e, side):
+        """The dense route's neck input: channel-last sample rows, one per cell,
+        each band a new array, as the neck sampler returns it."""
+        rows = rng.standard_normal((side * side, f_e))
+        return lambda band: rows[band].copy()
+
     @pytest.mark.parametrize("chain", sorted(FUSE))
     @pytest.mark.parametrize("grid", [(64, 28), (16, 112)])
     def test_fuse_neck_view(self, rng, chain, grid):
         f, side = grid
-        rows, ext = neck_view(rng, 256, side)
-        assert np.shares_memory(ext.reshape(256, -1), rows)  # read in place, not copied
+        ext = self._neck_bands(rng, 256, side)
         x = rng.standard_normal((f, side, side))
         transform = self.FUSE[chain](rng, f, 256)
-        assert_close_to_reference(ops.dense_fuse(x, ext, transform),
-                                  einsum_dense_fuse(x, ext, transform))
+        got, peak = traced_peak(ops.dense_fuse, x, ext, transform)
+        assert_close_to_reference(got, einsum_dense_fuse(x, ext, transform))
+        # no [F_e, H*W] block is allocated: one band of neck values beside the
+        # [F, H*W] products, which on the 112 grid is under a third of such a block
+        bound = 8 * ops.CHUNK_VALUES + 4 * x.nbytes
+        assert peak < bound
+        assert side < 112 or 3 * bound < 8 * 256 * side * side
 
     @pytest.mark.parametrize("chain", sorted(FUSE))
     def test_fuse_broadcast_query(self, rng, chain):
         x = rng.standard_normal((64, 14, 14))
-        ext = np.broadcast_to(rng.standard_normal(256)[:, None, None], (256, 14, 14))
+        query = rng.standard_normal(256)
         transform = self.FUSE[chain](rng, 64, 256)
+        ext = lambda band: np.broadcast_to(query, (band.stop - band.start, 256))  # noqa: E731
         assert_close_to_reference(ops.dense_fuse(x, ext, transform),
                                   einsum_dense_fuse(x, ext, transform))
+
+    @pytest.mark.parametrize("chain", sorted(FUSE))
+    @pytest.mark.parametrize("ext_kind,grid,rows_per_band", [
+        ("neck", (64, 28), 3), ("neck", (16, 112), 3), ("query", (64, 14), 13)])
+    def test_fuse_in_uneven_bands(self, rng, monkeypatch, chain, ext_kind, grid, rows_per_band):
+        # CHUNK_VALUES a little over rows_per_band grid rows of 256 values: the
+        # bands are rows_per_band rows each, then a one-row tail
+        f, side = grid
+        monkeypatch.setattr(ops, "CHUNK_VALUES", rows_per_band * side * 256 + 255)
+        if ext_kind == "neck":
+            source = self._neck_bands(rng, 256, side)
+        else:
+            query = rng.standard_normal(256)
+            source = lambda band: np.broadcast_to(query, (band.stop - band.start, 256))  # noqa: E731
+        bands = []
+
+        def ext(band):
+            bands.append((band.start, band.stop))
+            return source(band)
+
+        x = rng.standard_normal((f, side, side))
+        transform = self.FUSE[chain](rng, f, 256)
+        got = ops.dense_fuse(x, ext, transform)
+        starts = range(0, side, rows_per_band)
+        assert bands == [(lo * side, min(lo + rows_per_band, side) * side) for lo in starts]
+        assert side % rows_per_band == 1 and bands[-1][1] - bands[-1][0] == side
+        assert_close_to_reference(got, einsum_dense_fuse(x, ext, transform))
 
 
 def weights_mode_run(rois, sparse):
@@ -809,7 +842,7 @@ def test_dense_twins_use_no_sparse_helper(rng, monkeypatch):
     ops.dense_conv2d(x, k)
     ops.dense_sfm(x, *(random_kernel(rng, 4, dilation=d) for d in (1, 3, 5)))
     ops.dense_deform_conv(x, k, rng.uniform(-1, 1, (9, 9, 9, 2)))
-    ops.dense_fuse(x, neck_view(rng, 6, 9)[1], random_linear(rng, 10, 4))
+    ops.dense_fuse(x, grid_bands(rng.standard_normal((6, 9, 9))), random_linear(rng, 10, 4))
     ops.dense_chain(x, [random_linear(rng, 4, 4, "relu"), random_linear(rng, 4, 2)])
 
 

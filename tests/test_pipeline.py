@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import threading
 import weakref
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from spsr import ops
 from spsr import pipeline as pl
+from spsr.cli import main
 from spsr.cost import CostLedger, compare, macs_bilinear, macs_conv
 from spsr.errors import ContractError, SchemaError
 from spsr.metrics import boundary_iou
@@ -815,6 +817,21 @@ class TestFusionMemory:
         assert peak < block + neck_rows // 2
 
 
+class TestDenseFusionMemory:
+    def test_stage3_holds_no_neck_grid(self):
+        # the same RoI on the dense route: its stage-3 fusion reads the neck a
+        # band of grid rows at a time. Measured: 10.3 MiB, set by the sfm im2col
+        # block; holding the [h*w, F_e] neck grid (24.5 MiB) made it 29.4 MiB
+        cfg = pl.RunConfig(mode="weights", f0=64, f_query=256, f_neck=256, image_hw=(448, 448))
+        engine = pl._Engine([pl.RoiInput(box=pl.RoiBox(40, 40, 400, 400))], cfg, None, None)
+        x = engine.dense_stage0(0)[0]
+        for s in (1, 2):
+            x = engine.dense_stage(0, s, x, None)[0]
+        _, peak = traced_peak(engine.dense_stage, 0, 3, x, None)
+        h, w = engine.plan[3].hw
+        assert peak < 8 * h * w * cfg.f_neck // 2
+
+
 class TestOneStageStep:
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
     def test_a_roi_drops_its_previous_features_once_its_step_returns(self, monkeypatch, sparse):
@@ -882,6 +899,38 @@ class TestNeckLevelLifetime:
         assert sorted(drawn) == [2, 3, 4, 5]
         assert alive == {s: {pl.stage_level(k0, t) for k0 in k0s for t in range(s, stages + 1)}
                          for s in range(stages + 1)}
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython 3.10 keeps a call's arguments referenced by its caller "
+                               "until the call returns")
+    def test_bench_hands_its_sparse_run_the_neck(self, monkeypatch):
+        # bench draws one neck for both routes; its sparse run, the last one,
+        # holds the only reference, so it prunes levels as refine does
+        synthesize = pl.NeckFeatures.synthesize
+        drawn = {}  # level -> weakref to the grid synthesize drew
+
+        def watched_synthesize(*args):
+            neck = synthesize(*args)
+            drawn.update((level, weakref.ref(grid)) for level, grid in neck.levels.items())
+            return neck
+
+        alive, wanted = {}, {}  # stage -> the drawn levels alive at its first step, needed
+        for name in ("sparse_stage0", "sparse_stage"):
+            def watched(self, i, *rest, body=getattr(pl._Engine, name)):
+                s = rest[0] if rest else 0
+                alive.setdefault(s, {level for level, ref in drawn.items() if ref() is not None})
+                wanted[s] = {pl.stage_level(k0, t) for k0 in self.k0
+                             for t in range(s, len(self.plan))}
+                return body(self, i, *rest)
+
+            monkeypatch.setattr(pl._Engine, name, watched)
+        monkeypatch.setattr(pl.NeckFeatures, "synthesize", watched_synthesize)
+        assert main(["bench", "--count", "4", "--canvas", "480", "--f0", "16", "--f-neck", "8",
+                     "--f-query", "8", "--top-n", "300"]) == 0
+        assert sorted(drawn) == [2, 3, 4, 5] and sorted(alive) == [0, 1, 2, 3]
+        assert alive == wanted
+        assert wanted[0] != {2, 3, 4, 5}  # some level is dropped
+        assert all(ref() is None for ref in drawn.values())  # gone once bench returns
 
     def test_a_given_neck_keeps_its_levels(self):
         cfg = small_config(mode="weights", top_n_active=300, image_hw=LEVEL_IMAGE)
