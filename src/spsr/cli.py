@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common],
                        help="compare sparse vs dense pipelines on synthetic masks")
-    p.add_argument("--count", type=int, default=50, help=f"corpus size (at most {io.MAX_ROIS})")
+    p.add_argument("--count", type=int, default=50, help=f"corpus size (1 to {io.MAX_ROIS})")
     p.add_argument("--shape", choices=SHAPES, default=SyntheticShapeSpec.shape)
     p.add_argument("--canvas", type=int, default=SyntheticShapeSpec.canvas_h,
                    help="square canvas side")
@@ -142,16 +142,16 @@ def cmd_bench(args) -> int:
     if args.out:
         io.check_writable(args.out)
     config = _run_config(args, "oracle", (args.canvas, args.canvas))
-    if args.count > io.MAX_ROIS:
-        raise SchemaError(f"--count {args.count} is over the {io.MAX_ROIS}-RoI cap")
+    if not 1 <= args.count <= io.MAX_ROIS:
+        raise SchemaError(f"--count {args.count} lies outside 1..{io.MAX_ROIS}, the RoI cap")
     if args.canvas * args.canvas > io.MAX_MASK_PIXELS:
         raise SchemaError(f"--canvas {args.canvas} is over the {io.MAX_MASK_PIXELS}-pixel "
                           f"mask cap")
     weights = pipeline.PipelineWeights(None, config)  # capped before the corpus is drawn
     rois = roi_corpus(args.count, args.shape, args.canvas, args.seed, config.final_side)
-    # one neck for both routes; the last run is handed the only reference, so
-    # it frees each level once no later stage samples it
-    necks = [NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)]
+    # one neck for both routes: a run prunes the level dict it is given, so the
+    # dense run gets a copy and the sparse run, the last one, the neck's own
+    neck = NeckFeatures.synthesize(config.seed, (args.canvas, args.canvas), config.f_neck)
 
     # the first bilinear sample imports scipy.sparse; do it here, untimed
     import scipy.sparse  # noqa: F401
@@ -159,9 +159,10 @@ def cmd_bench(args) -> int:
     # the dense route runs for its wall time only: the sparse run's ledger
     # already counts every op with every cell active
     t0 = time.perf_counter()
-    run_refinement(rois, config, weights=weights, neck=necks[0], sparse=False)
+    run_refinement(rois, config, weights=weights, neck=NeckFeatures(dict(neck.levels)),
+                   sparse=False)
     t1 = time.perf_counter()
-    sparse = run_refinement(rois, config, weights=weights, neck=necks.pop(), sparse=True)
+    sparse = run_refinement(rois, config, weights=weights, neck=neck, sparse=True)
     t2 = time.perf_counter()
 
     report = compare(sparse.ledger)

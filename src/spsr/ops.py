@@ -18,8 +18,9 @@ tap index of ``tensor.gather_taps`` (out-of-grid taps read a zero row) and
 real-valued samples through one bilinear kernel (:func:`_bilinear`), which the
 dense twins reach through an identity index map.
 The bilinear kernel is a sparse-matrix product: a CSR matrix of corner
-weights, at most four per sample, times the feature rows, taken a chunk of
-samples at a time and written into the caller's output block.
+weights, at most four per sample, times the feature rows, taken a band of
+samples at a time; :func:`_bands` sizes every such row loop. Both fusions read
+their external input from one checked band source (:func:`_ext_band`).
 
 A sparse convolution is one GEMM (:func:`_contract`). Its input is
 feature-major columns ``[F_in * T, n]``, row ``i * T + t`` holding feature ``i``
@@ -45,9 +46,25 @@ from .errors import ContractError
 from .tensor import SpsTensor, _tap_index, _with_rows
 
 ACTIVATIONS = ("none", "relu")
-# Values a chunked fill holds beside its output: bilinear samples of F features
+# Values a banded loop holds beside its output: bilinear samples of F features
 # go CHUNK_VALUES // F at a time, and the neck is drawn this many at a time.
 CHUNK_VALUES = 1 << 18
+
+
+def _bands(n_rows: int, row_values: int) -> list[slice]:
+    """Consecutive slices of ``range(n_rows)``: each band holds at most
+    ``CHUNK_VALUES`` values of ``row_values`` per row, and at least one row."""
+    step = max(1, CHUNK_VALUES // max(row_values, 1))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _ext_band(ext: Callable[[slice], np.ndarray], band: slice, f_e: int) -> np.ndarray:
+    """``ext(band)``, the ``[n, F_e]`` external rows of a band of ``n`` rows;
+    ``ContractError`` for any other shape, such as one row that would broadcast."""
+    rows, n = ext(band), band.stop - band.start
+    if np.shape(rows) != (n, f_e):
+        raise ContractError(f"external band {np.shape(rows)}, not [{n}, {f_e}]")
+    return rows
 
 
 @dataclass
@@ -266,31 +283,24 @@ def deform_conv_sparse(s: SpsTensor, k: ConvKernel, off: OffsetField) -> SpsTens
     return _with_rows(s, _contract(cols, k))
 
 
-def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray,
+              px: np.ndarray) -> np.ndarray:
     """Sample the field that ``index_map`` resolves into ``rows`` at real
     positions; output ``py.shape + (F,)``, zero outside the grid.
 
-    The samples are written into ``out``, a ``[py.size, F]`` float64 block of
-    any strides (such as a column block of a wider array), or into a new
-    array when ``out`` is None. A block of another shape raises
-    ``ContractError``.
-
-    Each chunk of ``CHUNK_VALUES // F`` samples is one product ``W @ rows`` with
-    a sparse weight matrix ``W`` (one CSR row per sample), so only one chunk's
-    product is held beside ``out``. With ``out`` None and every sample in one
-    chunk, or at most ``CHUNK_VALUES // 4`` samples (so that the CSR index
-    arrays hold at most ``CHUNK_VALUES`` entries), all samples are one product,
-    which is returned itself, uncopied. Each row holds its corners in the
-    order (y0, x0), (y0, x1), (y1, x0), (y1, x1), with column
-    ``index_map[cy, cx]``; a corner outside the grid or with zero weight gets
-    no entry, so an all-outside sample is a ``+0.0`` row. Two corners may
-    share a column (cells that reference one passive row). The matrix is never
-    canonicalised (no ``sum_duplicates``, ``sort_indices`` or
+    Each band of ``CHUNK_VALUES // F`` samples (:func:`_bands`) is one product
+    ``W @ rows`` with a sparse weight matrix ``W`` (one CSR row per sample),
+    copied into a new output, so only one band's product is held beside it;
+    the product of a single band is the output itself, uncopied. Each row
+    holds its corners in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1),
+    with column ``index_map[cy, cx]``; a corner outside the grid or with zero
+    weight gets no entry, so an all-outside sample is a ``+0.0`` row. Two
+    corners may share a column (cells that reference one passive row). The
+    matrix is never canonicalised (no ``sum_duplicates``, ``sort_indices`` or
     ``eliminate_zeros``): the product then adds each row's terms in corner
     order from ``+0.0``, exactly as a four-corner loop of
     ``out += weight * row`` does, so results are bit-identical to it, however
-    the samples are chunked.
+    the samples are banded.
     """
     from scipy.sparse import csr_array  # loaded only where samples are taken
 
@@ -298,16 +308,10 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
     shape = np.shape(py)
     py, px = np.ravel(py), np.ravel(px)
     n, f = len(py), rows.shape[1]
-    if out is not None and (out.shape != (n, f) or out.dtype != np.float64):
-        raise ContractError(f"output block {out.shape} of {out.dtype} cannot hold {n} "
-                            f"float64 samples of {f} features")
-    step = max(1, CHUNK_VALUES // max(f, 1))
-    if out is None and 0 < n <= max(step, CHUNK_VALUES // 4):
-        step = n  # one product is the output
-    elif out is None:
-        out = np.empty((n, f))
-    for lo in range(0, n, step):
-        y, x = py[lo:lo + step], px[lo:lo + step]
+    bands = _bands(n, f)
+    out = None if len(bands) == 1 else np.empty((n, f))  # None: one product is the output
+    for band in bands:
+        y, x = py[band], px[band]
         y0 = np.floor(y).astype(np.int64)
         x0 = np.floor(x).astype(np.int64)
         wy = y - y0
@@ -328,9 +332,8 @@ def _bilinear(rows: np.ndarray, index_map: np.ndarray, py: np.ndarray, px: np.nd
         columns = index_map.take(cells[keep]).astype(np.int32)
         matrix = csr_array((weight[keep], columns, indptr), shape=(len(y0), rows.shape[0]))
         if out is None:
-            out = matrix @ rows
-        else:
-            out[lo:lo + step] = matrix @ rows
+            return (matrix @ rows).reshape(shape + (f,))
+        out[band] = matrix @ rows
     return out.reshape(shape + (f,))
 
 
@@ -353,14 +356,15 @@ def sfm(s: SpsTensor, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> SpsTens
     return _with_rows(s, acc)
 
 
-def fuse_external(s: SpsTensor, ext: Callable[[np.ndarray], object],
+def fuse_external(s: SpsTensor, ext: Callable[[slice], np.ndarray],
                   transform: TransformChain) -> SpsTensor:
     """Residual fusion: each active row beside its external vector, mapped, added.
 
     The fusion input ``[N_A, F + F_e]`` is allocated once, with ``F + F_e`` the
-    transform's input width. The active rows fill its left block, and
-    ``ext(block)`` writes the external rows into the ``[N_A, F_e]`` right
-    block, a strided view. ``ext`` is not called when no row is active.
+    transform's input width. The active rows fill its left block, and each
+    band of its right block is ``ext(band)``, the ``[n, F_e]`` external rows
+    of the active rows ``band`` (:func:`_ext_band`). ``ext`` is not called
+    when no row is active.
     """
     f_in, f_out = _chain_ends(transform)
     if f_in <= s.f or f_out != s.f:
@@ -369,7 +373,8 @@ def fuse_external(s: SpsTensor, ext: Callable[[np.ndarray], object],
         return s
     fused = np.empty((s.n_active, f_in))
     fused[:, :s.f] = s.active
-    ext(fused[:, s.f:])
+    for band in _bands(s.n_active, f_in - s.f):
+        fused[band, s.f:] = _ext_band(ext, band, f_in - s.f)
     update = apply_chain(transform, fused)
     update += s.active
     return _with_rows(s, update)
@@ -473,24 +478,24 @@ def dense_sfm(x: np.ndarray, k1: ConvKernel, k3: ConvKernel, k5: ConvKernel) -> 
 
 def dense_fuse(x: np.ndarray, ext: Callable[[slice], np.ndarray],
                transform: TransformChain) -> np.ndarray:
-    """Dense twin of :func:`fuse_external`, whose external input comes band
-    by band: ``ext(cells)`` returns the ``F_e`` external features of the
-    row-major cells ``cells`` (a slice of whole grid rows) as an ``[n, F_e]``
-    array, with ``F_e`` the transform's input width beyond ``F``.
+    """Dense twin of :func:`fuse_external`, with the same band source:
+    ``ext(cells)`` returns the ``[n, F_e]`` external rows of the row-major
+    cells ``cells``, a slice of whole grid rows (:func:`_ext_band`).
 
     The first layer's weights split into the block that reads ``x``, one GEMM
     over every cell, and the block that reads the external input, applied one
-    band of whole grid rows at a time: at most ``CHUNK_VALUES`` external
-    values (or one grid row) per band, so the external input is never held
-    whole. The later layers are plain pointwise layers.
+    band of whole grid rows at a time (:func:`_bands`: at most
+    ``CHUNK_VALUES`` external values, or one grid row, per band), so the
+    external input is never held whole. The later layers are plain pointwise
+    layers.
     """
     first, *rest = _layers(transform)
     f, h, w = x.shape
+    f_e = first.f_in - f
     out = first.weights[:, :f] @ x.reshape(f, -1)
-    step = max(1, CHUNK_VALUES // max(w * (first.f_in - f), 1)) * w  # cells per band
-    for lo in range(0, h * w, step):
-        cells = slice(lo, min(lo + step, h * w))
-        out[:, cells] += first.weights[:, f:] @ ext(cells).T
+    for rows in _bands(h, w * f_e):
+        cells = slice(rows.start * w, rows.stop * w)
+        out[:, cells] += first.weights[:, f:] @ _ext_band(ext, cells, f_e).T
     update = _epilogue(out, first).reshape(first.f_out, h, w)
     for t in rest:
         update = dense_pointwise(update, t)

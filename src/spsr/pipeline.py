@@ -142,9 +142,8 @@ def make_targets(gt_mask: np.ndarray, grid_hw: tuple) -> tuple[np.ndarray, np.nd
     by = np.floor(np.arange(h + 1) * rows / h).astype(np.int64)
     bx = np.floor(np.arange(w + 1) * cols / w).astype(np.int64)
     count = np.empty((h, w), dtype=np.int64)
-    step = max(1, ops.CHUNK_VALUES // (-(-rows // h) * cols))  # row bands per chunk
-    for i in range(0, h, step):
-        j = min(i + step, h)
+    for band in ops._bands(h, -(-rows // h) * cols):
+        i, j = band.start, band.stop
         bands = np.add.reduceat(gt[by[i]:by[j]], by[i:j] - by[i], axis=0, dtype=np.int64)
         count[i:j] = np.add.reduceat(bands, bx[:-1], axis=1)
     area = (by[1:, None] - by[:-1, None]) * (bx[None, 1:] - bx[None, :-1])
@@ -400,19 +399,16 @@ class NeckFeatures:
                   for level, (gh, gw) in neck_grids(image_hw, f_neck).items()}
         return cls(levels=levels)
 
-    def sample(self, level: int, ys: np.ndarray, xs: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear sample at image coordinates; ``(n, F)``, zero outside.
-
-        ``out``, if given, is the ``[n, F]`` block the samples are written
-        into (see ``ops._bilinear``)."""
+    def sample(self, level: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Bilinear sample at image coordinates; ``(n, F)``, zero outside
+        (``ops._bilinear``)."""
         if level not in self.levels:
             raise ContractError(f"no neck features for level {level}")
         grid = self.levels[level]
         gh, gw, f = grid.shape
         stride = float(2**level)
         return ops._bilinear(grid.reshape(-1, f), np.arange(gh * gw).reshape(gh, gw),
-                             ys / stride - 0.5, xs / stride - 0.5, out)
+                             ys / stride - 0.5, xs / stride - 0.5)
 
 
 def _layout(config: RunConfig) -> list[dict]:
@@ -572,11 +568,11 @@ def _stage_entries(ledger: CostLedger, w: PipelineWeights, s: int, active: int, 
 class _Engine:
     """One refinement over one image's RoIs, run once by :meth:`run`.
 
-    The engine holds its own ``NeckFeatures``: a new dict of the given (or
-    synthesized) neck's levels. ``run`` drops a level from it as soon as no
-    later stage samples that level, so a caller's neck is never changed, and
-    a level is freed there unless something else holds it: always for a
-    synthesized neck, and for a given one that no caller still references.
+    The engine consumes the neck it is given (or synthesizes): ``run`` drops
+    a level from that ``NeckFeatures``' own level dict as soon as no later
+    stage samples it, so the level is freed unless something else holds the
+    array. A caller that needs the neck whole afterwards passes
+    ``NeckFeatures(dict(neck.levels))``, whose pruning leaves ``neck`` whole.
     """
 
     def __init__(self, rois: Sequence[RoiInput], config: RunConfig,
@@ -598,7 +594,7 @@ class _Engine:
             image_hw = config.image_hw or self._default_image_hw()
             neck = NeckFeatures.synthesize(config.seed, image_hw, config.f_neck)
         _check_neck(neck, config.f_neck)
-        self.neck = NeckFeatures(levels=dict(neck.levels))  # run prunes this dict only
+        self.neck = neck
         self.k0 = [assign_level(r.box) for r in self.rois]
         self.queries = [seeded_rng(config.seed, "query", i).standard_normal(config.f_query)
                         for i in range(len(self.rois))]
@@ -621,14 +617,16 @@ class _Engine:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(fn, items))
 
-    def _neck_rows(self, i: int, s: int, coords: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Neck features of RoI i's level at stage s, at the centers of
-        ``coords``; written into ``out`` if given."""
+    def _query_rows(self, i: int, band: slice) -> np.ndarray:
+        """RoI i's query vector broadcast to the ``[n, F_query]`` rows of a band."""
+        return np.broadcast_to(self.queries[i], (band.stop - band.start, self.config.f_query))
+
+    def _neck_rows(self, i: int, s: int, coords: np.ndarray) -> np.ndarray:
+        """Neck features of RoI i's level at stage s, at the centers of ``coords``."""
         box, (h, w) = self.rois[i].box, self.plan[s].hw
         ys = cell_centers(box.y0, box.y1, h)[coords[:, 0]]
         xs = cell_centers(box.x0, box.x1, w)[coords[:, 1]]
-        return self.neck.sample(stage_level(self.k0[i], s), ys, xs, out=out)
+        return self.neck.sample(stage_level(self.k0[i], s), ys, xs)
 
     def _child_maps(self, s: int) -> list:
         return [lambda rows, m=m: ops.apply_chain(m, rows)
@@ -641,9 +639,9 @@ class _Engine:
         cells)`` on the children of its selected ``cells``. Both return ``(feats,
         feature rows, coords, seg, refine)``, one seg and refine value per coord.
         Each RoI's step replaces its own features: a RoI holds one stage of them.
-        Stage s starts by dropping every neck level that no stage ``t >= s``
-        samples (:func:`stage_level` of each RoI's ``k0``), so the engine holds
-        only the levels a later stage reads; it can run only once.
+        Stage s starts by dropping from the neck's level dict every level that
+        no stage ``t >= s`` samples (:func:`stage_level` of each RoI's ``k0``),
+        so the neck holds only the levels a later stage reads; it can run only once.
         """
         cfg, w = self.config, self.weights
         ledger = CostLedger()
@@ -694,8 +692,7 @@ class _Engine:
         x = w["ingest"][0][0].apply(self._neck_rows(i, 0, _all_cells(grid0)))
         index = np.arange(grid0[0] * grid0[1]).reshape(grid0)
         t = SpsTensor(active=x, passive=np.zeros((0, cfg.f0)), index_map=index)
-        t = ops.fuse_external(t, lambda block: np.copyto(block, self.queries[i]),
-                              w["query_fuse"][0])
+        t = ops.fuse_external(t, lambda band: self._query_rows(i, band), w["query_fuse"][0])
         for (kernel,) in w["fcn"]:
             t = ops.relu_active(ops.conv2d_sparse(t, kernel))
         seg = ops.apply_chain(w["seg_head"][0], t.active).ravel()
@@ -706,7 +703,7 @@ class _Engine:
         w = self.weights.stages[s]
         t = subdivide(reselect(t, cells), self._child_maps(s))
         coords = t.active_coords()
-        t = ops.fuse_external(t, lambda block: self._neck_rows(i, s, coords, block),
+        t = ops.fuse_external(t, lambda band: self._neck_rows(i, s, coords[band]),
                               w["neck_fuse"][0])
         t = ops.halve_features(t, w["halve"][0][0])
         t = ops.sfm(t, *(kernel for (kernel,) in w["sfm"]))
@@ -720,8 +717,7 @@ class _Engine:
         cfg, grid0, w = self.config, self.plan[0].hw, self.weights.stages[0]
         neck = self._neck_rows(i, 0, _all_cells(grid0)).reshape(grid0 + (cfg.f_neck,))
         x = ops.dense_pointwise(neck.transpose(2, 0, 1), w["ingest"][0][0])
-        x = ops.dense_fuse(x, lambda band: np.broadcast_to(
-            self.queries[i], (band.stop - band.start, cfg.f_query)), w["query_fuse"][0])
+        x = ops.dense_fuse(x, lambda band: self._query_rows(i, band), w["query_fuse"][0])
         for (kernel,) in w["fcn"]:
             x = np.maximum(ops.dense_conv2d(x, kernel), 0.0)
         seg = ops.dense_chain(x, w["seg_head"][0])[0].ravel()
@@ -751,15 +747,12 @@ def run_refinement(rois: Sequence[RoiInput], config: RunConfig,
     ``sparse=False`` runs the dense baseline route (every cell active, plain
     array operators) with identical weights and shapes.
 
-    The run drops its ``neck`` argument once the engine has copied the level
-    dict, so a neck that the caller hands over (keeps no reference to) is
-    freed level by level as the run stops sampling it; a neck the caller
-    keeps stays whole and unchanged. (CPython 3.10 keeps a call's arguments
-    referenced by its caller until the call returns, so there a neck is
-    never handed over.)
+    The run consumes a given ``neck``: it drops each level from
+    ``neck.levels`` once no later stage samples it, so the level is freed
+    unless the caller holds its array elsewhere. To keep a neck whole, pass
+    ``NeckFeatures(dict(neck.levels))``; the level arrays are never changed.
     """
     engine = _Engine(rois, config, weights, neck)
-    del neck  # the engine holds the levels it still samples
     if sparse:
         return engine.run(engine.sparse_stage0, engine.sparse_stage, config.top_n_active)
     return engine.run(engine.dense_stage0, engine.dense_stage, None)

@@ -41,23 +41,17 @@ def random_kernel(rng, f, k=3, dilation=1):
                           bias=rng.standard_normal(f), dilation=dilation)
 
 
-def writes(rows):
-    """An ``ext`` writer for ``ops.fuse_external`` that copies fixed rows into
-    the block it is given, which must have their shape."""
+def row_bands(rows):
+    """An ``ext`` band source for ``ops.fuse_external`` or ``ops.dense_fuse``
+    that returns each band of fixed ``[n, F_e]`` rows (a view of any strides)."""
     rows = np.asarray(rows, dtype=np.float64)
-
-    def write(block):
-        assert block.shape == rows.shape
-        block[...] = rows
-
-    return write
+    return lambda band: rows[band]
 
 
 def grid_bands(grid):
     """An ``ext`` band source for ``ops.dense_fuse`` that returns the cells of
-    an ``[F_e, H, W]`` grid (a view of any strides) as ``[n, F_e]`` rows."""
-    flat = np.asarray(grid, dtype=np.float64).reshape(grid.shape[0], -1)
-    return lambda band: flat[:, band].T
+    an ``[F_e, H, W]`` grid as ``[n, F_e]`` rows, a transposed view."""
+    return row_bands(np.asarray(grid, dtype=np.float64).reshape(grid.shape[0], -1).T)
 
 
 def traced_peak(fn, *args):

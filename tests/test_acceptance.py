@@ -18,7 +18,7 @@ from spsr.cli import main
 from spsr.metrics import boundary_iou, rle_encode
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic, reference_mask
 
-from conftest import grid_bands, random_kernel, random_linear, random_sps, writes
+from conftest import grid_bands, random_kernel, random_linear, random_sps, row_bands
 
 FAST = ["--f0", "16", "--f-neck", "8", "--f-query", "8"]
 
@@ -86,7 +86,7 @@ def test_criterion_1_sparse_dense_equivalence(rng):
                 ext = ext_grid[:, coords[:, 0], coords[:, 1]].T
                 chain = [random_linear(case_rng, f + f_ext, f, activation="relu"),
                          random_linear(case_rng, f, f)]
-                out = ops.fuse_external(s, writes(ext), chain)
+                out = ops.fuse_external(s, row_bands(ext), chain)
                 ref = ops.dense_fuse(d, grid_bands(ext_grid), chain)
 
             _check_active(s, out, ref)

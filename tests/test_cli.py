@@ -820,10 +820,12 @@ class TestBenchCommand:
         weights = pipeline.PipelineWeights(None, base)
         rois = synthetic.roi_corpus(2, "blob", 160, base.seed, base.final_side)
         neck = pipeline.NeckFeatures.synthesize(base.seed, (160, 160), base.f_neck)
-        dense = pipeline.run_refinement(rois, base, weights, neck, sparse=False)
+        # each run prunes the level dict it is given, so each gets a copy
+        dense = pipeline.run_refinement(rois, base, weights,
+                                        pipeline.NeckFeatures(dict(neck.levels)), sparse=False)
         for budget in (300, 1000):
             sparse = pipeline.run_refinement(rois, replace(base, top_n_active=budget),
-                                             weights, neck)
+                                             weights, pipeline.NeckFeatures(dict(neck.levels)))
             out = tmp_path / f"bench-{budget}.json"
             assert main(["bench", "--count", "2", "--canvas", "160", "--top-n", str(budget),
                          "--out", str(out)] + REFINE_FAST) == 0
@@ -842,6 +844,18 @@ class TestBenchCommand:
         out = tmp_path / "bench.json"
         code = main(["bench", "--count", "4096", "--f0", str(1 << 30), "--out", str(out)])
         assert_exit_2_no_output(capsys, code, out)
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_refused_before_anything_is_drawn(self, tmp_path, capsys,
+                                                               monkeypatch, count):
+        monkeypatch.setattr(pipeline, "PipelineWeights", fail_if_called)
+        monkeypatch.setattr(cli, "roi_corpus", fail_if_called)
+        monkeypatch.setattr(pipeline.NeckFeatures, "synthesize", fail_if_called)
+        out = tmp_path / "bench.json"
+        code = main(["bench", "--count", count, "--out", str(out)] + REFINE_FAST)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --count {count} lies outside 1..{io.MAX_ROIS}, the RoI cap\n"
 
 
 class TestActiveFraction:

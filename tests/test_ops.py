@@ -7,7 +7,7 @@ from spsr.errors import ContractError
 from spsr.synthetic import SyntheticShapeSpec, gen_synthetic
 
 from conftest import (grid_bands, identity_transform, random_kernel, random_linear, random_sps,
-                      traced_peak, writes)
+                      row_bands, traced_peak)
 
 
 def active_values(s):
@@ -181,11 +181,19 @@ class TestSfm:
             ops.sfm(s, k, k, k)
 
 
+def both_fusions(rng, f, side, n_active):
+    """``fuse(ext, transform)`` of ``fuse_external`` on a random ``[f, side,
+    side]`` SPS tensor with ``n_active`` active cells, then of ``dense_fuse``
+    on its dense twin."""
+    d, s = random_sps(rng, f=f, h=side, w=side, n_active=n_active)
+    return [lambda ext, t: ops.fuse_external(s, ext, t), lambda ext, t: ops.dense_fuse(d, ext, t)]
+
+
 class TestFuseExternal:
     def test_zero_transform_is_identity(self, rng):
         _, s = random_sps(rng, f=4, h=4, w=4, n_active=8)
         t = ops.LinearTransform(weights=np.zeros((4, 6)), bias=np.zeros(4))
-        out = ops.fuse_external(s, writes(rng.standard_normal((8, 2))), t)
+        out = ops.fuse_external(s, row_bands(rng.standard_normal((8, 2))), t)
         np.testing.assert_array_equal(out.active, s.active)
 
     def test_ignoring_ext_equals_pointwise_residual(self, rng):
@@ -193,7 +201,7 @@ class TestFuseExternal:
         w_core = rng.standard_normal((3, 3))
         w = np.concatenate([w_core, np.zeros((3, 2))], axis=1)  # block ignores ext
         t = ops.LinearTransform(weights=w, bias=np.zeros(3))
-        out = ops.fuse_external(s, writes(np.zeros((6, 2))), t)
+        out = ops.fuse_external(s, row_bands(np.zeros((6, 2))), t)
         expected = s.active + s.active @ w_core.T
         np.testing.assert_allclose(out.active, expected, rtol=1e-12)
 
@@ -203,41 +211,55 @@ class TestFuseExternal:
         coords = s.active_coords()
         ext_rows = ext_grid[:, coords[:, 0], coords[:, 1]].T
         chain = [random_linear(rng, 5, 4, activation="relu"), random_linear(rng, 4, 3)]
-        out = ops.fuse_external(s, writes(ext_rows), chain)
+        out = ops.fuse_external(s, row_bands(ext_rows), chain)
         ref = ops.dense_fuse(d, grid_bands(ext_grid), chain)
         assert_sparse_matches_dense(out, ref, s)
 
     def test_row_count_mismatch_rejected(self, rng):
-        # the neck sampler as the writer: 2 samples for a block of 4 active rows
-        _, s = random_sps(rng, f=3, h=3, w=3, n_active=4)
+        # the neck sampler as the band source of both fusions: 2 samples for a
+        # band of 4 active rows, or of 9 cells
         rows, index_map = rng.standard_normal((9, 2)), np.arange(9).reshape(3, 3)
-        with pytest.raises(ContractError):
-            ops.fuse_external(s, lambda block: ops._bilinear(rows, index_map, np.ones(2),
-                                                             np.ones(2), block),
-                              random_linear(rng, 5, 3))
+        ext = lambda band: ops._bilinear(rows, index_map, np.ones(2), np.ones(2))  # noqa: E731
+        for fuse in both_fusions(rng, 3, 3, 4):
+            with pytest.raises(ContractError):
+                fuse(ext, random_linear(rng, 5, 3))
 
     def test_width_mismatch_rejected(self, rng):
-        # 2-feature samples for a 3-feature external block, and a transform
-        # that leaves no external block at all
-        _, s = random_sps(rng, f=3, h=3, w=3, n_active=4)
+        # 2-feature samples for a 3-feature external band on both fusions, and
+        # a transform that leaves no external block at all
         rows, index_map = rng.standard_normal((9, 2)), np.arange(9).reshape(3, 3)
-        ys = np.ones(4)
+
+        def ext(band):
+            ys = np.ones(band.stop - band.start)
+            return ops._bilinear(rows, index_map, ys, ys)
+
+        for fuse in both_fusions(rng, 3, 3, 4):
+            with pytest.raises(ContractError):
+                fuse(ext, random_linear(rng, 6, 3))
+        _, s = random_sps(rng, f=3, h=3, w=3, n_active=4)
         with pytest.raises(ContractError):
-            ops.fuse_external(s, lambda block: ops._bilinear(rows, index_map, ys, ys, block),
-                              random_linear(rng, 6, 3))
-        with pytest.raises(ContractError):
-            ops.fuse_external(s, writes(np.zeros((4, 0))), random_linear(rng, 3, 3))
+            ops.fuse_external(s, row_bands(np.zeros((4, 0))), random_linear(rng, 3, 3))
+
+    BANDS = {"fewer-rows": lambda n: (n - 1, 2), "more-rows": lambda n: (n + 1, 2),
+             "narrower": lambda n: (n, 1), "wider": lambda n: (n, 3), "3-d": lambda n: (n, 1, 2),
+             "one-row": lambda n: (1, 2), "vector": lambda n: (2,)}
+
+    @pytest.mark.parametrize("case", BANDS)
+    @pytest.mark.parametrize("fusion", [0, 1], ids=["fuse_external", "dense_fuse"])
+    def test_wrong_band_rejected(self, rng, fusion, case):
+        # a band of n rows, F_e = 2, must be [n, 2]: one row or one vector
+        # would broadcast over the band, so they are refused too
+        fuse = both_fusions(rng, 3, 3, 4)[fusion]
+        ext = lambda band: np.zeros(self.BANDS[case](band.stop - band.start))  # noqa: E731
+        with pytest.raises(ContractError, match="external band"):
+            fuse(ext, random_linear(rng, 5, 3))
 
     def test_fusion_input_built_once(self, rng, monkeypatch):
         # the transform reads one C-contiguous [N_A, F + F_e] array whose right
-        # block is the very block the writer filled
+        # block holds the band source's rows
         _, s = random_sps(rng, f=3, h=5, w=5, n_active=9)
         ext_rows = rng.standard_normal((9, 4))
         seen = {}
-
-        def write(block):
-            seen["block"] = block
-            block[...] = ext_rows
 
         def chain(transform, rows):
             seen["rows"] = rows
@@ -245,10 +267,9 @@ class TestFuseExternal:
 
         monkeypatch.setattr(ops, "apply_chain", chain)
         transform = random_linear(rng, 7, 3)
-        out = ops.fuse_external(s, write, transform)
+        out = ops.fuse_external(s, row_bands(ext_rows), transform)
         rows = seen["rows"]
         assert rows.shape == (9, 7) and rows.flags.c_contiguous
-        assert np.shares_memory(seen["block"], rows)
         np.testing.assert_array_equal(rows, np.concatenate([s.active, ext_rows], axis=1))
         np.testing.assert_array_equal(out.active, s.active + transform.apply(rows))
 
@@ -279,7 +300,8 @@ class TestDegenerate:
         assert ops.conv2d_sparse(s, k).n_active == 0
         assert ops.sfm(s, random_kernel(rng, 4, dilation=1), random_kernel(rng, 4, dilation=3),
                        random_kernel(rng, 4, dilation=5)).n_active == 0
-        assert ops.fuse_external(s, writes(np.zeros((0, 2))), random_linear(rng, 6, 4)).n_active == 0
+        fused = ops.fuse_external(s, row_bands(np.zeros((0, 2))), random_linear(rng, 6, 4))
+        assert fused.n_active == 0
         out = ops.halve_features(s, random_linear(rng, 4, 2))
         assert out.n_passive == 16 and out.f == 2
 
@@ -435,23 +457,31 @@ class TestBilinearKernel:
     CHUNK = ops.CHUNK_VALUES // F  # samples per CSR product
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 12544])
-    def test_writes_a_strided_column_block(self, rng, n):
-        # the block sits between other columns of a wider array, as in the fusion input
+    def test_writes_a_strided_column_block(self, rng, monkeypatch, n):
+        # as fuse_external's band source, the sampler fills the right-hand
+        # block of the fusion input, a strided column block, band by band
         rows, index_map = self._neck(rng)
         py = rng.uniform(-1, self.H, n)
         px = rng.uniform(-1, self.W, n)
-        wide = np.full((n, 7 + self.F + 5), np.nan)
-        block = wide[:, 7:7 + self.F]
-        got = ops._bilinear(rows, index_map, py, px, block)
-        assert got.shape == (n, self.F) and (n == 0 or np.shares_memory(got, wide))
         want = four_corner_bilinear(rows, index_map, py, px)
-        assert_bit_identical(block, want)
         assert_bit_identical(ops._bilinear(rows, index_map, py, px), want)
-        assert np.all(np.isnan(wide[:, :7])) and np.all(np.isnan(wide[:, 7 + self.F:]))
+        s = tensor.from_dense(np.full((7, 112, 112), -7.0), [divmod(c, 112) for c in range(n)])
+        fused = []
+
+        def chain(transform, block):
+            fused.append(block)
+            return np.zeros((n, 7))
+
+        monkeypatch.setattr(ops, "apply_chain", chain)
+        ops.fuse_external(s, lambda band: ops._bilinear(rows, index_map, py[band], px[band]),
+                          ops.LinearTransform(np.zeros((7, 7 + self.F)), np.zeros(7)))
+        if n:
+            assert np.all(fused[0][:, :7] == -7.0)
+            assert_bit_identical(fused[0][:, 7:], want)
 
     def test_one_chunk_holds_one_output(self, rng):
-        # with out=None and every sample in one chunk, or as many as the dense
-        # route's 112x112 neck grid, the one CSR product is the output
+        # one band's samples are one CSR product, which is the output; a
+        # 112x112 neck grid's 13 bands are a new output beside one band's product
         rows, index_map = self._neck(rng)
         for n in (self.CHUNK, 12544):
             py = rng.uniform(-1, self.H, n)
@@ -462,22 +492,12 @@ class TestBilinearKernel:
             assert peak < 1.15 * n * self.F * 8
 
     def test_new_output_past_one_product_fills_in_chunks(self, rng, monkeypatch):
-        # with CHUNK_VALUES = 4F, one product holds up to F samples; past that,
-        # out=None fills a new array 4 samples at a time
+        # with CHUNK_VALUES = 4F, a new array is filled 4 samples at a time,
+        # the last band holding the 1 to 4 left
         monkeypatch.setattr(ops, "CHUNK_VALUES", 4 * self.F)
         rows, index_map = self._neck(rng)
         for n in (self.F, self.F + 1, 3 * self.F + 2):
             self._check(rows, index_map, rng.uniform(-1, self.H, n), rng.uniform(-1, self.W, n))
-
-    @pytest.mark.parametrize("shape,dtype", [((9, F), np.float64), ((11, F), np.float64),
-                                             ((10, F - 1), np.float64), ((10, F + 1), np.float64),
-                                             ((10, 1, F), np.float64), ((10, F), np.float32)],
-                             ids=["fewer-rows", "more-rows", "narrower", "wider", "3-d", "float32"])
-    def test_wrong_block_rejected(self, rng, shape, dtype):
-        rows, index_map = self._neck(rng)
-        py = rng.uniform(0, self.H - 1, 10)
-        with pytest.raises(ContractError):
-            ops._bilinear(rows, index_map, py, py, np.zeros(shape, dtype=dtype))
 
     def test_shared_passive_rows_duplicate_columns(self, rng):
         # 2x2 children of a coarse cell share one passive row, so two corners
@@ -763,7 +783,8 @@ class TestDenseGemmForms:
         ("neck", (64, 28), 3), ("neck", (16, 112), 3), ("query", (64, 14), 13)])
     def test_fuse_in_uneven_bands(self, rng, monkeypatch, chain, ext_kind, grid, rows_per_band):
         # CHUNK_VALUES a little over rows_per_band grid rows of 256 values: the
-        # bands are rows_per_band rows each, then a one-row tail
+        # bands are rows_per_band rows each, then a one-row tail, on both
+        # fusions (fuse_external's rows are every cell, row-major)
         f, side = grid
         monkeypatch.setattr(ops, "CHUNK_VALUES", rows_per_band * side * 256 + 255)
         if ext_kind == "neck":
@@ -781,9 +802,17 @@ class TestDenseGemmForms:
         transform = self.FUSE[chain](rng, f, 256)
         got = ops.dense_fuse(x, ext, transform)
         starts = range(0, side, rows_per_band)
-        assert bands == [(lo * side, min(lo + rows_per_band, side) * side) for lo in starts]
+        want_bands = [(lo * side, min(lo + rows_per_band, side) * side) for lo in starts]
+        assert bands == want_bands
         assert side % rows_per_band == 1 and bands[-1][1] - bands[-1][0] == side
         assert_close_to_reference(got, einsum_dense_fuse(x, ext, transform))
+        # fuse_external's bands fill the block that one whole-block fill gives
+        s = tensor.from_dense(x, [divmod(c, side) for c in range(side * side)])
+        bands.clear()
+        got = ops.fuse_external(s, ext, transform)
+        assert bands == want_bands
+        whole = np.concatenate([s.active, source(slice(0, side * side))], axis=1)
+        assert_bit_identical(got.active, ops.apply_chain(transform, whole) + s.active)
 
 
 def weights_mode_run(rois, sparse):
@@ -856,7 +885,7 @@ def test_map_preserving_ops_skip_the_map_check(rng, monkeypatch):
     outs = [ops.conv2d_sparse(s, k[0]), ops.sfm(s, *k), ops.relu_active(s),
             ops.pointwise(s, random_linear(rng, 4, 4)),
             ops.halve_features(s, random_linear(rng, 4, 2)),
-            ops.fuse_external(s, writes(rng.standard_normal((20, 3))), random_linear(rng, 7, 4)),
+            ops.fuse_external(s, row_bands(rng.standard_normal((20, 3))), random_linear(rng, 7, 4)),
             ops.deform_conv_sparse(s, k[0], ops.OffsetField(rng.uniform(-1, 1, (20, 9, 2))))]
     assert not checks
     assert all(out.index_map is s.index_map for out in outs)

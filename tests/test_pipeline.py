@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 import threading
 import weakref
 from unittest import mock
@@ -900,12 +899,10 @@ class TestNeckLevelLifetime:
         assert alive == {s: {pl.stage_level(k0, t) for k0 in k0s for t in range(s, stages + 1)}
                          for s in range(stages + 1)}
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="CPython 3.10 keeps a call's arguments referenced by its caller "
-                               "until the call returns")
     def test_bench_hands_its_sparse_run_the_neck(self, monkeypatch):
-        # bench draws one neck for both routes; its sparse run, the last one,
-        # holds the only reference, so it prunes levels as refine does
+        # bench draws one neck for both routes; its dense run prunes a copy of
+        # the level dict and its sparse run, the last one, the neck's own, so
+        # the sparse run frees levels as refine does
         synthesize = pl.NeckFeatures.synthesize
         drawn = {}  # level -> weakref to the grid synthesize drew
 
@@ -932,17 +929,23 @@ class TestNeckLevelLifetime:
         assert wanted[0] != {2, 3, 4, 5}  # some level is dropped
         assert all(ref() is None for ref in drawn.values())  # gone once bench returns
 
-    def test_a_given_neck_keeps_its_levels(self):
+    def test_a_given_neck_loses_the_levels_no_later_stage_samples(self):
+        # a run prunes the given neck's own level dict, a dict copy leaves the
+        # neck whole, and no run changes a level's values
         cfg = small_config(mode="weights", top_n_active=300, image_hw=LEVEL_IMAGE)
-        neck = pl.NeckFeatures.synthesize(cfg.seed, cfg.image_hw, cfg.f_neck)
-        held = dict(neck.levels)
-        values = {level: grid.copy() for level, grid in held.items()}
+        rois = level_rois()
+        last = {pl.stage_level(pl.assign_level(r.box), cfg.stages) for r in rois}
         for sparse in (True, False):
-            pl.run_refinement(level_rois(), cfg, neck=neck, sparse=sparse)
-        assert sorted(neck.levels) == [2, 3, 4, 5]
-        for level, grid in neck.levels.items():
-            assert grid is held[level]
-            np.testing.assert_array_equal(grid, values[level])
+            neck = pl.NeckFeatures.synthesize(cfg.seed, cfg.image_hw, cfg.f_neck)
+            held = dict(neck.levels)
+            values = {level: grid.copy() for level, grid in held.items()}
+            pl.run_refinement(rois, cfg, neck=pl.NeckFeatures(dict(neck.levels)), sparse=sparse)
+            assert neck.levels == held
+            pl.run_refinement(rois, cfg, neck=neck, sparse=sparse)
+            assert sorted(neck.levels) == sorted(last) == [2]
+            for level, grid in held.items():
+                assert level not in neck.levels or neck.levels[level] is grid
+                np.testing.assert_array_equal(grid, values[level])
 
     def test_stage3_peak_holds_level2_and_one_fusion_block(self):
         # the TestFusionMemory RoI (k0 4) samples level 2 from stage 2 on, so
