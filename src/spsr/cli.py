@@ -29,6 +29,7 @@ from .pipeline import NeckFeatures, RunConfig, run_refinement
 from .synthetic import SHAPES, SyntheticShapeSpec, roi_corpus
 
 
+@functools.cache  # built once per process: building it costs more than a small eval call's matching
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spsr",
@@ -132,9 +133,10 @@ def cmd_eval(args) -> int:
         preds = io.load_eval_entries(args.preds, need_score=True, need_mask=need_mask)
         gts = io.load_eval_entries(args.gts, need_score=False, need_mask=need_mask)
         report = ap_suite(preds, gts, kind)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"  # the bytes io.dump_json writes
+    sys.stdout.write(text)
     if args.out:
-        io.dump_json(args.out, report)
+        io.write_atomic(args.out, text.encode())
     return 0
 
 

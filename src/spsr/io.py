@@ -137,7 +137,11 @@ def _integers(values: list, what: str, lo: int, hi: int) -> tuple:
     range; ``TypeError`` when ``values`` is not a list."""
     if not isinstance(values, list):
         raise TypeError(f"{what} must be a list, not {type(values).__name__}")
-    try:  # plain ints (and integral floats) convert in one C-level pass
+    if set(map(type, values)) <= {int}:  # JSON integers, as the parser gives them
+        ints = tuple(values)
+        if not ints or lo <= min(ints) and max(ints) <= hi:
+            return ints
+    try:  # integral floats (and bools) convert in one C-level pass
         ints = tuple(map(int, values))
         exact = ints == tuple(values)
     except (OverflowError, TypeError, ValueError):
@@ -155,6 +159,8 @@ def _integers(values: list, what: str, lo: int, hi: int) -> tuple:
 
 def _integer(value, what: str, lo: int, hi: int) -> int:
     """``value`` as an int in [lo, hi] (see ``_integers``)."""
+    if type(value) is int and lo <= value <= hi:
+        return value
     return _integers([value], what, lo, hi)[0]
 
 
@@ -326,8 +332,8 @@ def load_eval_entries(path: str, need_score: bool, need_mask: bool = False) -> l
 def load_panoptic(path: str):
     """Panoptic file: list of {image_id, segments: [{class, is_thing, rle}]}, one
     record per image, parsed whole and its summed canvases checked; no mask is
-    decoded. Returns (segments by image, each mask an ``Rle``; thing classes;
-    stuff classes)."""
+    decoded; ``is_thing`` is a JSON boolean, ``true`` when absent. Returns
+    (segments by image, each mask an ``Rle``; thing classes; stuff classes)."""
     records: dict = {}  # image id -> [PanopticSegment]
     things, stuffs = set(), set()
 
@@ -338,7 +344,10 @@ def load_panoptic(path: str):
         segs = []
         for seg in rec["segments"]:
             cls = _class_id(seg["class"])
-            (things if seg.get("is_thing", True) else stuffs).add(cls)
+            is_thing = seg.get("is_thing", True)
+            if type(is_thing) is not bool:
+                raise ValueError(f"is_thing must be true or false, not {json.dumps(is_thing)}")
+            (things if is_thing else stuffs).add(cls)
             segs.append(PanopticSegment(class_id=cls, mask=rle_from_dict(seg["rle"])))
         records[image_id] = segs
 

@@ -4,6 +4,17 @@ Masks travel as run-length encodings (column-major counts, alternating
 background/foreground and starting with background). AP decodes them to bool
 arrays and counts pixels only inside mask boxes; panoptic quality reads the
 runs themselves.
+
+AP matches by one greedy rule, which ``_match`` states once. At each IoU
+threshold, the predictions of a class are taken in descending score order
+(``geometry.rank``). Each claims the free gt of its own image with the highest
+IoU, the first listed on a tie, and is a true positive iff that IoU is above
+the threshold (strictly); the claimed gt is then no longer free. An unmatched
+prediction is left out of the ranking when it overlaps an ignore-listed gt of
+its image above the threshold, or when the run leaves it out (a prediction
+outside the area bucket under evaluation); otherwise it is a false positive.
+Matching never crosses images, so ``_match`` takes the k-th ranked prediction
+of every image in one step, for every threshold and area bucket at once.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ AP_IOU_THRESHOLDS = tuple(float(t) for t in np.round(np.arange(0.5, 1.0, 0.05), 
 SMALL_AREA = 32**2
 LARGE_AREA = 96**2
 BOUNDARY_FRACTION = 0.02
+PQ_CODE_SPACE = 4  # pq bins an image's (gt, prediction) codes directly up to this many per piece
 
 
 # --- RLE codec -------------------------------------------------------------
@@ -101,11 +113,24 @@ class EvalEntry:
     mask: Rle | None = None
 
     def area(self) -> float:
-        if self.mask is not None:
-            return float(self.mask.area)
-        if self.box is None:
+        return float(_areas([self])[0])
+
+
+def _areas(entries: Sequence[EvalEntry]) -> np.ndarray:
+    """Each entry's area: its mask's pixel count, or else its box's area, all
+    boxes in one ``box_area`` call."""
+    areas = np.zeros(len(entries))
+    boxed = []
+    for i, e in enumerate(entries):
+        if e.mask is not None:
+            areas[i] = e.mask.area
+        elif e.box is None:
             raise ContractError("entry carries neither box nor mask")
-        return float(box_area(np.asarray(self.box, dtype=np.float64)))
+        else:
+            boxed.append(i)
+    if boxed:
+        areas[boxed] = box_area(np.array([entries[i].box for i in boxed], dtype=np.float64))
+    return areas
 
 
 def geometry_iou_fn(kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
@@ -130,84 +155,131 @@ def geometry_iou_fn(kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
     return lambda p, g: _boxed_iou(prepare(p), prepare(g))
 
 
-def _by_image(entries: Sequence[EvalEntry]) -> dict:
-    groups: dict = {}
-    for e in entries:
-        groups.setdefault(e.image_id, []).append(e)
-    return groups
+def _iou_table(iou_fn: Callable, preds: Sequence[EvalEntry],
+               gts: Sequence[EvalEntry]) -> np.ndarray:
+    """``[len(preds), len(gts)]`` IoUs, one ``iou_fn`` call per pair."""
+    table = [[iou_fn(p, g) for g in gts] for p in preds]
+    return np.array(table, dtype=np.float64).reshape(len(preds), len(gts))
 
 
-def _pair_ious(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
-               kind: str) -> Callable[[EvalEntry, EvalEntry], float]:
-    """Evaluate every same-image (pred, gt) pair once; returns a table lookup.
+def _image_ious(kind: str) -> Callable:
+    """The IoU block of one image's predictions and gts. Boxes take one
+    ``iou_matrix``, the elementwise formula of ``geometry.iou``. Masks and
+    boundaries take a fresh ``geometry_iou_fn`` callable, so the image's decoded
+    masks and bands are dropped with its block."""
+    if kind == "box":
+        return lambda ps, gs: iou_matrix([p.box for p in ps], [g.box for g in gs])
+    return lambda ps, gs: _iou_table(geometry_iou_fn(kind), ps, gs)
 
-    Boxes take one ``iou_matrix`` per image, the elementwise formula of
-    ``geometry.iou``. Masks and boundaries take a fresh ``geometry_iou_fn``
-    callable per image, so its decoded masks and bands are dropped once that
-    image's pairs are filled.
+
+def _iou_blocks(preds: Sequence[EvalEntry], cols: Sequence[EvalEntry],
+                image_ious: Callable) -> tuple:
+    """Rank ``preds`` and hold their IoUs one block per image: ``(order,
+    blocks)``, one ``(rows, col_ids, ious)`` per image with both predictions and
+    columns: its predictions' rank positions (ascending), its columns' indices
+    into ``cols`` and their ``[len(rows), len(col_ids)]`` IoUs."""
+    order = rank([p.score for p in preds])
+    ranked = order.tolist()
+    rows_by_image: dict = {}
+    for position, i in enumerate(ranked):
+        rows_by_image.setdefault(preds[i].image_id, []).append(position)
+    cols_by_image: dict = {}
+    for c, g in enumerate(cols):
+        cols_by_image.setdefault(g.image_id, []).append(c)
+    blocks = []
+    for image_id, rows in rows_by_image.items():
+        if col_ids := cols_by_image.get(image_id):
+            ious = image_ious([preds[ranked[r]] for r in rows], [cols[c] for c in col_ids])
+            blocks.append((np.array(rows), np.array(col_ids), ious))
+    return order, blocks
+
+
+def _claim(free_ious: np.ndarray, starts: np.ndarray, widths: np.ndarray,
+           floor: np.ndarray) -> tuple:
+    """One greedy step. The images' columns lie side by side, ``widths`` of
+    them from ``starts``; ``free_ious[..., j]`` is the IoU of column j with its
+    image's current prediction, or ``-inf`` where the column is not free. Each
+    image's prediction claims its free column of highest IoU, the first on a
+    tie, and hits iff that IoU is above ``floor``, the threshold or 0 if that
+    is larger. Returns ``(hit, first)`` per image: whether it hits, and the
+    column it claims."""
+    best = np.fmax.reduceat(free_ious, starts, axis=-1)  # NaN never wins
+    width = free_ious.shape[-1]
+    at_best = free_ious == np.repeat(best, widths, axis=-1)
+    first = np.minimum.reduceat(np.where(at_best, np.arange(width), width), starts, axis=-1)
+    return best > floor, first
+
+
+def _match(n_preds: int, blocks: list, real: np.ndarray, out: np.ndarray,
+           thresholds: Sequence[float]) -> tuple:
+    """The greedy rule (module docstring) for V runs of T thresholds at once.
+
+    ``blocks`` come from ``_iou_blocks``. Run v matches the columns of
+    ``real[v]`` and ignore-lists the others; ``out[v]`` marks, by rank position,
+    the predictions it leaves out of the ranking when they are unmatched.
+    Returns ``(tp, ig)``, ``[V, T, n_preds]`` flags by rank position; a
+    prediction that is neither is a false positive. Step k takes the k-th
+    prediction of every image, with the images ordered by their prediction
+    counts, so the images still matching are a prefix and the steps number the
+    most predictions in one image.
     """
-    preds_by_image = _by_image(preds)
-    table = {}
-    for image_id, image_gts in _by_image(gts).items():
-        image_preds = preds_by_image.get(image_id, [])
-        if kind == "box":
-            ious = (iou_matrix([p.box for p in image_preds], [g.box for g in image_gts]).tolist()
-                    if image_preds else [])
-        else:
-            iou_fn = geometry_iou_fn(kind)
-            ious = [[iou_fn(p, g) for g in image_gts] for p in image_preds]
-        for p, row in zip(image_preds, ious):
-            for g, value in zip(image_gts, row):
-                table[id(p), id(g)] = value
-    return lambda p, g: table[id(p), id(g)]
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None]  # [T, 1] against [V, T, images]
+    tp = np.zeros((len(real), len(thr), n_preds), dtype=bool)
+    over = np.zeros_like(tp)  # above the threshold on an ignore-listed column
+    blocks = sorted(blocks, key=lambda b: -len(b[0]))
+    if blocks:
+        heights = np.array([len(rows) for rows, _, _ in blocks])
+        widths = np.array([len(col_ids) for _, col_ids, _ in blocks])
+        starts = np.cumsum(widths) - widths  # each image's first column, side by side
+        ranked = np.concatenate([rows for rows, _, _ in blocks])
+        real = real[:, np.concatenate([col_ids for _, col_ids, _ in blocks])]
+        # every IoU block by block, row by row: each one's block, row and column
+        ious = np.concatenate([block.ravel() for _, _, block in blocks])
+        sizes = heights * widths
+        of_block = np.repeat(np.arange(len(blocks)), sizes)
+        row, col = np.divmod(np.arange(ious.size) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                             widths[of_block])
+        ignored = np.fmax.reduceat(np.where(real[:, starts[of_block] + col], -np.inf, ious),
+                                   np.flatnonzero(col == 0), axis=-1)  # per row
+        over[..., ranked] = ignored[:, None] > thr
+        ious = ious[np.argsort(row, kind="stable")]  # step by step: row k of every block
+        free = np.repeat(real[:, None], len(thr), axis=1)
+        floor = np.maximum(thr, 0.0)
+        row_starts = np.cumsum(heights) - heights
+        offset = 0
+        for k, n in enumerate(np.searchsorted(-heights, -np.arange(heights[0])).tolist()):
+            width = starts[n - 1] + widths[n - 1]  # the columns of the first n images
+            step = ious[offset:offset + width]
+            offset += width
+            hit, first = _claim(np.where(free[..., :width], step, -np.inf), starts[:n],
+                                widths[:n], floor)
+            v, t, i = np.nonzero(hit)
+            free[v, t, first[v, t, i]] = False
+            tp[..., ranked[row_starts[:n] + k]] = hit
+    return tp, ~tp & (over | out[:, None])
 
 
 def match_predictions(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
                       iou_thresh: float, iou_fn: Callable,
                       ignore_gts: Sequence[EvalEntry] = (),
                       ignore_pred: Callable[[EvalEntry], bool] | None = None):
-    """Greedy score-order matching. Returns (order, flags) with one flag of
-    ``tp``/``fp``/``ig`` per prediction, in descending-score order.
-
-    Each prediction claims the unmatched same-image gt with the highest IoU
-    and is a TP iff that IoU strictly surpasses the threshold; the claimed gt
-    then leaves the pool. Failed predictions are excluded from ranking
-    (``ig``) when they overlap an ignore-listed gt above the threshold, or
-    when ``ignore_pred`` says so (area-bucket exclusion).
-    """
-    order = rank([p.score for p in preds])
-    by_image: dict = {}
-    for gi, g in enumerate(gts):
-        by_image.setdefault(g.image_id, []).append(gi)
-    ignore_by_image = _by_image(ignore_gts)
-    matched = np.zeros(len(gts), dtype=bool)
-
-    flags = []
-    for pi in order:
-        p = preds[pi]
-        best_gt, best_iou = -1, 0.0
-        for gi in by_image.get(p.image_id, []):
-            if matched[gi]:
-                continue
-            v = iou_fn(p, gts[gi])
-            if v > best_iou:
-                best_gt, best_iou = gi, v
-        if best_gt >= 0 and best_iou > iou_thresh:
-            matched[best_gt] = True
-            flags.append("tp")
-            continue
-        if any(iou_fn(p, g) > iou_thresh for g in ignore_by_image.get(p.image_id, [])):
-            flags.append("ig")
-        elif ignore_pred is not None and ignore_pred(p):
-            flags.append("ig")
-        else:
-            flags.append("fp")
-    return order, flags
+    """Greedy score-order matching at one threshold. Returns (order, flags)
+    with one flag of ``tp``/``fp``/``ig`` per prediction, in descending-score
+    order. ``ignore_pred`` marks the predictions left out of the ranking when
+    unmatched (area-bucket exclusion); ``iou_fn`` is called once per same-image
+    pair of a prediction and a gt or ignore-listed gt."""
+    cols = [*gts, *ignore_gts]
+    order, blocks = _iou_blocks(preds, cols, lambda ps, gs: _iou_table(iou_fn, ps, gs))
+    out = [ignore_pred is not None and bool(ignore_pred(preds[i])) for i in order.tolist()]
+    real = np.arange(len(cols)) < len(gts)
+    tp, ig = _match(len(preds), blocks, real[None], np.array([out], dtype=bool), (iou_thresh,))
+    return order, np.where(tp[0, 0], "tp", np.where(ig[0, 0], "ig", "fp")).tolist()
 
 
 @dataclass
 class PrCurve:
-    """Rank-by-rank (recall, precision) points plus the monotone envelope.
+    """Rank-by-rank (recall, precision) points plus the monotone envelope,
+    along the last axis (one curve, or a stack of them).
 
     ``envelope[k]`` is the highest precision at any recall >= ``recall[k]``;
     it is non-increasing by construction and carries the whole AP area.
@@ -217,28 +289,32 @@ class PrCurve:
     precision: np.ndarray
     envelope: np.ndarray
 
-    def area(self) -> float:
-        """Exact area under the envelope, zero beyond the last recall point.
+    def area(self):
+        """Exact area under each envelope, zero beyond the last recall point.
 
         The envelope is constant between consecutive achieved recalls (on a
         recall-increasing step precision always rises into the step, so the
         piecewise-linear curve never exceeds its right endpoint's suffix max),
-        which makes the step sum exact.
+        which makes the step sum exact. The steps are summed rank by rank, in
+        order, so a rank that adds no recall adds exactly zero.
         """
-        total = 0.0
-        r_prev = 0.0
-        for r, m in zip(self.recall, self.envelope):
-            total += (r - r_prev) * m
-            r_prev = r
-        return float(total)
+        steps = np.diff(self.recall, axis=-1, prepend=0.0) * self.envelope
+        if not steps.shape[-1]:
+            return np.zeros(steps.shape[:-1])
+        return np.cumsum(steps, axis=-1)[..., -1]
 
 
-def pr_curve(tp_flags: Sequence[bool], n_gt: int) -> PrCurve:
-    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    ranks = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
-    precision = tp / ranks
+def pr_curve(tp_flags, n_gt: int, counted=None) -> PrCurve:
+    """The curve of ``tp_flags``, in rank order along the last axis, against
+    ``n_gt`` gts. ``counted`` (default: all) marks the ranked predictions; one
+    left out adds no point: recall carries over it and its precision reads 0,
+    below every envelope value."""
+    tp_flags = np.asarray(tp_flags, dtype=bool)
+    counted = np.ones_like(tp_flags) if counted is None else np.asarray(counted, dtype=bool)
+    tp = np.cumsum(tp_flags & counted, axis=-1)
+    precision = np.where(counted, tp / np.maximum(np.cumsum(counted, axis=-1), 1), 0.0)
     return PrCurve(recall=tp / n_gt, precision=precision,
-                   envelope=np.maximum.accumulate(precision[::-1])[::-1])
+                   envelope=np.maximum.accumulate(precision[..., ::-1], axis=-1)[..., ::-1])
 
 
 def ap_single(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
@@ -256,17 +332,16 @@ def ap_single(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry],
     if not gts:
         return 0.0
     _, flags = match_predictions(preds, gts, iou_thresh, iou_fn, ignore_gts, ignore_pred)
-    tp_flags = [f == "tp" for f in flags if f != "ig"]
-    if not tp_flags:
-        return 0.0
-    return pr_curve(tp_flags, len(gts)).area()
+    flags = np.array(flags)
+    return float(pr_curve(flags == "tp", len(gts), counted=flags != "ig").area())
 
 
-def _in_bucket(area: float, bucket: str) -> bool:
+def _in_bucket(area, bucket: str):
+    """Whether ``area`` (a number or an array) lies in ``bucket``."""
     if bucket == "small":
         return area < SMALL_AREA
     if bucket == "medium":
-        return SMALL_AREA <= area <= LARGE_AREA
+        return (SMALL_AREA <= area) & (area <= LARGE_AREA)
     if bucket == "large":
         return area > LARGE_AREA
     raise ContractError(f"unknown bucket {bucket!r}")
@@ -276,12 +351,15 @@ def ap_suite(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry], kind: str = "
     """COCO-style AP report: 10-threshold mean plus AP50/75 and size buckets.
 
     Per-class APs are averaged over the classes present in the ground truth;
-    a bucket with no ground truth anywhere reports -1. Each class's pairwise
-    IoUs are evaluated once and shared by all of its threshold and bucket
-    passes (the bucket passes' ignore-listed gts are gts of the same class).
+    a bucket with no ground truth anywhere reports -1. Each class is matched
+    once: one ``_match`` call takes every threshold, for all of the class's gts
+    and for each populated bucket (whose other gts of the class are
+    ignore-listed), from IoUs held one (image, class) block at a time and areas
+    computed once per entry.
     """
     classes = sorted({g.class_id for g in gts})
     buckets = (("small", "AP_S"), ("medium", "AP_M"), ("large", "AP_L"))
+    image_ious = _image_ious(kind)
 
     def class_mean(values):
         return float(np.mean(values)) if values else -1.0
@@ -292,21 +370,22 @@ def ap_suite(preds: Sequence[EvalEntry], gts: Sequence[EvalEntry], kind: str = "
     for c in classes:
         class_preds = [p for p in preds if p.class_id == c]
         class_gts = [g for g in gts if g.class_id == c]
-        iou_fn = _pair_ious(class_preds, class_gts, kind)
-        aps = [ap_single(class_preds, class_gts, t, iou_fn) for t in AP_IOU_THRESHOLDS]
-        for t, v in zip(AP_IOU_THRESHOLDS, aps):
-            per_threshold[t].append(v)
-        all_threshold_means.append(float(np.mean(aps)))
-
+        order, blocks = _iou_blocks(class_preds, class_gts, image_ious)
+        gt_area, pred_area = _areas(class_gts), _areas(class_preds)[order]
+        # (report key, gts matched, predictions left out when unmatched) per run
+        runs = [(None, np.ones(len(class_gts), dtype=bool), np.zeros(len(class_preds), dtype=bool))]
         for bucket, key in buckets:
-            real = [g for g in class_gts if _in_bucket(g.area(), bucket)]
-            if not real:
-                continue
-            ignore = [g for g in class_gts if not _in_bucket(g.area(), bucket)]
-            pred_out = lambda p: not _in_bucket(p.area(), bucket)  # noqa: E731
-            aps = [ap_single(class_preds, real, t, iou_fn, ignore, pred_out)
-                   for t in AP_IOU_THRESHOLDS]
-            bucket_means[key].append(float(np.mean(aps)))
+            if (real := _in_bucket(gt_area, bucket)).any():
+                runs.append((key, real, ~_in_bucket(pred_area, bucket)))
+        keys, real, out = zip(*runs)
+        tp, ig = _match(len(class_preds), blocks, np.array(real), np.array(out), AP_IOU_THRESHOLDS)
+        aps = [pr_curve(flags, int(n_gt), counted=~left_out).area()
+               for flags, n_gt, left_out in zip(tp, np.sum(real, axis=1), ig)]
+        for t, ap in zip(AP_IOU_THRESHOLDS, aps[0].tolist()):
+            per_threshold[t].append(ap)
+        all_threshold_means.append(float(np.mean(aps[0])))
+        for key, values in zip(keys[1:], aps[1:]):
+            bucket_means[key].append(float(np.mean(values)))
 
     report = {
         "AP": class_mean(all_threshold_means),
@@ -522,13 +601,25 @@ def pq(preds: Mapping[int, Sequence[PanopticSegment]],
         for p in p_segs:
             stats[p.class_id].fp += 1
         # Both labels are constant between consecutive bounds of either side, so a
-        # pair's intersection sums its pieces' lengths. Codes sort gts in order.
-        cuts = np.sort(np.concatenate(([0], p_bounds, g_bounds)))  # piece starts
+        # pair's intersection sums its pieces' lengths. A piece starts at 0 and at
+        # each distinct bound, and each side's label there follows the count of that
+        # side's bounds at or before it. Codes sort gts in order.
+        bounds = np.concatenate((g_bounds, p_bounds, [0]))
+        order = np.argsort(bounds, kind="stable")  # merges the two sorted sides
+        at = bounds[order]
+        last = np.flatnonzero(np.diff(at, append=at[-1] + 1))  # each distinct bound's last place
+        g_seen = np.cumsum(order < g_bounds.size)[last]
+        p_seen = np.cumsum((order >= g_bounds.size) & (order < bounds.size - 1))[last]
         stride = len(p_segs) + 1
-        codes = (g_values[np.searchsorted(g_bounds, cuts, side="right")] * stride
-                 + p_values[np.searchsorted(p_bounds, cuts, side="right")])
-        codes, piece_codes = np.unique(codes, return_inverse=True)
-        inters = np.bincount(piece_codes, weights=np.diff(cuts, append=shape[0] * shape[1]))
+        codes = g_values[g_seen] * stride + p_values[p_seen]
+        lengths = np.diff(at[last], append=shape[0] * shape[1])
+        if stride * (len(g_segs) + 1) <= PQ_CODE_SPACE * last.size:  # one bin per code
+            inters = np.bincount(codes, weights=lengths)
+            codes = np.flatnonzero(inters)  # a code of empty pieces only adds nothing
+            inters = inters[codes]
+        else:  # more segment pairs than pieces: one bin per code present
+            codes, piece_codes = np.unique(codes, return_inverse=True)
+            inters = np.bincount(piece_codes, weights=lengths)
         for code, inter in zip(codes.tolist(), inters.astype(np.int64).tolist()):
             gi, pi = divmod(code, stride)  # label k + 1 is segment k, 0 is void
             if gi and pi and g_segs[gi - 1].class_id == p_segs[pi - 1].class_id:

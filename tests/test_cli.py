@@ -287,6 +287,33 @@ def test_eval_loads_no_scipy(tmp_path, rng):
     assert json.load(open(tmp_path / "panoptic.json"))["PQ"] > 0
 
 
+def test_eval_prints_the_bytes_it_writes(tmp_path, capsys, monkeypatch, rng):
+    """Each eval task encodes its report once: stdout carries the --out file's bytes."""
+    masks = [np.zeros((64, 80), dtype=bool) for _ in range(2)]
+    masks[0][5:40, 10:70] = True
+    masks[1][50:, :30] = rng.random((14, 30)) < 0.8
+    records = [dict(box_record(0, 1 + i, (0, 0, 80, 64), 0.9), rle=io.rle_to_dict(rle_encode(m)))
+               for i, m in enumerate(masks)]
+    io.dump_json(str(tmp_path / "inst.json"), records)
+    segments = [{"class": 1 + i, "is_thing": i == 0, "rle": io.rle_to_dict(rle_encode(m))}
+                for i, m in enumerate(masks)]
+    io.dump_json(str(tmp_path / "pan.json"), [{"image_id": 0, "segments": segments}])
+    encodes = []
+    real_dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: encodes.append(1) or real_dumps(*a, **k))
+    monkeypatch.setattr(io, "dump_json", None)  # the report is not encoded a second time
+    for task, f in (("det", "inst.json"), ("seg", "inst.json"), ("boundary", "inst.json"),
+                    ("panoptic", "pan.json")):
+        out = tmp_path / f"{task}.json"
+        encodes.clear()
+        assert main(["eval", "--task", task, "--preds", str(tmp_path / f),
+                     "--gts", str(tmp_path / f), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert len(encodes) == 1
+        report = json.loads(out.read_bytes())
+        assert out.read_bytes() == (real_dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
 def blas_calls():
     calls = cli._blas_thread_calls()
     if calls is None:

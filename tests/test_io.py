@@ -337,6 +337,85 @@ class TestPanopticFile:
         with pytest.raises(SchemaError, match="bad panoptic record 2: image_id 3"):
             io.load_panoptic(path)
 
+    @pytest.mark.parametrize("is_thing", ["false", 0, None, 1, "true"])
+    def test_is_thing_must_be_a_json_boolean(self, tmp_path, capsys, is_thing):
+        path = str(tmp_path / "pan.json")
+        rle = io.rle_to_dict(rle_encode(np.ones((10, 10), dtype=bool)))
+        ok = {"class": 1, "rle": rle}
+        io.dump_json(path, [{"image_id": 0, "segments": [ok]},
+                            {"image_id": 1, "segments": [ok, dict(ok, is_thing=is_thing)]}])
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: bad panoptic record 1: is_thing must be true or false, "
+                f"not {json.dumps(is_thing)}")):
+            io.load_panoptic(path)
+        assert main(["eval", "--task", "panoptic", "--preds", path, "--gts", path]) == 2
+        assert "bad panoptic record 1" in capsys.readouterr().err
+
+    def test_is_thing_true_false_or_absent(self, tmp_path):
+        path = str(tmp_path / "pan.json")
+        rle = io.rle_to_dict(rle_encode(np.ones((10, 10), dtype=bool)))
+        io.dump_json(path, [{"image_id": 0, "segments": [{"class": 1, "rle": rle}]},
+                            {"image_id": 1, "segments": [{"class": 2, "is_thing": True, "rle": rle}]},
+                            {"image_id": 2, "segments": [{"class": 3, "is_thing": False, "rle": rle}]}])
+        _, things, stuffs = io.load_panoptic(path)
+        assert things == {1, 2} and stuffs == {3}
+
+
+# What ``_integers`` and ``_integer`` make of one value in [LO, HI]: the int it
+# becomes, or the exception and its message.
+LO, HI = -5, 9
+INTEGER_TABLE = [
+    ("int", 3, 3),
+    ("lo", LO, LO),
+    ("hi", HI, HI),
+    ("true", True, 1),
+    ("false", False, 0),
+    ("integral-float", 2.0, 2),
+    ("string", "7", 7),
+    ("bad-string", "x", (ValueError, "invalid literal for int() with base 10: 'x'")),
+    ("fraction", 1.5, (ValueError, "n 1.5 is not an integer")),
+    ("nan", float("nan"), (ValueError, "n nan is not an integer")),
+    ("inf", float("inf"), (ValueError, "n inf is not an integer")),
+    ("-inf", float("-inf"), (ValueError, "n -inf is not an integer")),
+    ("1e400", json.loads("1e400"), (ValueError, "n inf is not an integer")),
+    ("lo-1", LO - 1, (ValueError, "n -6 lies outside [-5, 9]")),
+    ("hi+1", HI + 1, (ValueError, "n 10 lies outside [-5, 9]")),
+    ("float-lo-1", float(LO - 1), (ValueError, "n -6 lies outside [-5, 9]")),
+    ("huge", 2**70, (ValueError, f"n {2**70} lies outside [-5, 9]")),
+    ("null", None, (TypeError, "int() argument must be a string, a bytes-like object or a "
+                               "real number, not 'NoneType'")),
+]
+
+
+class TestIntegerTable:
+    """Each value alone, among plain ints (the one-scan path when it is an int)
+    and beside a float (the checked path): the same int, or the same refusal."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            value = fn(*args)
+        except (TypeError, ValueError) as e:
+            return type(e), str(e)
+        items = value if isinstance(value, tuple) else (value,)
+        assert all(type(v) is int for v in items)
+        return value
+
+    @pytest.mark.parametrize("name,value,want", INTEGER_TABLE, ids=[c[0] for c in INTEGER_TABLE])
+    def test_accepts_and_refuses_as_before(self, name, value, want):
+        refused = isinstance(want, tuple)
+        for fn, arg, accepted in ((io._integer, value, want),
+                                  (io._integers, [value], (want,)),
+                                  (io._integers, [1, value, 2], (1, want, 2)),
+                                  (io._integers, [2.0, value], (2, want))):
+            assert self.outcome(fn, arg, "n", LO, HI) == (want if refused else accepted)
+
+    def test_empty_list_and_non_lists(self):
+        assert io._integers([], "n", LO, HI) == ()
+        for values in ((1, 2), {"a": 1}, 3, "12", None):
+            with pytest.raises(TypeError, match=f"n must be a list, not {type(values).__name__}"):
+                io._integers(values, "n", LO, HI)
+
 
 class TestRoiValues:
     @pytest.mark.parametrize("cls,want", [(0, 0), (3.0, 3), (2**31 - 1, 2**31 - 1),

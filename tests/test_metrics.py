@@ -373,16 +373,22 @@ class TestApSuiteTables:
             assert max(decoded.values()) == 1
             assert len(decoded) == len({i for pair in evaluated for i in pair})
 
-    def test_box_pair_ious_bits_equal_geometry_iou(self, rng):
+    def test_box_blocks_bits_equal_geometry_iou(self, rng):
         for _ in range(5):
             preds, gts = table_instance(rng, "box")
-            lookup = me._pair_ious(preds, gts, "box")
-            for p in preds:
-                for g in gts:
-                    if p.image_id == g.image_id:
-                        want = me.box_iou(p.box, g.box)
-                        assert type(lookup(p, g)) is float
-                        assert lookup(p, g).hex() == want.hex()
+            order, blocks = me._iou_blocks(preds, gts, me._image_ious("box"))
+            held = set()
+            for rows, col_ids, ious in blocks:
+                assert ious.dtype == np.float64 and ious.shape == (len(rows), len(col_ids))
+                for r, row in zip(rows.tolist(), ious.tolist()):
+                    p = preds[order[r]]
+                    for c, value in zip(col_ids.tolist(), row):
+                        g = gts[c]
+                        assert p.image_id == g.image_id
+                        assert value.hex() == me.box_iou(p.box, g.box).hex()
+                        held.add((order[r], c))
+            assert held == {(i, c) for i, p in enumerate(preds) for c, g in enumerate(gts)
+                            if p.image_id == g.image_id}
 
     @pytest.mark.parametrize("kind", ("mask", "boundary"))
     def test_canvas_mismatch_rejected(self, kind):
@@ -391,6 +397,178 @@ class TestApSuiteTables:
         with pytest.raises(ContractError):
             me.ap_suite([me.EvalEntry(0, 1, 0.9, mask=small)],
                         [me.EvalEntry(0, 1, mask=large)], kind)
+
+
+def oracle_match(preds, gts, thresh, ignore_gts=(), ignore_pred=None):
+    """The per-prediction loop: greedy score-order matching, one prediction,
+    one gt and one threshold at a time."""
+    order = me.rank([p.score for p in preds])
+    matched = [False] * len(gts)
+    flags = []
+    for pi in order:
+        p = preds[pi]
+        best_gt, best_iou = -1, 0.0
+        for gi, g in enumerate(gts):
+            if g.image_id != p.image_id or matched[gi]:
+                continue
+            v = me.box_iou(p.box, g.box)
+            if v > best_iou:
+                best_gt, best_iou = gi, v
+        if best_gt >= 0 and best_iou > thresh:
+            matched[best_gt] = True
+            flags.append("tp")
+        elif any(me.box_iou(p.box, g.box) > thresh for g in ignore_gts
+                 if g.image_id == p.image_id):
+            flags.append("ig")
+        elif ignore_pred is not None and ignore_pred(p):
+            flags.append("ig")
+        else:
+            flags.append("fp")
+    return order, flags
+
+
+# predicted heights that put a copy's IoU with its gt exactly on each threshold
+AT_THRESHOLD = tuple(10 * t for t in me.AP_IOU_THRESHOLDS) + (10.0,)
+
+gt_records = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),  # image, class
+                                st.integers(0, 4), st.integers(0, 4),  # grid position
+                                st.booleans()),  # ignore-listed
+                      max_size=14)
+pred_records = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),  # image (4: no gts), class
+                                  st.sampled_from((0.2, 0.5, 0.5, 0.9)),  # few scores: ties
+                                  st.integers(0, 19), st.sampled_from(AT_THRESHOLD),
+                                  st.sampled_from((0, 0, 0, 1, -1, 2, 2.5)),  # shift
+                                  st.booleans()),  # ignore_pred
+                        max_size=20)
+
+
+def matcher_instance(gt_recs, pred_recs):
+    """10-px boxes on a 5-px grid, so gts overlap. Most predictions copy a gt
+    (``src`` below 16 picks one): its image, class and box, cut to a height in
+    ``AT_THRESHOLD`` and shifted, by 2.5 px to tie two gts 5 px apart. The
+    others keep their own image and class."""
+    gts = [box_entry(i, c, [5 * x, 5 * y, 5 * x + 10, 5 * y + 10])
+           for i, c, x, y, _ in gt_recs]
+    ignored = [ig for *_, ig in gt_recs]
+    preds, left_out = [], []
+    for image, cls, score, src, height, shift, out in pred_recs:
+        if src < 16 and gts and image < 4:
+            g = gts[src % len(gts)]
+            x0, y0 = g.box[:2] + shift
+            preds.append(box_entry(g.image_id, g.class_id, [x0, y0, x0 + 10, y0 + height], score))
+        else:
+            preds.append(box_entry(image, cls, [5 * shift + 20, 20, 5 * shift + 30, 20 + height],
+                                   score))
+        left_out.append(out)
+    return preds, gts, ignored, left_out
+
+
+class TestMatcher:
+    """``_match`` against the per-prediction loop, threshold by threshold."""
+
+    @given(gt_recs=gt_records, pred_recs=pred_records)
+    @settings(max_examples=300, deadline=None)
+    def test_flags_equal_the_loop_at_every_threshold(self, gt_recs, pred_recs):
+        preds, gts, ignored, left_out = matcher_instance(gt_recs, pred_recs)
+        steps = []
+        real_claim = me._claim
+
+        def counted(*args):
+            steps[-1] += 1
+            return real_claim(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(me, "_claim", counted)
+            for c in range(4):  # class 3 has predictions and no gts
+                cp = [p for p in preds if p.class_id == c]
+                out = [o for p, o in zip(preds, left_out) if p.class_id == c]
+                cols = [g for g in gts if g.class_id == c]
+                marks = [ig for g, ig in zip(gts, ignored) if g.class_id == c]
+                order, blocks = me._iou_blocks(cp, cols, me._image_ious("box"))
+                # run 0 matches every gt; run 1 ignore-lists the marked ones and
+                # leaves the marked predictions out
+                real = np.array([[True] * len(cols), [not ig for ig in marks]], dtype=bool)
+                out_rank = np.array([[False] * len(cp), [out[i] for i in order.tolist()]],
+                                    dtype=bool)
+                steps.append(0)
+                tp, ig = me._match(len(cp), blocks, real, out_rank, me.AP_IOU_THRESHOLDS)
+                per_image = Counter(p.image_id for p in cp)
+                assert steps[-1] <= max(per_image.values(), default=0)
+                real_gts = [g for g, ig in zip(cols, marks) if not ig]
+                ignore_gts = [g for g, ig in zip(cols, marks) if ig]
+                pred_out = {id(p) for p, o in zip(cp, out) if o}
+                for t_i, t in enumerate(me.AP_IOU_THRESHOLDS):
+                    runs = ((cols, (), None),
+                            (real_gts, ignore_gts, lambda p: id(p) in pred_out))
+                    for v, (run_gts, run_ignore, run_out) in enumerate(runs):
+                        want_order, want = oracle_match(cp, run_gts, t, run_ignore, run_out)
+                        assert want_order.tolist() == order.tolist()
+                        got = np.where(tp[v, t_i], "tp", np.where(ig[v, t_i], "ig", "fp"))
+                        assert got.tolist() == want
+
+    def test_match_predictions_equals_the_loop(self, rng):
+        for _ in range(30):
+            gt_recs = [(int(rng.integers(3)), 0, int(rng.integers(5)), int(rng.integers(5)),
+                        bool(rng.random() < 0.3)) for _ in range(int(rng.integers(0, 10)))]
+            pred_recs = [(int(rng.integers(4)), 0, float(rng.choice([0.2, 0.5, 0.9])),
+                          int(rng.integers(20)), float(rng.choice(AT_THRESHOLD)),
+                          int(rng.integers(-1, 3)), bool(rng.random() < 0.3))
+                         for _ in range(int(rng.integers(0, 14)))]
+            preds, gts, ignored, left_out = matcher_instance(gt_recs, pred_recs)
+            real_gts = [g for g, ig in zip(gts, ignored) if not ig]
+            ignore_gts = [g for g, ig in zip(gts, ignored) if ig]
+            pred_out = {id(p) for p, o in zip(preds, left_out) if o}
+            for t in (0.3, 0.5, 0.75):
+                args = (real_gts, t, me.geometry_iou_fn("box"), ignore_gts,
+                        lambda p: id(p) in pred_out)
+                order, flags = me.match_predictions(preds, *args)
+                want_order, want = oracle_match(preds, real_gts, t, ignore_gts,
+                                                lambda p: id(p) in pred_out)
+                assert order.tolist() == want_order.tolist() and flags == want
+
+    def test_a_tie_goes_to_the_first_listed_gt(self):
+        iou = me.geometry_iou_fn("box")
+        gts = [box_entry(0, 1, [0, 0, 10, 10]), box_entry(0, 1, [2, 0, 12, 10])]
+        preds = [box_entry(0, 1, [1, 0, 11, 10], 0.9),  # IoU 9/11 with both
+                 box_entry(0, 1, [0, 0, 10, 10], 0.8)]  # IoU 1 with the first, 2/3 with the second
+        assert me.match_predictions(preds, gts, 0.5, iou)[1] == ["tp", "tp"]
+        assert me.match_predictions(preds, gts, 0.7, iou)[1] == ["tp", "fp"]
+        assert me.match_predictions(preds, gts[::-1], 0.7, iou)[1] == ["tp", "tp"]
+
+    def test_iou_at_the_threshold_is_no_match(self):
+        gts = [box_entry(0, 1, [0, 0, 10, 10])]
+        for t in me.AP_IOU_THRESHOLDS:
+            at = [box_entry(0, 1, [0, 0, 10, 10 * t], 0.9)]
+            assert me.box_iou(at[0].box, gts[0].box) == t
+            _, flags = me.match_predictions(at, gts, t, me.geometry_iou_fn("box"))
+            assert flags == ["fp"]
+            _, flags = me.match_predictions(at, gts, t - 0.01, me.geometry_iou_fn("box"))
+            assert flags == ["tp"]
+
+    def test_steps_follow_the_busiest_image(self, monkeypatch):
+        """One image of 6 predictions and 40 of one: 6 steps for the class."""
+        gts = [box_entry(i, 1, [0, 0, 10, 10]) for i in range(41)]
+        preds = [box_entry(0, 1, [0, 0, 10, 10], 0.1 * k) for k in range(6)]
+        preds += [box_entry(i, 1, [0, 0, 10, 9], 0.5) for i in range(1, 41)]
+        steps = []
+        real_claim = me._claim
+        monkeypatch.setattr(me, "_claim", lambda *a: steps.append(1) or real_claim(*a))
+        me.ap_suite(preds, gts, "box")
+        assert len(steps) == 6
+
+    def test_memory_stays_per_image_block(self):
+        """3,000 images of 8 predictions and 8 gts, one class, tied scores: a
+        class-wide [P, G] IoU matrix alone would take 4.6 GB."""
+        rng = np.random.default_rng(7)
+        preds, gts = [], []
+        for i in range(3000):
+            xy = rng.uniform(0, 200, (8, 2))
+            for b in np.hstack([xy, xy + rng.uniform(5, 120, (8, 2))]):
+                gts.append(box_entry(i, 1, b))
+                preds.append(box_entry(i, 1, b + rng.uniform(-3, 3, 4), 0.5))
+        report, peak = traced_peak(me.ap_suite, preds, gts, "box")
+        assert peak < 64 * 2**20
+        assert all(v >= 0.0 for v in report.values())
 
 
 class TestBoundaryIou:
@@ -986,6 +1164,26 @@ class TestPqReference:
         got = outcome(me.pq, preds, gts, {1, 2}, set())
         assert got == outcome(reference_pq, preds, gts, {1, 2}, set())
         assert json.loads(got)["per_class"]["1"]["TP"] == 8
+
+    def test_codes_binned_directly_unless_pairs_outnumber_pieces(self, rng, monkeypatch):
+        """Three segments a side on a 32x32 canvas: one bin per code, no sort of
+        the piece codes. Sixteen one-pixel segments a side on a 4x4 canvas, 289
+        codes for at most 33 pieces: the codes present are sorted instead."""
+        labels = np.zeros((32, 32), dtype=np.int64)
+        labels[:16], labels[16:, :20], labels[20:, 20:] = 1, 2, 3
+        small = ({0: [me.PanopticSegment(k, np.roll(labels, 2, axis=1) == k) for k in (1, 2, 3)]},
+                 {0: [me.PanopticSegment(k, labels == k) for k in (1, 2, 3)]})
+        cells = [np.eye(16, dtype=bool)[k].reshape(4, 4) for k in range(16)]
+        many = ({0: [me.PanopticSegment(1, cells[k]) for k in rng.permutation(16)]},
+                {0: [me.PanopticSegment(1, c) for c in cells]})
+        real_unique = np.unique
+        for (preds, gts), sorts in ((small, 0), (many, 1)):
+            want = outcome(reference_pq, preds, gts, {1, 2, 3}, set())
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(me.np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+                assert outcome(me.pq, preds, gts, {1, 2, 3}, set()) == want
+            assert len(calls) == sorts
 
     def test_cli_panoptic_decodes_no_mask(self, tmp_path, capsys, monkeypatch, rng):
         from spsr import io
